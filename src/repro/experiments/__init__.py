@@ -21,7 +21,6 @@ from .common import (
     ExperimentContext,
     config_label,
     geometric_mean,
-    global_context,
     make_scheduler,
     paper_machine,
     sequential_fallback,
@@ -80,7 +79,6 @@ __all__ = [
     "gap_grid",
     "gap_rows",
     "geometric_mean",
-    "global_context",
     "make_scheduler",
     "max_cycle_divergence",
     "max_ipc_divergence",

@@ -4,14 +4,17 @@ Runs (program suite) x (machine configuration) x (scheduler) x (unrolling
 policy) grids.  Each data point is a hashable
 :class:`~repro.runner.scenario.ScenarioPoint`; the context memoises the
 materialised results in-process (so the many figures that share scenario
-points never schedule the same loop twice in one process) and, when given
-a :class:`~repro.runner.cache.ResultCache`, persists every point on disk
-so repeated figures — and interrupted sweeps — skip scheduling entirely.
+points never schedule the same loop twice in one process) and resolves
+every memo miss through :func:`repro.runner.engine.run_sweep` — which,
+given a :class:`~repro.runner.cache.ResultCache`, serves and persists
+every point on disk so repeated figures — and interrupted sweeps — skip
+scheduling entirely.
 
 Whole grids go through :meth:`ExperimentContext.run_grid`, which shards
 cache misses across worker processes (``jobs``) deterministically; the
 figure harnesses declare their grids up front and then reduce from the
-warm memo.
+warm memo.  The point-at-a-time API is a memo lookup in front of a
+one-point :meth:`~ExperimentContext.run_grid`.
 
 Fallback: a loop that cannot be modulo-scheduled under a configuration
 (e.g. register-pressure-impossible with no spill code) is charged a
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,7 +46,6 @@ from ..runner.engine import (  # re-exported for backwards compatibility
     SCHEDULERS,
     SchedulerFactory,
     SweepStats,
-    execute_point,
     make_scheduler,
     run_sweep,
     sequential_fallback,
@@ -65,7 +66,6 @@ __all__ = [
     "ExperimentContext",
     "config_label",
     "geometric_mean",
-    "global_context",
     "make_scheduler",
     "paper_machine",
     "program_grid",
@@ -156,19 +156,14 @@ class ExperimentContext:
     fresh:
         When true, never *read* the on-disk cache (results are still
         written back) — the ``--fresh`` CLI semantic.
-    pool:
-        Optional long-lived executor injected into every
-        :meth:`run_grid` sweep (see
-        :func:`repro.runner.engine.execute_points`); the scheduling
-        service wires its shared worker pool in here so grid jobs reuse
-        warm workers instead of paying pool start-up per request.
     executor:
-        Optional replacement execution core passed to ``run_sweep`` as
-        its ``execute`` hook (same signature as
-        :func:`repro.runner.engine.execute_points`).  The distributed
-        fabric injects its coordinator's ``execute`` here, so a
-        ``sweep --distributed`` grid job runs on pull-based workers
-        while memoisation, caching and reducers stay unchanged.
+        Where misses run: passed to ``run_sweep`` as its ``execute``
+        hook (default :func:`repro.runner.engine.execute_points`).  The
+        scheduling service binds its shared worker pool here so grid
+        jobs reuse warm workers, and the distributed fabric injects its
+        coordinator's ``execute`` so a ``sweep --distributed`` grid job
+        runs on pull-based workers, while memoisation, caching and
+        reducers stay unchanged.
     memo:
         In-process map from scenario identity to the materialised
         :class:`ScheduledLoopResult` (stable object identity per point).
@@ -189,7 +184,6 @@ class ExperimentContext:
     cache: ResultCache | None = None
     jobs: int = 1
     fresh: bool = False
-    pool: Executor | None = None
     executor: Callable[..., dict[str, PointResult]] | None = None
     memo: dict[str, ScheduledLoopResult] = field(default_factory=dict)
     sim_memo: dict[str, CrossCheck] = field(default_factory=dict)
@@ -200,7 +194,7 @@ class ExperimentContext:
     _fallback_keys: set[str] = field(default_factory=set)
 
     # ------------------------------------------------------------------
-    # Point-at-a-time API (reducers; also the serial fallback path)
+    # Point-at-a-time API (reducers)
     # ------------------------------------------------------------------
     def schedule_loop(
         self,
@@ -210,23 +204,9 @@ class ExperimentContext:
         policy: UnrollPolicy,
         rule: SelectiveRule = SelectiveRule.MII_UNROLLED,
     ) -> ScheduledLoopResult:
-        """Schedule one loop under one scenario (memo -> cache -> compute)."""
+        """Schedule one loop under one scenario (memo, else run_grid)."""
         point = scenario_for(loop, config, scheduler_name, policy, rule)
-        key = point.canonical()
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._cache_get(point)
-        if result is not None:
-            self.stats.cached += 1
-        else:
-            result = execute_point(point, loop)
-            if self.cache is not None:
-                self.cache.put(point, result)
-            self.stats.executed += 1
-        self.stats.total += 1
-        self._absorb_schedule(point, result)
-        return self.memo[key]
+        return self._resolve(point, loop, self.memo)
 
     def crosscheck_loop(
         self,
@@ -244,27 +224,17 @@ class ExperimentContext:
         point = scenario_for(
             loop, config, scheduler_name, policy, rule, simulate=True
         )
+        return self._resolve(point, loop, self.sim_memo)
+
+    def _resolve(self, point: ScenarioPoint, loop: Loop, memo: dict):
+        """*memo*'s entry for *point*, resolved as a one-point grid.
+
+        ``jobs=1``: a worker pool costs more to start than one point.
+        """
         key = point.canonical()
-        hit = self.sim_memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._cache_get(point)
-        if result is not None:
-            self.stats.cached += 1
-        else:
-            twin_key = point.without_simulation().canonical()
-            result = execute_point(
-                point,
-                loop,
-                prior=self.memo.get(twin_key),
-                prior_fallback=twin_key in self._fallback_keys,
-            )
-            if self.cache is not None:
-                self.cache.put(point, result)
-            self.stats.executed += 1
-        self.stats.total += 1
-        self._absorb_sim(point, result)
-        return self.sim_memo[key]
+        if key not in memo:
+            self.run_grid([(point, loop)], jobs=1)
+        return memo[key]
 
     # ------------------------------------------------------------------
     # Grid-at-a-time API (figures declare grids; misses run in parallel)
@@ -306,7 +276,6 @@ class ExperimentContext:
             jobs=jobs,
             cache=self.cache,
             fresh=self.fresh,
-            pool=self.pool,
             prior_lookup=self._known_schedule,
             recorder=self.recorder,
             execute=self.executor,
@@ -321,12 +290,6 @@ class ExperimentContext:
         return stats
 
     # ------------------------------------------------------------------
-    def _cache_get(self, point: ScenarioPoint) -> PointResult | None:
-        """Disk-cache read honouring the context's ``fresh`` setting."""
-        if self.cache is None or self.fresh:
-            return None
-        return self.cache.get(point)
-
     def _known_schedule(
         self, point: ScenarioPoint
     ) -> tuple[ScheduledLoopResult, bool] | None:
@@ -418,18 +381,6 @@ class ExperimentContext:
             )
             ratios.append(clustered_perf.ipc / unified_perf.ipc)
         return sum(ratios) / len(ratios)
-
-
-#: Process-wide default context so benchmark files share the cache.
-_GLOBAL_CONTEXT: ExperimentContext | None = None
-
-
-def global_context() -> ExperimentContext:
-    """Process-wide shared context (benchmarks reuse schedules through it)."""
-    global _GLOBAL_CONTEXT
-    if _GLOBAL_CONTEXT is None:
-        _GLOBAL_CONTEXT = ExperimentContext()
-    return _GLOBAL_CONTEXT
 
 
 def geometric_mean(values: list[float]) -> float:

@@ -40,13 +40,12 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
-from ..ir.serialize import loop_to_dict
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TRACER
 from ..runner.cache import ResultCache, default_code_version
-from ..runner.engine import _point_dict, _shard, store_result
+from ..runner.engine import PriorFor, _shard, store_result, work_item
 from ..runner.scenario import GridItem, PointResult, ScenarioPoint
 from .protocol import (
     PROTOCOL_VERSION,
@@ -98,7 +97,7 @@ class _Sweep:
     id: str
     items: dict[str, GridItem]
     #: Pre-serialised work items, keyed like :attr:`items` (what goes
-    #: over the wire; exactly the :func:`_run_batch` item schema).
+    #: over the wire; built by :func:`~repro.runner.engine.work_item`).
     item_docs: dict[str, dict[str, Any]]
     cache: ResultCache | None
     trace: dict[str, str] | None
@@ -577,17 +576,16 @@ class FabricCoordinator:
         misses: list[tuple[str, GridItem]],
         *,
         jobs: int = 1,
-        pool: Any = None,
         cache: ResultCache | None = None,
-        prior_for: Callable[[ScenarioPoint], tuple[Any, bool]] | None = None,
+        prior_for: PriorFor | None = None,
         meta_out: dict[str, dict[str, Any]] | None = None,
     ) -> dict[str, PointResult]:
         """Execute *misses* on the worker fleet; blocks until complete.
 
         Signature-compatible with
         :func:`~repro.runner.engine.execute_points` so it plugs into
-        ``run_sweep(execute=...)`` unchanged.  ``jobs`` and ``pool`` are
-        ignored — parallelism is however many workers are pulling.
+        ``run_sweep(execute=...)`` unchanged.  ``jobs`` is ignored —
+        parallelism is however many workers are pulling.
 
         Raises
         ------
@@ -595,7 +593,7 @@ class FabricCoordinator:
             When ``sweep_timeout_s`` elapses or the coordinator is
             closed with the sweep incomplete.
         """
-        del jobs, pool
+        del jobs
         if not misses:
             return {}
         sweep = self._register_sweep(misses, cache=cache, prior_for=prior_for)
@@ -618,24 +616,11 @@ class FabricCoordinator:
         misses: list[tuple[str, GridItem]],
         *,
         cache: ResultCache | None,
-        prior_for: Callable[[ScenarioPoint], tuple[Any, bool]] | None = None,
+        prior_for: PriorFor | None = None,
     ) -> _Sweep:
-        item_docs: dict[str, dict[str, Any]] = {}
-        for key, (point, loop) in misses:
-            prior, prior_fb = (None, False)
-            if prior_for is not None:
-                prior, prior_fb = prior_for(point)
-            item_docs[key] = {
-                "point": _point_dict(point),
-                "loop": loop_to_dict(loop),
-                "prior": (
-                    PointResult.from_loop_result(
-                        prior, fallback=bool(prior_fb)
-                    ).to_dict()
-                    if prior is not None
-                    else None
-                ),
-            }
+        item_docs = {
+            key: work_item(point, loop, prior_for) for key, (point, loop) in misses
+        }
         sweep = _Sweep(
             id=f"s{next(self._sweep_ids):05d}",
             items=dict(misses),

@@ -6,22 +6,18 @@
 impossible), then optionally execute it on the cycle-accurate simulator
 and diff against the analytic model.
 
-:func:`run_sweep` executes a whole grid: it serves every point it can
-from the on-disk cache, shards the misses **deterministically** (by
-content hash, so the work distribution is a pure function of the grid,
-not of timing) across a ``ProcessPoolExecutor``, and persists each
-result as it completes.  Because scheduling is deterministic per point
-and results are keyed by content, a sweep's output is byte-identical at
-``--jobs 1`` and ``--jobs N``, and a killed sweep resumes from whatever
-the cache already holds.
-
-:func:`execute_points` is the execution core underneath
-:func:`run_sweep`: it takes an already-deduplicated list of cache
-misses and runs them — in-process, on an ephemeral pool, or on an
-**injected long-lived executor**.  Long-lived front ends
-(:mod:`repro.service`) call it directly with a shared
-``ProcessPoolExecutor`` so concurrent clients amortise worker start-up
-across requests instead of paying pool creation per sweep.
+:func:`run_sweep` is the one resolver from scenario points to results
+that every front end goes through: it serves every point it can from the
+on-disk cache, hands the misses to its ``execute`` hook, and accounts
+for them.  The default hook, :func:`execute_points`, shards the misses
+**deterministically** (by content hash, so the work distribution is a
+pure function of the grid, not of timing) across a
+``ProcessPoolExecutor`` — ephemeral, or an injected long-lived one — and
+persists each result as it completes.  The distributed fabric's
+coordinator is the other hook.  Because scheduling is deterministic per
+point and results are keyed by content, a sweep's output is
+byte-identical at ``--jobs 1`` and ``--jobs N``, and a killed sweep
+resumes from whatever the cache already holds.
 
 The scheduler registry (:data:`SCHEDULERS`, :func:`make_scheduler`) and
 the list-schedule fallback live here so both the engine's workers and
@@ -64,6 +60,10 @@ from .scenario import GridItem, PointResult, ScenarioPoint, SimOutcome
 
 #: Scheduler factory signature: config -> scheduler.
 SchedulerFactory = Callable[[MachineConfig], SchedulerBase]
+
+#: ``prior_for`` hook signature: point -> (twin's schedule or None,
+#: whether that schedule was a list-schedule fallback).
+PriorFor = Callable[[ScenarioPoint], tuple[ScheduledLoopResult | None, bool]]
 
 #: Registered schedulers, by the names used in scenario points,
 #: experiment grids and ablation studies.  ``exact`` resolves its backend
@@ -221,25 +221,69 @@ def store_result(
             )
 
 
+def _execute_and_store(
+    point: ScenarioPoint,
+    loop: Loop,
+    cache: ResultCache | None,
+    prior: ScheduledLoopResult | None = None,
+    prior_fallback: bool = False,
+) -> tuple[PointResult, dict[str, Any]]:
+    """Execute one point, persist it, and time it.
+
+    The one per-point step of the in-process path and of every pool or
+    fabric worker (:func:`_run_batch`).  Returns the result and its
+    ``{"wall_s": ...}`` meta (the execution time, excluding the cache
+    write).
+    """
+    t0 = perf_counter()
+    with TRACER.span("runner.execute_point", point=point.describe()):
+        result = execute_point(point, loop, prior=prior, prior_fallback=prior_fallback)
+    meta: dict[str, Any] = {"wall_s": perf_counter() - t0}
+    if cache is not None:
+        store_result(cache, point, result)
+    return result, meta
+
+
 # ---------------------------------------------------------------------------
 # Worker plumbing (must stay module-level: pickled across processes)
 # ---------------------------------------------------------------------------
+def work_item(
+    point: ScenarioPoint, loop: Loop, prior_for: PriorFor | None = None
+) -> dict[str, Any]:
+    """Encode one miss as a :func:`_run_batch` work item.
+
+    The item is ``{"point": <canonical dict>, "loop": <loop_to_dict>,
+    "prior": <PointResult.to_dict() | None>}``; *prior* carries the
+    schedule-only twin's result from *prior_for* so the worker skips
+    rescheduling.  Pool shards and fabric leases ship the same schema.
+    """
+    prior, prior_fb = prior_for(point) if prior_for is not None else (None, False)
+    return {
+        "point": json.loads(point.canonical()),
+        "loop": loop_to_dict(loop),
+        "prior": (
+            PointResult.from_loop_result(prior, fallback=bool(prior_fb)).to_dict()
+            if prior is not None
+            else None
+        ),
+    }
+
+
 def _run_batch(
     batch: list[dict[str, Any]],
     cache_root: str | None,
     code_version: str | None,
     trace_carrier: dict[str, str] | None = None,
 ) -> list[tuple[str, dict[str, Any], dict[str, Any]]]:
-    """Execute one shard of work items in a worker process.
+    """Execute one shard of :func:`work_item` items in a worker process.
 
-    Each item is ``{"point": <asdict>, "loop": <loop_to_dict>,
-    "prior": <PointResult.to_dict() | None>}``.  Results are written to
-    the shared cache *as each point completes* (atomic, content-keyed),
-    so a sweep killed mid-shard still resumes from every finished point.
-    Returns ``(canonical_key, result_payload, meta)`` triples; *meta*
-    always carries the point's wall time, plus its finished spans when
-    tracing is enabled (spawn workers inherit ``$REPRO_VLIW_TRACE``) —
-    *trace_carrier* links those spans to the submitting trace.
+    Results are written to the shared cache *as each point completes*
+    (atomic, content-keyed), so a sweep killed mid-shard still resumes
+    from every finished point.  Returns ``(canonical_key,
+    result_payload, meta)`` triples; *meta* always carries the point's
+    wall time, plus its finished spans when tracing is enabled (spawn
+    workers inherit ``$REPRO_VLIW_TRACE``) — *trace_carrier* links those
+    spans to the submitting trace.
     """
     cache = (
         ResultCache(cache_root, code_version=code_version)
@@ -250,22 +294,14 @@ def _run_batch(
     with TRACER.adopt(trace_carrier):
         for item in batch:
             point = ScenarioPoint(**item["point"])
-            loop = loop_from_dict(item["loop"])
-            prior_payload = item.get("prior")
-            prior = prior_fallback = None
-            if prior_payload is not None:
-                prior_result = PointResult.from_dict(prior_payload)
+            prior, prior_fallback = None, False
+            if item.get("prior") is not None:
+                prior_result = PointResult.from_dict(item["prior"])
                 prior = prior_result.loop_result()
                 prior_fallback = prior_result.fallback
-            t0 = perf_counter()
-            with TRACER.span("runner.execute_point", point=point.describe()):
-                result = execute_point(
-                    point, loop, prior=prior, prior_fallback=bool(prior_fallback)
-                )
-            wall = perf_counter() - t0
-            if cache is not None:
-                store_result(cache, point, result)
-            meta: dict[str, Any] = {"wall_s": wall}
+            result, meta = _execute_and_store(
+                point, loop_from_dict(item["loop"]), cache, prior, prior_fallback
+            )
             if TRACER.enabled:
                 meta["spans"] = [span.to_dict() for span in TRACER.drain()]
             out.append((point.canonical(), result.to_dict(), meta))
@@ -289,14 +325,14 @@ def _shard(
 
 
 # ---------------------------------------------------------------------------
-# The execution core (shared by one-shot sweeps and the service)
+# The default executor (the run_sweep `execute` hook)
 # ---------------------------------------------------------------------------
 def make_worker_pool(workers: int) -> ProcessPoolExecutor:
     """A spawn-context process pool suitable for :func:`execute_points`.
 
     Spawn (not fork) keeps workers identical across platforms and free
     of inherited locks; long-lived callers (:mod:`repro.service`) create
-    one of these once and inject it into every batch.
+    one of these once and bind it into their executor.
     """
     return ProcessPoolExecutor(
         max_workers=workers, mp_context=get_context("spawn")
@@ -309,20 +345,18 @@ def execute_points(
     jobs: int = 1,
     pool: Executor | None = None,
     cache: ResultCache | None = None,
-    prior_for: Callable[
-        [ScenarioPoint], tuple[ScheduledLoopResult | None, bool]
-    ]
-    | None = None,
+    prior_for: PriorFor | None = None,
     meta_out: dict[str, dict[str, Any]] | None = None,
 ) -> dict[str, PointResult]:
     """Execute already-deduplicated cache misses and return their results.
 
-    This is the execution core shared by :func:`run_sweep` (which owns
-    cache probing and stats) and the batch scheduling service (which
-    owns its own dedupe/queueing).  Three execution strategies:
+    The default ``execute`` hook of :func:`run_sweep`, which owns cache
+    probing and stats.  Three execution strategies:
 
     * ``pool`` given — shard across the **injected** executor; the pool
-      is *not* shut down, so a long-lived caller reuses warm workers;
+      is *not* shut down, so a long-lived caller (bind it with
+      ``functools.partial(execute_points, pool=...)``) reuses warm
+      workers;
     * ``pool is None`` and ``jobs > 1`` — shard across an ephemeral
       spawn-context :class:`ProcessPoolExecutor` (the one-shot CLI path);
     * otherwise — execute serially in-process.
@@ -357,47 +391,24 @@ def execute_points(
     results: dict[str, PointResult] = {}
     if not misses:
         return results
-
-    def _prior(point: ScenarioPoint) -> tuple[ScheduledLoopResult | None, bool]:
-        if prior_for is None:
-            return None, False
-        return prior_for(point)
+    if meta_out is None:
+        meta_out = {}
 
     if pool is None and jobs <= 1:
         for key, (point, loop) in misses:
-            prior, prior_fb = _prior(point)
-            t0 = perf_counter()
-            with TRACER.span("runner.execute_point", point=point.describe()):
-                result = execute_point(
-                    point, loop, prior=prior, prior_fallback=prior_fb
-                )
-            if meta_out is not None:
-                meta_out[key] = {"wall_s": perf_counter() - t0}
-            if cache is not None:
-                store_result(cache, point, result)
-            results[key] = result
+            prior, prior_fb = (
+                prior_for(point) if prior_for is not None else (None, False)
+            )
+            results[key], meta_out[key] = _execute_and_store(
+                point, loop, cache, prior, prior_fb
+            )
         return results
 
     shards = _shard(misses, max(1, jobs))
-    payloads = []
-    for shard in shards:
-        batch = []
-        for _key, (point, loop) in shard:
-            prior, prior_fb = _prior(point)
-            batch.append(
-                {
-                    "point": _point_dict(point),
-                    "loop": loop_to_dict(loop),
-                    "prior": (
-                        PointResult.from_loop_result(
-                            prior, fallback=prior_fb
-                        ).to_dict()
-                        if prior is not None
-                        else None
-                    ),
-                }
-            )
-        payloads.append(batch)
+    payloads = [
+        [work_item(point, loop, prior_for) for _key, (point, loop) in shard]
+        for shard in shards
+    ]
     cache_root = str(cache.root) if cache is not None else None
     code_version = cache.code_version if cache is not None else None
     owned = (
@@ -414,8 +425,7 @@ def execute_points(
                 results[key] = PointResult.from_dict(payload)
                 for span in meta.pop("spans", []):
                     TRACER.record(span)
-                if meta_out is not None:
-                    meta_out[key] = meta
+                meta_out[key] = meta
     return results
 
 
@@ -460,7 +470,6 @@ def run_sweep(
     jobs: int = 1,
     cache: ResultCache | None = None,
     fresh: bool = False,
-    pool: Executor | None = None,
     prior_lookup: Callable[
         [ScenarioPoint], tuple[ScheduledLoopResult, bool] | None
     ]
@@ -468,7 +477,11 @@ def run_sweep(
     recorder: RunRecorder | None = None,
     execute: Callable[..., dict[str, PointResult]] | None = None,
 ) -> tuple[dict[str, PointResult], SweepStats]:
-    """Execute a grid of scenario points, in parallel, through the cache.
+    """Resolve a grid of scenario points through the cache.
+
+    The one path from a scenario point to a result: every front end —
+    the experiment context, the scheduling service, the fabric — probes
+    the cache, runs misses and stores results only through here.
 
     Parameters
     ----------
@@ -476,16 +489,12 @@ def run_sweep(
         The declared grid; duplicate points (same canonical identity)
         are executed once.
     jobs:
-        Worker processes.  ``1`` executes in-process (no pool, easier
-        debugging, identical results).
+        Worker processes for the default executor.  ``1`` executes
+        in-process (no pool, easier debugging, identical results).
     cache:
         Shared on-disk cache; ``None`` disables persistence.
     fresh:
         Ignore cached entries (results are still written back).
-    pool:
-        Optional long-lived executor for the misses (see
-        :func:`execute_points`); when given, ``jobs`` only sets the
-        shard width and no pool is created or shut down here.
     prior_lookup:
         Optional hook returning ``(schedule, was_fallback)`` for a
         point's schedule-only twin (see
@@ -499,12 +508,16 @@ def run_sweep(
         times).  Recording is out-of-band: results, stats and cache
         contents are identical with or without it.
     execute:
-        Optional replacement for :func:`execute_points` with the same
-        signature — this is how the distributed fabric plugs in (its
-        coordinator's ``execute`` farms the misses out to pull-based
-        workers instead of local processes).  Cache probing, dedupe,
-        stats and recording stay here, so swapping the executor cannot
-        change what a sweep returns — only where the work ran.
+        Where misses run: called as ``execute(misses, jobs=, cache=,
+        prior_for=, meta_out=)`` and returning ``canonical_key ->
+        PointResult`` for each point it executed (and stored), filling
+        *meta_out* for each.  Defaults to :func:`execute_points`
+        (in-process or an ephemeral pool); bind a long-lived pool with
+        ``functools.partial(execute_points, pool=...)``, or pass the
+        fabric coordinator's ``execute`` to farm misses out to
+        pull-based workers.  Cache probing, dedupe, stats and recording
+        stay here, so swapping the executor cannot change what a sweep
+        returns — only where the work ran.
 
     Returns
     -------
@@ -552,15 +565,11 @@ def run_sweep(
                 return cached_twin.loop_result(), cached_twin.fallback
         return None, False
 
-    meta_out: dict[str, dict[str, Any]] | None = (
-        {} if recorder is not None else None
-    )
-    grid_for_key = dict(misses)
+    meta_out: dict[str, dict[str, Any]] = {}
     runner = execute if execute is not None else execute_points
     executed = runner(
         misses,
         jobs=jobs,
-        pool=pool,
         cache=cache,
         prior_for=_prior_for,
         meta_out=meta_out,
@@ -570,17 +579,11 @@ def run_sweep(
         stats.executed += 1
         stats.fallbacks += int(result.fallback)
         if recorder is not None:
-            meta = (meta_out or {}).get(key, {})
             recorder.record(
-                grid_for_key[key][0],
+                unique[key][0],
                 result,
                 source="executed",
-                wall_s=meta.get("wall_s", 0.0),
+                wall_s=meta_out.get(key, {}).get("wall_s", 0.0),
                 trace_id=trace_id,
             )
     return results, stats
-
-
-def _point_dict(point: ScenarioPoint) -> dict[str, Any]:
-    """Plain-dict form of a point (stable across pickling protocols)."""
-    return json.loads(point.canonical())

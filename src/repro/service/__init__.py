@@ -7,9 +7,10 @@ JSON-over-HTTP API:
 * :mod:`repro.service.core` — validated :class:`ScheduleRequest` work
   units, :class:`Job` lifecycle, and :class:`SchedulingService`: a
   dispatcher thread that coalesces queued jobs into batches, dedupes
-  them against the in-process memo and the content-addressed
-  :class:`~repro.runner.cache.ResultCache`, and fans misses out to one
-  shared spawn-context worker pool
+  them against the in-process payload memo, and resolves the rest
+  through :func:`repro.runner.engine.run_sweep` — the content-addressed
+  :class:`~repro.runner.cache.ResultCache`, then one shared
+  spawn-context worker pool
   (:func:`repro.runner.engine.execute_points`);
 * :mod:`repro.service.server` — the stdlib ``ThreadingHTTPServer``
   adapter (``POST /schedule``, ``POST /sweep``, ``GET /jobs/<id>``,

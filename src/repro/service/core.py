@@ -15,9 +15,10 @@ and it is equally usable embedded (tests, benchmarks, notebooks):
 * :class:`SchedulingService` — the long-lived engine.  A single
   dispatcher thread drains the job queue, **coalesces every queued job
   into one batch**, dedupes the batch's scenario points against an
-  in-process memo and the content-addressed on-disk
-  :class:`~repro.runner.cache.ResultCache`, and fans the misses out to
-  one shared spawn-context ``ProcessPoolExecutor`` via
+  in-process memo of rendered payloads, and resolves the rest through
+  :func:`repro.runner.engine.run_sweep` — the content-addressed on-disk
+  :class:`~repro.runner.cache.ResultCache`, then one shared
+  spawn-context ``ProcessPoolExecutor`` via
   :func:`repro.runner.engine.execute_points`.  Concurrent clients thus
   reuse warm workers and warm caches instead of paying pool start-up
   and re-scheduling per request.
@@ -36,6 +37,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from ..arch.configs import clustered_config, unified_config
@@ -45,7 +47,13 @@ from ..errors import ParseError, ServiceError, WorkloadError
 from ..fabric.coordinator import FabricCoordinator
 from ..obs.metrics import MetricsRegistry
 from ..runner.cache import ResultCache
-from ..runner.engine import SCHEDULERS, execute_point, execute_points, make_worker_pool
+from ..runner.engine import (
+    SCHEDULERS,
+    execute_point,
+    execute_points,
+    make_worker_pool,
+    run_sweep,
+)
 from ..runner.grids import GRIDS
 from ..ir.frontend import parse_program
 from ..ir.loop import Loop
@@ -875,62 +883,49 @@ class SchedulingService:
                 requested += 1
             order.append((job, keys))
 
-        # Serve what we can from the memo and the on-disk cache.
+        # Serve what we can from the payload memo; run_sweep resolves
+        # the rest through the on-disk cache and the executor below.
         payloads: dict[str, dict[str, Any]] = {}
-        cached_keys: set[str] = set()
-        memo_hits = 0
-        disk_hits = 0
-        misses: list[tuple[str, GridItem]] = []
-        for key, (point, loop) in unique.items():
+        pending: list[GridItem] = []
+        for key, item in unique.items():
             hit = self._memo.get(key)
             if hit is not None:
-                memo_hits += 1
-            elif self.cache is not None:
-                result = self.cache.get(point)
-                if result is not None:
-                    hit = result_payload(point, result)
-                    self._memo_put(key, hit)
-                    disk_hits += 1
-            if hit is not None:
                 payloads[key] = hit
-                cached_keys.add(key)
             else:
-                misses.append((key, (point, loop)))
+                pending.append(item)
 
-        # Fan the misses out to the shared worker pool.  A failure is
-        # isolated per point: one bad scenario must not fail unrelated
-        # concurrent clients coalesced into the same batch.
+        # A failure is isolated per point: one bad scenario must not
+        # fail unrelated concurrent clients coalesced into the same batch.
         failed: dict[str, str] = {}
-        if misses:
+        executed: set[str] = set()
+
+        def execute(misses, *, jobs, **kwargs):
+            del jobs  # the batch width is the pool's, decided here
             pool = self._ensure_pool() if len(misses) > 1 else None
             width = min(self.workers, len(misses)) if pool is not None else 1
             try:
-                executed = execute_points(
-                    misses, jobs=width, pool=pool, cache=self.cache
-                )
+                done = execute_points(misses, jobs=width, pool=pool, **kwargs)
             except Exception as exc:  # noqa: BLE001 - degrade per point
                 self._discard_pool_if_broken(exc)
-                executed = {}
+                done = {}
                 for item in misses:
                     try:
-                        executed.update(
-                            execute_points([item], jobs=1, cache=self.cache)
-                        )
+                        done.update(execute_points([item], **kwargs))
                     except Exception as point_exc:  # noqa: BLE001
-                        failed[item[0]] = (
-                            f"{type(point_exc).__name__}: {point_exc}"
-                        )
-            for key, result in executed.items():
-                point, _loop = unique[key]
-                payload = result_payload(point, result)
-                payloads[key] = payload
-                self._memo_put(key, payload)
+                        failed[item[0]] = f"{type(point_exc).__name__}: {point_exc}"
+            executed.update(done)
+            return done
+
+        resolved, sweep = run_sweep(pending, cache=self.cache, execute=execute)
+        for key, result in resolved.items():
+            payloads[key] = result_payload(unique[key][0], result)
+            self._memo_put(key, payloads[key])
 
         with self._lock:
             self._batches += 1
-            self._points_executed += len(misses) - len(failed)
-            self._points_memo += memo_hits
-            self._points_disk += disk_hits
+            self._points_executed += sweep.executed
+            self._points_memo += len(unique) - len(pending)
+            self._points_disk += sweep.cached
             self._points_failed += len(failed)
             self._points_deduped += requested - len(unique)
         self._batch_seconds.observe(time.perf_counter() - batch_t0)
@@ -944,7 +939,7 @@ class SchedulingService:
                 continue
             results = []
             for key in keys:
-                cached = key in cached_keys or key in seen
+                cached = key not in executed or key in seen
                 seen.add(key)
                 results.append(dict(payloads[key], cached=cached))
             job.results = results
@@ -956,38 +951,21 @@ class SchedulingService:
 
         job.status = "running"
         job.started_unix = time.time()
+        width, executor = 1, None
         if job.distributed:
-            # Misses go to the fabric's pull-based workers; jobs/pool
-            # are irrelevant (parallelism = however many workers pull).
-            ctx = ExperimentContext(
-                cache=self.cache, jobs=1, executor=self.fabric.execute
-            )
-            spec = GRIDS[job.grid]
-            job.output = spec.run(ctx, job.quick)
-            with self._lock:
-                self._batches += 1
-                self._points_executed += ctx.stats.executed
-                self._points_disk += ctx.stats.cached
-            job._finish("done")
-            return
-        # A workers=0 service executes in-process by contract: a client
-        # asking for jobs>1 must not force an ephemeral pool into being.
-        if self.workers <= 0:
-            width = 1
-        else:
+            # Misses go to the fabric's pull-based workers (parallelism =
+            # however many workers pull).
+            executor = self.fabric.execute
+        elif self.workers > 0:
+            # A workers=0 service executes in-process by contract: a
+            # client asking for jobs>1 must not force a pool into being.
             width = job.jobs if job.jobs is not None else self.workers
-        ctx = ExperimentContext(
-            cache=self.cache,
-            jobs=width,
-            pool=self._ensure_pool() if width > 1 else None,
-        )
-        spec = GRIDS[job.grid]
-        job.output = spec.run(ctx, job.quick)
+            if width > 1:
+                executor = partial(execute_points, pool=self._ensure_pool())
+        ctx = ExperimentContext(cache=self.cache, jobs=width, executor=executor)
+        job.output = GRIDS[job.grid].run(ctx, job.quick)
         with self._lock:
             self._batches += 1
             self._points_executed += ctx.stats.executed
-            # Grid cache hits come from run_sweep's disk probe.
             self._points_disk += ctx.stats.cached
         job._finish("done")
-
-

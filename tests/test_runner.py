@@ -17,6 +17,7 @@ import json
 import multiprocessing
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import pytest
 
@@ -343,7 +344,12 @@ class TestExecutePoints:
         baseline, _ = run_sweep(items)
         pool = make_worker_pool(2)
         try:
-            pooled, stats = run_sweep(items, jobs=2, pool=pool, cache=cache)
+            pooled, stats = run_sweep(
+                items,
+                jobs=2,
+                execute=partial(execute_points, pool=pool),
+                cache=cache,
+            )
             assert stats.executed == len(items)
             assert baseline.keys() == pooled.keys()
             for key in baseline:

@@ -606,7 +606,7 @@ class TestShutdown:
         from repro.runner.grids import GridSpec as Spec
 
         def run_tiny(ctx, quick):
-            assert ctx.pool is None and ctx.jobs == 1
+            assert ctx.executor is None and ctx.jobs == 1
             return "ok"
 
         monkeypatch.setitem(grids_registry, "tiny0", Spec("tiny0", "t", run_tiny))
