@@ -43,15 +43,17 @@ class FailReason(enum.Enum):
     REG_PRESSURE = "register requirements exceed the local file"
     WINDOW = "dependence window empty"
 
-    def record(self, log: FailureLog) -> None:
-        if self is FailReason.NO_FU:
-            log.no_fu += 1
-        elif self is FailReason.NO_BUS:
-            log.no_bus += 1
-        elif self is FailReason.REG_PRESSURE:
-            log.register_pressure += 1
-        else:
-            log.dependence_window += 1
+
+#: Failure reasons from least to most informative; a failed placement
+#: search reports the highest rank it met (as an index, so the hot loop
+#: compares integers instead of hashing enums).
+_FAIL_RANKS = (
+    FailReason.WINDOW,
+    FailReason.NO_FU,
+    FailReason.REG_PRESSURE,
+    FailReason.NO_BUS,
+)
+_NO_FU, _REG_PRESSURE, _NO_BUS = 1, 2, 3
 
 
 @dataclass
@@ -190,21 +192,6 @@ class PlacementEngine:
     # ------------------------------------------------------------------
     # Communication planning
     # ------------------------------------------------------------------
-    def _bus_free_with(
-        self, start_cycle: int, pending: list[NewTransfer]
-    ) -> int | None:
-        """A free bus for a transfer at *start_cycle*, also avoiding *pending*."""
-        if self.config.buses.count == 0 or self._bus_latency > self.ii:
-            return None
-        mrt = self.mrt
-        pending_mask = 0
-        if pending:
-            rows = mrt.bus_rows_mask(start_cycle)
-            for t in pending:
-                if rows & mrt.bus_rows_mask(t.start_cycle):
-                    pending_mask |= 1 << t.bus
-        return mrt.bus_free(start_cycle, pending_mask)
-
     def _plan_transfer(
         self,
         producer: int,
@@ -249,21 +236,24 @@ class PlacementEngine:
         last_start = deadline - latbus
         if last_start < ready:
             return False
-        stop = min(last_start, ready + self.ii - 1)
-        for start in range(ready, stop + 1):
-            bus = self._bus_free_with(start, plan.new_transfers)
-            if bus is not None:
-                plan.new_transfers.append(
-                    NewTransfer(
-                        producer=producer,
-                        src_cluster=src_cluster,
-                        bus=bus,
-                        start_cycle=start,
-                        reader=reader,
-                    )
-                )
-                return True
-        return False
+        slot = self.mrt.first_free_bus(
+            ready,
+            min(last_start, ready + self.ii - 1),
+            [(t.start_cycle, t.bus) for t in plan.new_transfers],
+        )
+        if slot is None:
+            return False
+        start, bus = slot
+        plan.new_transfers.append(
+            NewTransfer(
+                producer=producer,
+                src_cluster=src_cluster,
+                bus=bus,
+                start_cycle=start,
+                reader=reader,
+            )
+        )
+        return True
 
     def _plan_comms(self, node: int, cluster: int, cycle: int) -> CommPlan | None:
         """All bus actions needed to place *node* at (*cluster*, *cycle*)."""
@@ -327,25 +317,27 @@ class PlacementEngine:
             self.fail.dependence_window += 1
             return FailReason.WINDOW
 
-        worst = FailReason.WINDOW
+        worst = 0  # rank into _FAIL_RANKS
         grid = self.mrt.fu_grid(cluster, op.fu_class)
         masks, full, ii = grid.masks, grid.full, self.ii
         for cycle in candidates:
             if masks[cycle % ii] == full:  # no free functional unit
                 self.fail.no_fu += 1
-                worst = _worse(worst, FailReason.NO_FU)
+                if worst < _NO_FU:
+                    worst = _NO_FU
                 continue
             plan = self._plan_comms(node, cluster, cycle)
             if plan is None:
                 self.fail.no_bus += 1
-                worst = _worse(worst, FailReason.NO_BUS)
+                worst = _NO_BUS
                 continue
             if not self._pressure_ok(node, cluster, cycle, plan):
                 self.fail.register_pressure += 1
-                worst = _worse(worst, FailReason.REG_PRESSURE)
+                if worst < _REG_PRESSURE:
+                    worst = _REG_PRESSURE
                 continue
             return Placement(node=node, cluster=cluster, cycle=cycle, comm_plan=plan)
-        return worst
+        return _FAIL_RANKS[worst]
 
     def _pressure_ok(
         self, node: int, cluster: int, cycle: int, plan: CommPlan
@@ -428,14 +420,3 @@ class PlacementEngine:
             sched._rebuild_comm_index()
         sched.bus_utilisation = self.mrt.bus_utilisation()
         return sched
-
-
-def _worse(current: FailReason, new: FailReason) -> FailReason:
-    """Keep the more informative of two failure reasons."""
-    priority = {
-        FailReason.WINDOW: 0,
-        FailReason.NO_FU: 1,
-        FailReason.REG_PRESSURE: 2,
-        FailReason.NO_BUS: 3,
-    }
-    return new if priority[new] >= priority[current] else current

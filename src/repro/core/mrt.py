@@ -176,6 +176,39 @@ class ReservationTable:
             return None
         return (free & -free).bit_length() - 1
 
+    def first_free_bus(
+        self, first: int, last: int, pending: list[tuple[int, int]]
+    ) -> tuple[int, int] | None:
+        """The earliest ``(start_cycle, bus)`` in *first*..*last*, else None.
+
+        One pass over the window: each start's bus rows and their row
+        mask are precomputed, and the *pending* ``(start_cycle, bus)``
+        transfers of the same placement plan block their bus at every
+        start whose rows overlap theirs.  Equivalent to calling
+        :meth:`bus_free` at each start with those buses masked.
+        """
+        if self.config.buses.count == 0 or self.config.buses.latency > self.ii:
+            return None
+        ii = self.ii
+        masks = self._bus.masks
+        full = self._bus.full
+        row_masks = self._bus_row_masks
+        claimed = [(row_masks[start % ii], 1 << bus) for start, bus in pending]
+        for start in range(first, last + 1):
+            row = start % ii
+            busy = 0
+            for r in self._bus_rows[row]:
+                busy |= masks[r]
+            if claimed:
+                rows = row_masks[row]
+                for other_rows, bit in claimed:
+                    if rows & other_rows:
+                        busy |= bit
+            free = ~busy & full
+            if free:
+                return start, (free & -free).bit_length() - 1
+        return None
+
     def occupy_bus(self, start_cycle: int, bus: int, owner: object) -> None:
         for r in self.bus_rows(start_cycle):
             self._bus.occupy(r, bus, owner)

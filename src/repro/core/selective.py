@@ -18,6 +18,11 @@ bus cycles.  The paper's pseudo-code compares that against ``II(sched)``
 initiation interval of the unrolled loop"; :class:`SelectiveRule` offers
 both readings (``MII_UNROLLED`` — the prose, our default — and
 ``LITERAL``), and an ablation benchmark quantifies the gap.
+
+Between them the three policies need at most two schedules of a loop on
+a machine: the loop as written and the loop unrolled by the cluster
+count.  A :class:`ScheduleMemo` shared by one loop's policy points
+builds each of them once.
 """
 
 from __future__ import annotations
@@ -89,11 +94,61 @@ class ScheduledLoopResult:
         return self.schedule.ii / self.unroll_factor
 
 
+class ScheduleMemo:
+    """The schedules of one loop on one machine, keyed by unroll factor.
+
+    Shared by the points that differ only in unrolling policy (a
+    *family*: same graph, machine and scheduler).  Schedulers are
+    deterministic, so each factor is scheduled once: the memo maps it to
+    its :class:`ModuloSchedule`, or to the :class:`SchedulingError` it
+    raised, which is re-raised on reuse so every policy falls back
+    exactly as it would alone.  It also keeps each unrolled graph, so a
+    family unrolls once.  The caller must not share one memo between
+    different graphs, machines or schedulers.
+    """
+
+    def __init__(self) -> None:
+        self._graphs: dict[int, DependenceGraph] = {}
+        self._outcomes: dict[int, ModuloSchedule | SchedulingError] = {}
+
+    def graph(self, graph: DependenceGraph, factor: int) -> DependenceGraph:
+        """*graph* unrolled by *factor*; *graph* itself for factor 1."""
+        if factor == 1:
+            return graph
+        unrolled = self._graphs.get(factor)
+        if unrolled is None:
+            unrolled = self._graphs[factor] = unroll_graph(graph, factor)
+        return unrolled
+
+    def schedule(
+        self, scheduler: SchedulerBase, graph: DependenceGraph, factor: int
+    ) -> ModuloSchedule:
+        """*scheduler*'s schedule of *graph* unrolled by *factor*.
+
+        Raises
+        ------
+        SchedulingError
+            The error this factor raised, on every call.
+        """
+        outcome = self._outcomes.get(factor)
+        if outcome is None:
+            try:
+                outcome = scheduler.schedule(self.graph(graph, factor))
+            except SchedulingError as exc:
+                outcome = exc
+            self._outcomes[factor] = outcome
+        if isinstance(outcome, SchedulingError):
+            raise outcome
+        return outcome
+
+
 def selective_unroll_decision(
     graph: DependenceGraph,
     config: MachineConfig,
     schedule: ModuloSchedule,
     rule: SelectiveRule = SelectiveRule.MII_UNROLLED,
+    *,
+    unrolled: DependenceGraph | None = None,
 ) -> bool:
     """The Figure 6 predicate: should this bus-limited loop be unrolled?
 
@@ -110,6 +165,9 @@ def selective_unroll_decision(
     rule:
         Which reading of the paper's test to apply (see
         :class:`SelectiveRule`).
+    unrolled:
+        *graph* already unrolled by the cluster count, whose MII the
+        ``MII_UNROLLED`` rule reads; built here when not given.
 
     Returns
     -------
@@ -124,8 +182,9 @@ def selective_unroll_decision(
     cycneeded = math.ceil(comneeded / config.buses.count) * config.buses.latency
     if rule is SelectiveRule.LITERAL:
         return cycneeded < schedule.ii
-    unrolled_mii = compute_mii(unroll_graph(graph, ufactor), config)
-    return cycneeded <= unrolled_mii
+    if unrolled is None:
+        unrolled = unroll_graph(graph, ufactor)
+    return cycneeded <= compute_mii(unrolled, config)
 
 
 def schedule_with_policy(
@@ -134,6 +193,7 @@ def schedule_with_policy(
     policy: UnrollPolicy,
     *,
     rule: SelectiveRule = SelectiveRule.MII_UNROLLED,
+    memo: ScheduleMemo | None = None,
 ) -> ScheduledLoopResult:
     """Schedule *graph* under an unrolling policy (Figure 6 for SELECTIVE).
 
@@ -148,6 +208,9 @@ def schedule_with_policy(
         Which of the paper's three scenarios to apply.
     rule:
         The :class:`SelectiveRule` used by the SELECTIVE decision test.
+    memo:
+        The :class:`ScheduleMemo` of this graph, machine and scheduler,
+        when other policy points share it; a private one otherwise.
 
     Returns
     -------
@@ -165,29 +228,32 @@ def schedule_with_policy(
     """
     config = scheduler.config
     ufactor = config.n_clusters
+    if memo is None:
+        memo = ScheduleMemo()
 
     if policy is UnrollPolicy.NONE or not config.is_clustered:
-        sched = scheduler.schedule(graph)
-        return ScheduledLoopResult(sched, 1, policy)
+        return ScheduledLoopResult(memo.schedule(scheduler, graph, 1), 1, policy)
 
     if policy is UnrollPolicy.ALL:
         # A compiler that cannot schedule the unrolled body (register
         # pressure, no spill code) keeps the original loop.
         try:
-            sched = scheduler.schedule(unroll_graph(graph, ufactor))
+            sched = memo.schedule(scheduler, graph, ufactor)
             return ScheduledLoopResult(sched, ufactor, policy)
         except SchedulingError:
-            base = scheduler.schedule(graph)
+            base = memo.schedule(scheduler, graph, 1)
             return ScheduledLoopResult(base, 1, policy, base_schedule=base)
 
     # SELECTIVE: Figure 6.
-    base = scheduler.schedule(graph)
+    base = memo.schedule(scheduler, graph, 1)
     if not base.was_bus_limited:
         return ScheduledLoopResult(base, 1, policy, base_schedule=base)
-    if not selective_unroll_decision(graph, config, base, rule):
+    if not selective_unroll_decision(
+        graph, config, base, rule, unrolled=memo.graph(graph, ufactor)
+    ):
         return ScheduledLoopResult(base, 1, policy, base_schedule=base)
     try:
-        unrolled = scheduler.schedule(unroll_graph(graph, ufactor))
+        unrolled = memo.schedule(scheduler, graph, ufactor)
     except SchedulingError:
         return ScheduledLoopResult(base, 1, policy, base_schedule=base)
     return ScheduledLoopResult(unrolled, ufactor, policy, base_schedule=base)

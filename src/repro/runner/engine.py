@@ -19,6 +19,12 @@ point and results are keyed by content, a sweep's output is
 byte-identical at ``--jobs 1`` and ``--jobs N``, and a killed sweep
 resumes from whatever the cache already holds.
 
+Misses run one *family* at a time: the points that schedule the same
+loop on the same machine with the same scheduler, differing only in
+unrolling policy, share one :class:`~repro.core.selective.ScheduleMemo`,
+so each (graph, machine, scheduler, unroll factor) is scheduled once.
+Shards keep families whole.
+
 The scheduler registry (:data:`SCHEDULERS`, :func:`make_scheduler`) and
 the list-schedule fallback live here so both the engine's workers and
 the experiment harnesses dispatch through one table;
@@ -42,6 +48,7 @@ from ..core.exact import ExactScheduler
 from ..core.list_schedule import list_schedule
 from ..core.selective import (
     ScheduledLoopResult,
+    ScheduleMemo,
     UnrollPolicy,
     schedule_with_policy,
 )
@@ -138,6 +145,7 @@ def execute_point(
     *,
     prior: ScheduledLoopResult | None = None,
     prior_fallback: bool = False,
+    memo: ScheduleMemo | None = None,
 ) -> PointResult:
     """Run one scenario point to completion.
 
@@ -152,6 +160,10 @@ def execute_point(
         point (cache cross-pollination); skips rescheduling when given.
     prior_fallback:
         Whether *prior* was a list-schedule fallback.
+    memo:
+        The :class:`~repro.core.selective.ScheduleMemo` of this point's
+        family, shared with its other policy points (see
+        :func:`execute_points`).
 
     Returns
     -------
@@ -170,6 +182,7 @@ def execute_point(
                 scheduler,
                 point.unroll_policy,
                 rule=point.selective_rule,
+                memo=memo,
             )
             fallback = False
         except SchedulingError:
@@ -227,6 +240,7 @@ def _execute_and_store(
     cache: ResultCache | None,
     prior: ScheduledLoopResult | None = None,
     prior_fallback: bool = False,
+    memo: ScheduleMemo | None = None,
 ) -> tuple[PointResult, dict[str, Any]]:
     """Execute one point, persist it, and time it.
 
@@ -237,11 +251,28 @@ def _execute_and_store(
     """
     t0 = perf_counter()
     with TRACER.span("runner.execute_point", point=point.describe()):
-        result = execute_point(point, loop, prior=prior, prior_fallback=prior_fallback)
+        result = execute_point(
+            point, loop, prior=prior, prior_fallback=prior_fallback, memo=memo
+        )
     meta: dict[str, Any] = {"wall_s": perf_counter() - t0}
     if cache is not None:
         store_result(cache, point, result)
     return result, meta
+
+
+def _families(points: list[ScenarioPoint]) -> list[list[int]]:
+    """Indices of *points* grouped by family, in order of first appearance.
+
+    A family is the points sharing ``(graph_hash, machine, scheduler)``:
+    they differ only in unrolling policy (or rule, or simulation), so one
+    :class:`~repro.core.selective.ScheduleMemo` serves them all.  Indices
+    ascend within a family.
+    """
+    families: dict[tuple[str, str, str], list[int]] = {}
+    for i, point in enumerate(points):
+        key = (point.graph_hash, point.machine, point.scheduler)
+        families.setdefault(key, []).append(i)
+    return list(families.values())
 
 
 # ---------------------------------------------------------------------------
@@ -277,50 +308,64 @@ def _run_batch(
 ) -> list[tuple[str, dict[str, Any], dict[str, Any]]]:
     """Execute one shard of :func:`work_item` items in a worker process.
 
+    Items run one family at a time (see :func:`_families`), each family
+    sharing a fresh :class:`~repro.core.selective.ScheduleMemo`.
     Results are written to the shared cache *as each point completes*
     (atomic, content-keyed), so a sweep killed mid-shard still resumes
     from every finished point.  Returns ``(canonical_key,
-    result_payload, meta)`` triples; *meta* always carries the point's
-    wall time, plus its finished spans when tracing is enabled (spawn
-    workers inherit ``$REPRO_VLIW_TRACE``) — *trace_carrier* links those
-    spans to the submitting trace.
+    result_payload, meta)`` triples in *batch* order; *meta* always
+    carries the point's wall time, plus its finished spans when tracing
+    is enabled (spawn workers inherit ``$REPRO_VLIW_TRACE``) —
+    *trace_carrier* links those spans to the submitting trace.
     """
     cache = (
         ResultCache(cache_root, code_version=code_version)
         if cache_root is not None
         else None
     )
-    out: list[tuple[str, dict[str, Any], dict[str, Any]]] = []
+    points = [ScenarioPoint(**item["point"]) for item in batch]
+    out: list[Any] = [None] * len(batch)
     with TRACER.adopt(trace_carrier):
-        for item in batch:
-            point = ScenarioPoint(**item["point"])
-            prior, prior_fallback = None, False
-            if item.get("prior") is not None:
-                prior_result = PointResult.from_dict(item["prior"])
-                prior = prior_result.loop_result()
-                prior_fallback = prior_result.fallback
-            result, meta = _execute_and_store(
-                point, loop_from_dict(item["loop"]), cache, prior, prior_fallback
-            )
-            if TRACER.enabled:
-                meta["spans"] = [span.to_dict() for span in TRACER.drain()]
-            out.append((point.canonical(), result.to_dict(), meta))
+        for family in _families(points):
+            memo = ScheduleMemo()
+            for i in family:
+                point, item = points[i], batch[i]
+                prior, prior_fallback = None, False
+                if item.get("prior") is not None:
+                    prior_result = PointResult.from_dict(item["prior"])
+                    prior = prior_result.loop_result()
+                    prior_fallback = prior_result.fallback
+                result, meta = _execute_and_store(
+                    point,
+                    loop_from_dict(item["loop"]),
+                    cache,
+                    prior,
+                    prior_fallback,
+                    memo,
+                )
+                if TRACER.enabled:
+                    meta["spans"] = [span.to_dict() for span in TRACER.drain()]
+                out[i] = (point.canonical(), result.to_dict(), meta)
     return out
 
 
 def _shard(
     misses: list[tuple[str, GridItem]], jobs: int
 ) -> list[list[tuple[str, GridItem]]]:
-    """Split cache misses into *jobs* deterministic shards.
+    """Split cache misses into *jobs* deterministic shards of whole families.
 
-    Points are ordered by canonical key and dealt round-robin, so the
-    partition depends only on the grid contents — never on timing or
-    dict order — and shard loads stay balanced.
+    Families (see :func:`_families`) are ordered by their smallest
+    canonical key and dealt round-robin, so the partition depends only
+    on the grid contents — never on timing or dict order — shard loads
+    stay balanced, and a family's points share their schedules in one
+    worker.  When every family is a single point this is a round-robin
+    over the sorted keys.
     """
-    ordered = sorted(misses, key=lambda kv: kv[0])
+    families = _families([point for _key, (point, _loop) in misses])
+    families.sort(key=lambda family: min(misses[i][0] for i in family))
     shards: list[list[tuple[str, GridItem]]] = [[] for _ in range(jobs)]
-    for i, item in enumerate(ordered):
-        shards[i % jobs].append(item)
+    for n, family in enumerate(families):
+        shards[n % jobs].extend(misses[i] for i in family)
     return [s for s in shards if s]
 
 
@@ -361,6 +406,10 @@ def execute_points(
       spawn-context :class:`ProcessPoolExecutor` (the one-shot CLI path);
     * otherwise — execute serially in-process.
 
+    Either way the points of one family (see :func:`_families`) run
+    together and share one :class:`~repro.core.selective.ScheduleMemo`,
+    dropped when the family is done.
+
     Parameters
     ----------
     misses:
@@ -384,9 +433,10 @@ def execute_points(
     Returns
     -------
     dict
-        ``canonical_key -> PointResult`` for every miss, in completion
-        order.  Deterministic in content (scheduling is deterministic
-        per point) regardless of strategy.
+        ``canonical_key -> PointResult`` for every miss, in *misses*
+        order (and *meta_out* filled in that order).  Deterministic in
+        content (scheduling is deterministic per point) regardless of
+        strategy.
     """
     results: dict[str, PointResult] = {}
     if not misses:
@@ -394,38 +444,38 @@ def execute_points(
     if meta_out is None:
         meta_out = {}
 
+    done: dict[str, tuple[PointResult, dict[str, Any]]] = {}
     if pool is None and jobs <= 1:
-        for key, (point, loop) in misses:
-            prior, prior_fb = (
-                prior_for(point) if prior_for is not None else (None, False)
-            )
-            results[key], meta_out[key] = _execute_and_store(
-                point, loop, cache, prior, prior_fb
-            )
-        return results
-
-    shards = _shard(misses, max(1, jobs))
-    payloads = [
-        [work_item(point, loop, prior_for) for _key, (point, loop) in shard]
-        for shard in shards
-    ]
-    cache_root = str(cache.root) if cache is not None else None
-    code_version = cache.code_version if cache is not None else None
-    owned = (
-        make_worker_pool(len(shards)) if pool is None else nullcontext(pool)
-    )
-    carrier = TRACER.carrier()
-    with owned as executor:
-        futures = [
-            executor.submit(_run_batch, batch, cache_root, code_version, carrier)
-            for batch in payloads
+        for family in _families([point for _key, (point, _loop) in misses]):
+            memo = ScheduleMemo()
+            for i in family:
+                key, (point, loop) = misses[i]
+                prior, prior_fb = (
+                    prior_for(point) if prior_for is not None else (None, False)
+                )
+                done[key] = _execute_and_store(point, loop, cache, prior, prior_fb, memo)
+    else:
+        shards = _shard(misses, max(1, jobs))
+        payloads = [
+            [work_item(point, loop, prior_for) for _key, (point, loop) in shard]
+            for shard in shards
         ]
-        for future in futures:
-            for key, payload, meta in future.result():
-                results[key] = PointResult.from_dict(payload)
-                for span in meta.pop("spans", []):
-                    TRACER.record(span)
-                meta_out[key] = meta
+        cache_root = str(cache.root) if cache is not None else None
+        code_version = cache.code_version if cache is not None else None
+        owned = make_worker_pool(len(shards)) if pool is None else nullcontext(pool)
+        carrier = TRACER.carrier()
+        with owned as executor:
+            futures = [
+                executor.submit(_run_batch, batch, cache_root, code_version, carrier)
+                for batch in payloads
+            ]
+            for future in futures:
+                for key, payload, meta in future.result():
+                    for span in meta.pop("spans", []):
+                        TRACER.record(span)
+                    done[key] = PointResult.from_dict(payload), meta
+    for key, _item in misses:
+        results[key], meta_out[key] = done[key]
     return results
 
 

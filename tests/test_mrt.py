@@ -1,6 +1,8 @@
 """Unit tests for the modulo reservation table."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.configs import four_cluster_config, two_cluster_config, unified_config
 from repro.core.mrt import ReservationTable
@@ -96,6 +98,62 @@ class TestBusTables:
         mrt.occupy_bus(1, 0, "t")
         mrt.release_bus(1, 0, "t")
         assert mrt.bus_free(1) == 0
+
+
+def per_start_scan(mrt, first, last, pending):
+    """The reference bus scan: one :meth:`bus_free` call per start cycle."""
+    for start in range(first, last + 1):
+        rows = set(mrt.bus_rows(start))
+        busy = 0
+        for other, bus in pending:
+            if rows & set(mrt.bus_rows(other)):
+                busy |= 1 << bus
+        bus = mrt.bus_free(start, busy)
+        if bus is not None:
+            return start, bus
+    return None
+
+
+@st.composite
+def bus_scans(draw):
+    """An MRT with random committed transfers, a scan window, pending ones."""
+    n_buses = draw(st.integers(1, 3))
+    latency = draw(st.integers(1, 4))
+    mrt = ReservationTable(
+        two_cluster_config(n_buses=n_buses, bus_latency=latency),
+        ii=draw(st.integers(1, 8)),
+    )
+    everyone = (1 << n_buses) - 1
+    for start, bus in draw(
+        st.lists(st.tuples(st.integers(-8, 8), st.integers(0, n_buses - 1)), max_size=8)
+    ):
+        # Claim the bus only when it is free for the whole transfer.
+        if mrt.bus_free(start, everyone & ~(1 << bus)) == bus:
+            mrt.occupy_bus(start, bus, (start, bus))
+    first = draw(st.integers(-8, 8))
+    last = first + draw(st.integers(-1, 2 * mrt.ii))
+    pending = draw(
+        st.lists(st.tuples(st.integers(-8, 8), st.integers(0, n_buses - 1)), max_size=3)
+    )
+    return mrt, first, last, pending
+
+
+class TestFirstFreeBus:
+    @settings(max_examples=300, deadline=None)
+    @given(bus_scans())
+    def test_matches_a_per_start_scan(self, scan):
+        mrt, first, last, pending = scan
+        assert mrt.first_free_bus(first, last, pending) == per_start_scan(
+            mrt, first, last, pending
+        )
+
+    def test_pending_transfer_blocks_overlapping_starts(self):
+        cfg = two_cluster_config(n_buses=1, bus_latency=2)
+        mrt = ReservationTable(cfg, ii=4)
+        # A pending transfer at 0 holds rows 0-1: starts 0 and 1 overlap it.
+        assert mrt.first_free_bus(0, 3, [(0, 0)]) == (2, 0)
+        assert mrt.first_free_bus(0, 1, [(0, 0)]) is None
+        assert mrt.first_free_bus(0, 3, []) == (0, 0)
 
 
 class TestUtilisation:

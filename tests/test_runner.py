@@ -16,15 +16,23 @@ from __future__ import annotations
 import json
 import multiprocessing
 import threading
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import pytest
 
-from repro.arch.configs import four_cluster_config, two_cluster_config, unified_config
+from repro.arch.configs import (
+    clustered_config,
+    four_cluster_config,
+    two_cluster_config,
+    unified_config,
+)
 from repro.core.base import SchedulerBase
+from repro.core.bsa import BsaScheduler
 from repro.core.selective import SelectiveRule, UnrollPolicy
 from repro.core.unified import UnifiedScheduler
+from repro.errors import SchedulingError
 from repro.experiments import (
     ExperimentContext,
     fig8_grid,
@@ -41,7 +49,8 @@ from repro.runner import (
     run_sweep,
     scenario_for,
 )
-from repro.runner.engine import store_result
+from repro.runner.engine import SCHEDULERS, _run_batch, _shard, store_result, work_item
+from repro.runner.scenario import graph_content_hash, machine_to_json
 from repro.workloads.kernels import kernel_loop
 from repro.workloads.specfp import build_program
 
@@ -359,6 +368,124 @@ class TestExecutePoints:
 
     def test_empty_misses(self):
         assert execute_points([]) == {}
+
+
+def family_misses():
+    """Every policy of three kernels on 2 and 4 clusters at bus latency 1
+    and 4, policy-major as in Figure 8, so families interleave."""
+    loops = [kernel_loop(name, trip_count=100) for name in ("daxpy", "fir4", "ladder")]
+    misses = []
+    for policy in UnrollPolicy:
+        for n_clusters in (2, 4):
+            for latency in (1, 4):
+                config = clustered_config(n_clusters, 1, latency)
+                for loop in loops:
+                    point = scenario_for(loop, config, "bsa", policy)
+                    misses.append((point.canonical(), (point, loop)))
+    return misses
+
+
+def family_of(miss):
+    point = miss[1][0]
+    return point.graph_hash, point.machine, point.scheduler
+
+
+class NoUnrolledScheduler(BsaScheduler):
+    """BSA that fails every unrolled graph, logging each attempt."""
+
+    unrolled_attempts: list[str] = []
+
+    def schedule(self, graph):
+        if "@x" in graph.name:
+            self.unrolled_attempts.append(graph.name)
+            raise SchedulingError(f"{graph.name}: refused")
+        return super().schedule(graph)
+
+
+class TestFamilies:
+    """Points that differ only in unrolling policy share their schedules."""
+
+    def test_one_schedule_per_graph_machine_scheduler_and_factor(self, monkeypatch):
+        calls = Counter()
+        original = SchedulerBase.schedule
+
+        def counting(self, graph):
+            ident = (
+                graph_content_hash(graph),
+                machine_to_json(self.config),
+                type(self).__name__,
+            )
+            calls[ident] += 1
+            return original(self, graph)
+
+        monkeypatch.setattr(SchedulerBase, "schedule", counting)
+        results = execute_points(family_misses(), jobs=1)
+        assert any(r.unroll_factor > 1 for r in results.values())
+        assert calls and set(calls.values()) == {1}
+
+    def test_failed_unrolled_schedule_is_tried_once(self, monkeypatch):
+        # Ladder on one bus at latency 2 is bus limited and passes the
+        # Figure 6 test, so alone both ALL and SELECTIVE would unroll.
+        config = two_cluster_config(n_buses=1, bus_latency=2)
+        loop = kernel_loop("ladder", trip_count=100)
+        for policy in (UnrollPolicy.ALL, UnrollPolicy.SELECTIVE):
+            point = scenario_for(loop, config, "bsa", policy)
+            assert execute_point(point, loop).unroll_factor == 2
+
+        monkeypatch.setattr(NoUnrolledScheduler, "unrolled_attempts", [])
+        monkeypatch.setitem(SCHEDULERS, "no-unrolled", NoUnrolledScheduler)
+        stubbed = [
+            scenario_for(loop, config, "no-unrolled", policy) for policy in UnrollPolicy
+        ]
+        results = execute_points(
+            [(point.canonical(), (point, loop)) for point in stubbed], jobs=1
+        )
+        assert NoUnrolledScheduler.unrolled_attempts == ["ladder@x2"]
+        none, unroll_all, selective = (results[p.canonical()] for p in stubbed)
+        for result in (unroll_all, selective):
+            assert result.unroll_factor == 1
+            assert not result.fallback
+            assert result.schedule == none.schedule
+
+    def test_results_in_miss_order_equal_points_alone(self):
+        misses = family_misses()
+        keys = [key for key, _item in misses]
+        meta: dict = {}
+        results = execute_points(misses, jobs=1, meta_out=meta)
+        assert list(results) == keys
+        assert list(meta) == keys
+        batch = _run_batch(
+            [work_item(point, loop) for _key, (point, loop) in misses], None, None
+        )
+        assert [key for key, _payload, _meta in batch] == keys
+        for (key, (point, loop)), (_key, payload, _meta) in zip(misses, batch):
+            alone = execute_point(point, loop).to_dict()
+            assert results[key].to_dict() == alone
+            assert payload == alone
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
+    def test_shards_keep_families_whole(self, jobs):
+        misses = family_misses()
+        shards = _shard(misses, jobs)
+        owner = {}
+        for index, shard in enumerate(shards):
+            for miss in shard:
+                assert owner.setdefault(family_of(miss), index) == index
+        dealt = sorted(key for shard in shards for key, _item in shard)
+        assert dealt == sorted(key for key, _item in misses)
+        assert len(shards) == min(jobs, len(owner))
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
+    def test_single_point_families_shard_round_robin(self, jobs):
+        misses = [
+            miss
+            for miss in family_misses()
+            if miss[1][0].policy == UnrollPolicy.NONE.value
+        ]
+        assert len({family_of(miss) for miss in misses}) == len(misses)
+        ordered = sorted(misses, key=lambda kv: kv[0])
+        round_robin = [ordered[i::jobs] for i in range(jobs)]
+        assert _shard(misses, jobs) == [shard for shard in round_robin if shard]
 
 
 class TestFig8ThroughRunner:

@@ -5,6 +5,7 @@ import pytest
 from repro.arch.configs import four_cluster_config, two_cluster_config, unified_config
 from repro.core.bsa import BsaScheduler
 from repro.core.selective import (
+    ScheduleMemo,
     SelectiveRule,
     UnrollPolicy,
     schedule_with_policy,
@@ -12,6 +13,7 @@ from repro.core.selective import (
 )
 from repro.core.unified import UnifiedScheduler
 from repro.core.verify import verify_schedule
+from repro.ir.serialize import schedule_to_dict
 from repro.workloads.kernels import daxpy, dot_product, ladder_graph
 
 
@@ -113,6 +115,27 @@ class TestSelectiveDecision:
     def test_unified_decision_is_false(self, unified):
         sched = UnifiedScheduler(unified).schedule(daxpy())
         assert not selective_unroll_decision(daxpy(), unified, sched)
+
+
+class TestScheduleMemo:
+    def test_policies_share_two_schedules(self):
+        cfg = two_cluster_config(n_buses=1, bus_latency=2)
+        memo = ScheduleMemo()
+        shared = {
+            policy: schedule_with_policy(
+                ladder_graph(), BsaScheduler(cfg), policy, memo=memo
+            )
+            for policy in UnrollPolicy
+        }
+        none, unroll_all, selective = (shared[p] for p in UnrollPolicy)
+        assert selective.base_schedule is none.schedule
+        assert selective.schedule is unroll_all.schedule
+        for policy, result in shared.items():
+            alone = schedule_with_policy(ladder_graph(), BsaScheduler(cfg), policy)
+            assert result.unroll_factor == alone.unroll_factor
+            assert schedule_to_dict(result.schedule) == schedule_to_dict(
+                alone.schedule
+            )
 
 
 class TestResultMetadata:
