@@ -515,68 +515,6 @@ def cmd_worker(args: argparse.Namespace) -> None:
     print(stats.render())
 
 
-def cmd_bench(args: argparse.Namespace) -> None:
-    from pathlib import Path
-
-    from . import bench
-
-    directory = Path(args.dir)
-    baseline_doc = None
-    baseline_source = None
-    compare_doc = None
-    compare_source = None
-    try:
-        if args.baseline:
-            baseline_source = args.baseline
-            baseline_doc = bench.load_bench(Path(args.baseline))
-        if args.compare is not None:
-            compare_path = (
-                Path(args.compare) if args.compare else bench.latest_bench_path(directory)
-            )
-            if compare_path is None:
-                sys.exit(f"bench: no BENCH_<n>.json found in {directory} to compare against")
-            compare_source = str(compare_path)
-            compare_doc = bench.load_bench(compare_path)
-    except (OSError, ValueError) as exc:
-        sys.exit(f"bench: {exc}")
-
-    # A --compare baseline doubles as the report's before/after reference
-    # unless an explicit --baseline was given.
-    if baseline_doc is None and compare_doc is not None:
-        baseline_doc, baseline_source = compare_doc, compare_source
-
-    report = bench.run_benchmarks(
-        quick=args.quick,
-        repeats=args.repeat,
-        only=args.only,
-        baseline=baseline_doc,
-        baseline_source=baseline_source,
-        progress=(None if args.quiet else lambda msg: print(f"  [{msg}]")),
-    )
-    print()
-    print(report.render())
-
-    if args.record:
-        path = bench.next_bench_path(directory)
-        bench.write_bench(report, path)
-        print(f"\nrecorded -> {path}")
-    if args.output:
-        bench.write_bench(report, Path(args.output))
-        print(f"\nwritten -> {args.output}")
-
-    if compare_doc is not None:
-        regressions = bench.find_regressions(report, compare_doc, args.threshold)
-        if regressions:
-            print(f"\nREGRESSION vs {compare_source} (threshold {args.threshold:.0%}):")
-            for reg in regressions:
-                print(
-                    f"  {reg.name}: {reg.baseline_s * 1e3:.1f}ms -> "
-                    f"{reg.current_s * 1e3:.1f}ms ({reg.slowdown:.2f}x slower)"
-                )
-            sys.exit(1)
-        print(f"\nno regression vs {compare_source} (threshold {args.threshold:.0%})")
-
-
 def cmd_serve(args: argparse.Namespace) -> None:
     from .service import SchedulingService, ServiceServer
 
@@ -812,30 +750,6 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-shard progress lines")
     p.set_defaults(func=cmd_worker)
-    p = sub.add_parser(
-        "bench", help="micro-benchmark the hot paths; record/compare BENCH_<n>.json"
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="fewer repeats, skip heavy benchmarks (the CI mode)")
-    p.add_argument("--repeat", type=int, default=None,
-                   help="timed repeats per benchmark (default: 5, quick: 2)")
-    p.add_argument("--only", default=None, metavar="SUBSTR",
-                   help="run only benchmarks whose name contains SUBSTR")
-    p.add_argument("--record", action="store_true",
-                   help="write the next BENCH_<n>.json in --dir")
-    p.add_argument("--compare", nargs="?", const="", default=None, metavar="FILE",
-                   help="fail on >threshold regression vs FILE "
-                        "(default: latest BENCH_<n>.json in --dir)")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="embed FILE's numbers as the before/after reference")
-    p.add_argument("--threshold", type=float, default=0.20,
-                   help="fractional slowdown tolerated by --compare (default 0.20)")
-    p.add_argument("--dir", default=".",
-                   help="directory for BENCH_<n>.json files (default: cwd)")
-    p.add_argument("--output", default=None, metavar="PATH",
-                   help="also write the report JSON to an explicit path")
-    p.add_argument("--quiet", action="store_true", help="suppress progress lines")
-    p.set_defaults(func=cmd_bench)
     p = sub.add_parser(
         "serve", help="run the persistent scheduling service (JSON over HTTP)"
     )

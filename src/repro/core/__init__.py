@@ -1,13 +1,13 @@
 """Modulo scheduling core: MII, SMS, BSA, two-phase, selective unrolling."""
 
 from .base import SchedulerBase, default_ii_budget
-from .bsa import BsaScheduler, cluster_out_edges, join_profit, out_edges_if_joined
+from .bsa import BsaScheduler, join_profit
 from .comm import AddReader, CommPlan, NewTransfer
 from .engine import FailReason, Placement, PlacementEngine
 from .exact import ExactScheduler, resolve_backend
 from .lifetimes import cluster_pressures, max_pressure, mve_factor, pressure_ok
 from .list_schedule import list_schedule
-from .mii import MiiReport, mii, mii_report, rec_mii, rec_mii_exact, res_mii
+from .mii import MiiReport, mii, mii_report, rec_mii, res_mii
 from .mrt import ReservationTable
 from .pressure import PressureTracker
 from .schedule import Communication, FailureLog, ModuloSchedule, ScheduledOp
@@ -53,7 +53,6 @@ __all__ = [
     "TwoPhaseScheduler",
     "UnifiedScheduler",
     "UnrollPolicy",
-    "cluster_out_edges",
     "cluster_pressures",
     "join_profit",
     "list_schedule",
@@ -64,11 +63,9 @@ __all__ = [
     "mii",
     "mii_report",
     "ordering_sets",
-    "out_edges_if_joined",
     "partition_graph",
     "pressure_ok",
     "rec_mii",
-    "rec_mii_exact",
     "recurrence_sets",
     "res_mii",
     "resolve_backend",

@@ -42,39 +42,13 @@ _ORDERINGS: dict[str, OrderFn] = {
 }
 
 
-def cluster_out_edges(
-    graph: DependenceGraph, assignment: dict[int, int], cluster: int
-) -> int:
-    """``OutEdgesOnCluster``: value edges from *cluster*'s nodes to any node
-    outside it (scheduled elsewhere or not yet scheduled)."""
-    count = 0
-    for node, c in assignment.items():
-        if c != cluster:
-            continue
-        for dep in graph.flow_consumers(node):
-            if dep.dst == node:
-                continue
-            if assignment.get(dep.dst) != cluster:
-                count += 1
-    return count
-
-
-def out_edges_if_joined(
-    graph: DependenceGraph, assignment: dict[int, int], cluster: int, node: int
-) -> int:
-    """``tmpoutedges``: out-edge count of *cluster* with *node* included."""
-    trial = dict(assignment)
-    trial[node] = cluster
-    return cluster_out_edges(graph, trial, cluster)
-
-
 def join_profit(
     graph: DependenceGraph, assignment: dict[int, int], cluster: int, node: int
 ) -> int:
     """Out-edge reduction if *node* joins *cluster*, in O(degree).
 
-    Equal by construction to ``cluster_out_edges(...) -
-    out_edges_if_joined(...)`` (the property test cross-checks): joining
+    Equal by construction to the paper's ``OutEdgesOnCluster -
+    tmpoutedges`` recount (the property test cross-checks): joining
     converts the cluster members' edges *into node* from out-edges to
     internal ones, and adds node's own edges to non-members as new
     out-edges.  Avoids the full O(|assignment| * degree) recount the

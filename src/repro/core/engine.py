@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from time import perf_counter
 
 from ..arch.cluster import MachineConfig
 from ..errors import SchedulingError
 from ..ir.ddg import DependenceGraph
-from ..obs.trace import PHASES
 from .comm import AddReader, CommPlan, NewTransfer, empty_plan
 from .mrt import ReservationTable
 from .pressure import PressureTracker
@@ -295,15 +293,6 @@ class PlacementEngine:
         On failure returns the dominant :class:`FailReason` (also recorded
         into the attempt's :class:`FailureLog`).
         """
-        if PHASES.enabled:
-            t0 = perf_counter()
-            try:
-                return self._find_placement(node, cluster)
-            finally:
-                PHASES.add("schedule.probe", perf_counter() - t0)
-        return self._find_placement(node, cluster)
-
-    def _find_placement(self, node: int, cluster: int) -> Placement | FailReason:
         op = self.graph.operation(node)
         # Self-dependences only constrain II (lat <= II*dist); RecMII
         # guarantees them, but custom latencies may not — check explicitly.
@@ -355,15 +344,6 @@ class PlacementEngine:
     # ------------------------------------------------------------------
     def commit(self, placement: Placement) -> None:
         """Claim the FU and all planned bus slots; record the placement."""
-        if PHASES.enabled:
-            t0 = perf_counter()
-            try:
-                return self._commit(placement)
-            finally:
-                PHASES.add("schedule.commit", perf_counter() - t0)
-        return self._commit(placement)
-
-    def _commit(self, placement: Placement) -> None:
         op = self.graph.operation(placement.node)
         fu = self.mrt.occupy_fu(
             placement.cluster, op.fu_class, placement.cycle, placement.node

@@ -24,13 +24,15 @@ the pressure histogram; lifetimes longer than II therefore count multiple
 times per row, which models the modulo variable expansion the hardware or
 unroller would need.
 
-The histogram accumulation is vectorised with NumPy: schedulers call this
-on every candidate placement, making it the hottest path in the package.
+Placement search tracks the same model incrementally
+(:mod:`repro.core.pressure`); this from-scratch computation serves the
+verifier, the statistics and the exact backend.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import accumulate
+from operator import add
 
 from ..ir.ddg import DependenceGraph
 from .schedule import Communication, ModuloSchedule
@@ -103,40 +105,22 @@ def cluster_pressures(
     """
     ii = schedule.ii
     n_clusters = schedule.config.n_clusters
-    intervals = _intervals(schedule, extra_comms)
-    if not intervals:
-        return {c: 0 for c in range(n_clusters)}
-
-    clusters = np.fromiter((iv[0] for iv in intervals), dtype=np.int64)
-    starts = np.fromiter((iv[1] for iv in intervals), dtype=np.int64)
-    ends = np.fromiter((iv[2] for iv in intervals), dtype=np.int64)
-    lengths = ends - starts
-    fulls = lengths // ii
-    rems = lengths - fulls * ii
-
+    # Whole-II wraps cover every row; a remainder covers rows start ..
+    # start+rem-1 (mod II), one segment of a difference array over the
+    # doubled range whose two halves are then folded together.
+    base = [0] * n_clusters
+    diffs = [[0] * (2 * ii) for _ in range(n_clusters)]
+    for c, start, end in _intervals(schedule, extra_comms):
+        full, rem = divmod(end - start, ii)
+        base[c] += full
+        if rem:
+            s = start % ii
+            diffs[c][s] += 1
+            diffs[c][s + rem] -= 1
     result: dict[int, int] = {}
-    hist = np.zeros(ii, dtype=np.int64)
-    for c in range(n_clusters):
-        mask = clusters == c
-        if not mask.any():
-            result[c] = 0
-            continue
-        hist[:] = 0
-        base = int(fulls[mask].sum())  # whole-II wraps cover every row
-        # Partial remainders: rows (start .. start+rem-1) mod II.  Use the
-        # difference-array trick on the doubled range to stay vectorised.
-        s = np.mod(starts[mask], ii)
-        r = rems[mask]
-        nz = r > 0
-        if nz.any():
-            s = s[nz]
-            r = r[nz]
-            diff = np.zeros(2 * ii + 1, dtype=np.int64)
-            np.add.at(diff, s, 1)
-            np.add.at(diff, s + r, -1)
-            acc = np.cumsum(diff[:-1])
-            hist += acc[:ii] + acc[ii:]
-        result[c] = base + int(hist.max())
+    for c, diff in enumerate(diffs):
+        acc = list(accumulate(diff))
+        result[c] = base[c] + max(map(add, acc[:ii], acc[ii:]))
     return result
 
 

@@ -28,7 +28,6 @@ import networkx as nx
 
 from ..errors import GraphError
 from ..ir.ddg import DependenceGraph
-from ..obs.trace import PHASES
 from .mii import rec_mii
 
 
@@ -196,9 +195,6 @@ def sms_order(graph: DependenceGraph, ii: int | None = None) -> list[int]:
     Memoised per (graph, ii): the II search recomputes the order on every
     attempt, and it only depends on the graph (shared — do not mutate).
     """
-    if PHASES.enabled:
-        with PHASES.time("schedule.ordering"):
-            return graph.derived(("sms_order", ii), lambda: _sms_order(graph, ii))
     return graph.derived(("sms_order", ii), lambda: _sms_order(graph, ii))
 
 
@@ -286,7 +282,4 @@ def topological_order(graph: DependenceGraph) -> list[int]:
                 g.add_edge(dep.src, dep.dst)
         return list(nx.lexicographical_topological_sort(g))
 
-    if PHASES.enabled:
-        with PHASES.time("schedule.ordering"):
-            return graph.derived("topological_order", build)
     return graph.derived("topological_order", build)

@@ -5,8 +5,7 @@ scheduling decisions, scenario identities, or cache keys.  The four
 modules layer as
 
 * :mod:`repro.obs.trace` — nestable spans with cross-process context
-  propagation, plus per-phase wall-clock accounting for the scheduler
-  engine (both zero-cost when disabled);
+  propagation (zero-cost when disabled);
 * :mod:`repro.obs.metrics` — a thread-safe registry of counters, gauges
   and fixed-bucket histograms;
 * :mod:`repro.obs.prom` — Prometheus text exposition (0.0.4) rendering
@@ -31,18 +30,16 @@ from .report import (
     aggregate,
     render_report,
 )
-from .trace import PHASES, TRACER, PhaseTimer, Span, TraceContext, Tracer, new_trace_id
+from .trace import TRACER, Span, TraceContext, Tracer, new_trace_id
 
 __all__ = [
     "CONTENT_TYPE",
     "LATENCY_BUCKETS_S",
-    "PHASES",
     "TRACER",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PhaseTimer",
     "PointRecord",
     "PromParseError",
     "RunRecorder",

@@ -1,25 +1,18 @@
-"""Tracing spans and scheduler phase timings.
+"""Tracing spans.
 
-Two instruments, both **zero-cost when disabled** (a single attribute
-check on the hot path, no object allocation):
+:class:`Tracer` — nestable, named spans (``with tracer.span("x"):``)
+with W3C-style trace/span identifiers, **zero-cost when disabled** (a
+single attribute check on the hot path, no object allocation).  The
+current span lives in a :mod:`contextvars` context variable, so
+concurrent server threads each see their own stack.  Crossing a
+*process* boundary is explicit: :meth:`Tracer.carrier` snapshots the
+current context into a plain dict, and :meth:`Tracer.adopt` re-installs
+it inside the worker — the runner's spawn-pool shards do exactly that,
+so a span recorded in a worker links back to the submitting request's
+trace.
 
-* :class:`Tracer` — nestable, named spans (``with tracer.span("x"):``)
-  with W3C-style trace/span identifiers.  The current span lives in a
-  :mod:`contextvars` context variable, so concurrent server threads each
-  see their own stack.  Crossing a *process* boundary is explicit:
-  :meth:`Tracer.carrier` snapshots the current context into a plain
-  dict, and :meth:`Tracer.adopt` re-installs it inside the worker — the
-  runner's spawn-pool shards do exactly that, so a span recorded in a
-  worker links back to the submitting request's trace.
-* :class:`PhaseTimer` — cumulative per-phase wall-clock accounting for
-  the scheduler engine (``schedule.ordering`` / ``schedule.probe`` /
-  ``schedule.commit`` / ``sim.execute``).  The engine's inner loops
-  guard every measurement with ``if PHASES.enabled:`` so the disabled
-  cost is one attribute load; the bench harness enables it for one
-  untimed profiled pass and embeds the breakdown in ``BENCH_<n>.json``.
-
-Neither instrument ever feeds scheduling decisions, scenario identities
-or cache keys — observability must not perturb byte-identical schedules.
+Spans never feed scheduling decisions, scenario identities or cache
+keys — observability must not perturb byte-identical schedules.
 """
 
 from __future__ import annotations
@@ -34,9 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 __all__ = [
-    "PHASES",
     "TRACER",
-    "PhaseTimer",
     "Span",
     "TraceContext",
     "Tracer",
@@ -221,56 +212,5 @@ class Tracer:
         return out
 
 
-class PhaseTimer:
-    """Cumulative wall-clock accounting per named engine phase.
-
-    The hot paths measure explicitly (two ``perf_counter`` calls) under
-    an ``if PHASES.enabled:`` guard; this class only accumulates.  Not
-    thread-safe by design — enable it around single-threaded profiled
-    passes (the bench harness), never on a live multi-threaded service.
-    """
-
-    __slots__ = ("enabled", "_totals", "_counts")
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self._totals: dict[str, float] = {}
-        self._counts: dict[str, int] = {}
-
-    def add(self, phase: str, seconds: float) -> None:
-        """Accumulate one measurement (call sites pre-check ``enabled``)."""
-        self._totals[phase] = self._totals.get(phase, 0.0) + seconds
-        self._counts[phase] = self._counts.get(phase, 0) + 1
-
-    @contextmanager
-    def time(self, phase: str) -> Iterator[None]:
-        """Measure a block when enabled (cheap no-op otherwise)."""
-        if not self.enabled:
-            yield
-            return
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(phase, time.perf_counter() - t0)
-
-    def reset(self) -> None:
-        self._totals.clear()
-        self._counts.clear()
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        """``{phase: {"total_s": ..., "calls": ...}}``, sorted by phase."""
-        return {
-            phase: {
-                "total_s": self._totals[phase],
-                "calls": self._counts[phase],
-            }
-            for phase in sorted(self._totals)
-        }
-
-
 #: Process-wide default tracer (enabled via ``$REPRO_VLIW_TRACE``).
 TRACER = Tracer(enabled=bool(os.environ.get(TRACE_ENV_VAR)))
-
-#: Process-wide scheduler phase accounting (disabled unless profiling).
-PHASES = PhaseTimer()

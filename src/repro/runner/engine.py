@@ -59,7 +59,7 @@ from ..ir.ddg import DependenceGraph
 from ..ir.loop import Loop
 from ..ir.serialize import loop_from_dict, loop_to_dict
 from ..obs.report import RunRecorder
-from ..obs.trace import PHASES, TRACER
+from ..obs.trace import TRACER
 from ..sim.crosscheck import crosscheck_loop
 from ..sim.memory import MemoryModel, RandomMissMemory
 from .cache import ResultCache
@@ -199,8 +199,7 @@ def execute_point(
         sim_loop = Loop(
             graph=loop.graph, trip_count=point.niter, times_executed=1
         )
-        with PHASES.time("sim.execute"):
-            check = crosscheck_loop(sim_loop, result, memory=memory)
+        check = crosscheck_loop(sim_loop, result, memory=memory)
         sim = SimOutcome(
             analytic_cycles=check.analytic_cycles,
             simulated_cycles=check.simulated_cycles,

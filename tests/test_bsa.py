@@ -2,10 +2,11 @@
 
 import pytest
 
+from oracles import cluster_out_edges, out_edges_if_joined
 from repro.arch.cluster import MachineConfig
 from repro.arch.configs import four_cluster_config, two_cluster_config
 from repro.arch.resources import BusSpec, FuSet
-from repro.core.bsa import BsaScheduler, cluster_out_edges, out_edges_if_joined
+from repro.core.bsa import BsaScheduler
 from repro.core.mii import mii
 from repro.core.unified import UnifiedScheduler
 from repro.core.verify import verify_schedule

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import rec_mii_exact
 from repro.arch.configs import four_cluster_config, two_cluster_config, unified_config
 from repro.core.mii import (
     mii,
     mii_report,
     rec_mii,
-    rec_mii_exact,
     res_mii,
 )
 from repro.errors import GraphError

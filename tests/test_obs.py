@@ -6,8 +6,6 @@ Covers the acceptance criteria of the observability work:
   exposition and back through the strict parser, with stable names;
 * tracing spans nest, propagate across the spawn worker-pool boundary,
   and never perturb results;
-* the scheduler phase hooks produce a per-phase breakdown when enabled
-  and change nothing when disabled (the default);
 * run reports record one point per scenario, aggregate per group, and
   render as text / JSON / markdown.
 """
@@ -23,7 +21,6 @@ from repro.experiments import suite_grid
 from repro.obs import (
     LATENCY_BUCKETS_S,
     MetricsRegistry,
-    PhaseTimer,
     RunRecorder,
     RunReport,
     Tracer,
@@ -31,7 +28,7 @@ from repro.obs import (
     render_report,
 )
 from repro.obs import prom
-from repro.obs.trace import PHASES, TRACER, TraceContext, new_trace_id
+from repro.obs.trace import TRACER, TraceContext, new_trace_id
 from repro.runner import run_sweep
 from repro.workloads.specfp import build_program
 
@@ -244,66 +241,6 @@ class TestTracer:
         tracer.record(doc)
         (span,) = tracer.drain()
         assert span.name == "remote" and span.duration_s == 0.5
-
-
-# ---------------------------------------------------------------------------
-# Phase timers and the engine hooks
-# ---------------------------------------------------------------------------
-class TestPhases:
-    def test_disabled_records_nothing(self):
-        timer = PhaseTimer()
-        with timer.time("x"):
-            pass
-        assert timer.snapshot() == {}
-
-    def test_enabled_accumulates(self):
-        timer = PhaseTimer()
-        timer.enabled = True
-        with timer.time("a"):
-            pass
-        timer.add("a", 0.25)
-        snap = timer.snapshot()
-        assert snap["a"]["calls"] == 2
-        assert snap["a"]["total_s"] >= 0.25
-        timer.reset()
-        assert timer.snapshot() == {}
-
-    def test_engine_hooks_emit_phase_breakdown(self):
-        from repro.arch.configs import four_cluster_config
-        from repro.core.bsa import BsaScheduler
-        from repro.workloads.kernels import fir_filter
-
-        PHASES.reset()
-        PHASES.enabled = True
-        try:
-            BsaScheduler(four_cluster_config(1, 1)).schedule(fir_filter(6))
-            snap = PHASES.snapshot()
-        finally:
-            PHASES.enabled = False
-            PHASES.reset()
-        assert {"schedule.ordering", "schedule.probe", "schedule.commit"} <= set(
-            snap
-        )
-        assert all(entry["calls"] >= 1 for entry in snap.values())
-
-    def test_hooks_do_not_change_schedules(self):
-        from repro.arch.configs import four_cluster_config
-        from repro.codegen.vliw import render_schedule
-        from repro.core.bsa import BsaScheduler
-        from repro.workloads.kernels import fir_filter
-
-        cfg = four_cluster_config(1, 1)
-        plain = render_schedule(BsaScheduler(cfg).schedule(fir_filter(6)))
-        PHASES.reset()
-        PHASES.enabled = True
-        try:
-            profiled = render_schedule(
-                BsaScheduler(cfg).schedule(fir_filter(6))
-            )
-        finally:
-            PHASES.enabled = False
-            PHASES.reset()
-        assert profiled == plain
 
 
 # ---------------------------------------------------------------------------

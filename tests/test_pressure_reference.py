@@ -1,9 +1,8 @@
-"""Reference-model check: the vectorised MaxLive equals naive counting.
+"""Reference-model check: the difference-array MaxLive equals naive counting.
 
-``cluster_pressures`` is the hottest path in the package and uses a
-difference-array trick over doubled modulo ranges; this test pins it to a
-straightforward per-cycle counter on real scheduler outputs and on random
-schedules.
+``cluster_pressures`` folds each live range into a difference array over
+the doubled modulo range; this test pins it to a straightforward
+per-cycle counter on real scheduler outputs and on random schedules.
 """
 
 from hypothesis import HealthCheck, given, settings

@@ -240,7 +240,8 @@ class TestJoinProfit:
     @settings(**COMMON)
     def test_join_profit_equals_full_recount(self, g, data):
         """O(degree) profit == the paper's O(assignment) recount."""
-        from repro.core.bsa import cluster_out_edges, join_profit, out_edges_if_joined
+        from oracles import cluster_out_edges, out_edges_if_joined
+        from repro.core.bsa import join_profit
 
         nodes = g.node_ids
         n_clusters = 4
