@@ -59,8 +59,7 @@ def test_fig4(benchmark, ctx, results_dir):
 
     # 4. the N&E configurations of the paper (latency 1): BSA wins
     for n_clusters in (2, 4):
-        at_nee_config = n_clusters  # 2c/2b and 4c/4b in the paper
-        bus = 2 if n_clusters == 2 else 4
+        bus = 2 if n_clusters == 2 else 4  # 2c/2b and 4c/4b in the paper
         bsa_pt = _points_by(
             points, n_clusters=n_clusters, algorithm="bsa", bus_latency=1, n_buses=bus
         )[0]

@@ -59,10 +59,6 @@ class BusField:
     out_source: str | None = None
     in_store: bool = False
 
-    @property
-    def is_idle(self) -> bool:
-        return self.bus_index is None and not self.in_store
-
     def render(self) -> str:
         parts = []
         if self.bus_index is not None and self.out_source is not None:

@@ -44,13 +44,6 @@ class FuSet:
             self.int_units * factor, self.fp_units * factor, self.mem_units * factor
         )
 
-    def as_dict(self) -> dict[FuClass, int]:
-        return {
-            FuClass.INT: self.int_units,
-            FuClass.FP: self.fp_units,
-            FuClass.MEM: self.mem_units,
-        }
-
     def __str__(self) -> str:
         return f"{self.int_units}I/{self.fp_units}F/{self.mem_units}M"
 

@@ -30,6 +30,10 @@ Commands map one-to-one onto the paper's artefacts::
     repro-vliw submit KERNEL       # schedule via a running service
     repro-vliw loadtest            # drive N concurrent synthetic clients
 
+The figure verbs (fig4, fig8, fig9, fig10, crossval) run their named
+grid from :data:`repro.runner.grids.GRIDS`, the same declaration
+``repro-vliw sweep NAME`` runs, and print exactly what it prints.
+
 Every grid command (fig4/fig8/fig9/fig10, gap, crossval, sweep) executes
 through the parallel, cache-backed runner: ``--jobs N`` shards the work
 across N worker processes, results persist in the on-disk cache
@@ -57,25 +61,11 @@ from .core.verify import verify_schedule
 from .errors import ParseError, ReproError, WorkloadError
 from .experiments import (
     ExperimentContext,
-    average_ipc,
-    best_speedup,
-    crossval_rows,
-    fig4_rows,
     fig7_rows,
-    fig8_rows,
-    fig9_rows,
-    fig10_rows,
     make_scheduler,
-    max_cycle_divergence,
-    max_ipc_divergence,
     render_gap,
-    run_crossval,
-    run_fig4,
     run_fig7,
     run_fig7_ladder,
-    run_fig8,
-    run_fig9,
-    run_fig10,
     run_gap,
     run_table1,
     run_table2,
@@ -122,7 +112,7 @@ def _write_report(args: argparse.Namespace, ctx: ExperimentContext, sweep: str) 
 
     report = ctx.recorder.report(sweep=sweep)
     report.save(Path(out))
-    print(f"\nrun report ({len(report.records)} point(s)) -> {out}")
+    print(f"run report ({len(report.records)} point(s)) -> {out}", file=sys.stderr)
 
 
 def _sweep_flags(parser: argparse.ArgumentParser) -> None:
@@ -158,16 +148,6 @@ def cmd_table2(args: argparse.Namespace) -> None:
     print(format_table(rows, title="Table 2: cycle times (ps)", floatfmt=".1f"))
 
 
-def cmd_fig4(args: argparse.Namespace) -> None:
-    sweep = (1, 2, 4) if args.quick else None
-    kwargs = {"bus_sweep": sweep} if sweep else {}
-    ctx = _ctx(args)
-    points = run_fig4(ctx, **kwargs)
-    print(format_table(fig4_rows(points), title="Figure 4: relative IPC vs buses"))
-    print(f"\n[{ctx.stats.render()}]")
-    _write_report(args, ctx, "fig4")
-
-
 def cmd_fig7(_args: argparse.Namespace) -> None:
     case = run_fig7()
     print(format_table(fig7_rows(case), title="Figure 7 (paper 6-node graph)"))
@@ -176,44 +156,25 @@ def cmd_fig7(_args: argparse.Namespace) -> None:
     print(format_table(fig7_rows(case), title="Figure 7 (ladder variant)"))
 
 
-def cmd_fig8(args: argparse.Namespace) -> None:
-    kwargs = {}
-    if args.quick:
-        kwargs = {"bus_counts": (1,), "latencies": (1, 4)}
+def _run_grid(args: argparse.Namespace, spec, executor=None) -> str:
+    """Run one named grid in a context wired to the runner flags.
+
+    Prints the rendered tables and the stats line, saves the run report
+    when ``--report-out`` asks for one, and returns the tables.
+    *executor* overrides where the misses run (the embedded fabric).
+    """
     ctx = _ctx(args)
-    points = run_fig8(ctx, **kwargs)
-    print(format_table(fig8_rows(points), title="Figure 8: IPC per program"))
-    print()
-    print(format_table(average_ipc(points), title="Figure 8: averages"))
+    ctx.executor = executor
+    output = spec.run(ctx, args.quick)
+    print(output)
     print(f"\n[{ctx.stats.render()}]")
-    _write_report(args, ctx, "fig8")
+    _write_report(args, ctx, spec.name)
+    return output
 
 
-def cmd_fig9(args: argparse.Namespace) -> None:
-    kwargs = {}
-    if args.quick:
-        kwargs = {"cluster_counts": (4,), "bus_counts": (1,)}
-    ctx = _ctx(args)
-    points = run_fig9(ctx, **kwargs)
-    print(format_table(fig9_rows(points), title="Figure 9: speed-up vs unified"))
-    best = best_speedup(points)
-    print(
-        f"\nbest: {best.n_clusters}-cluster / {best.n_buses} bus / "
-        f"{best.scenario} -> {best.report.speedup:.2f}x"
-    )
-    print(f"\n[{ctx.stats.render()}]")
-    _write_report(args, ctx, "fig9")
-
-
-def cmd_fig10(args: argparse.Namespace) -> None:
-    kwargs = {}
-    if args.quick:
-        kwargs = {"bus_counts": (1,), "latencies": (1, 4)}
-    ctx = _ctx(args)
-    points = run_fig10(ctx, **kwargs)
-    print(format_table(fig10_rows(points), title="Figure 10: code size (normalised)"))
-    print(f"\n[{ctx.stats.render()}]")
-    _write_report(args, ctx, "fig10")
+def cmd_grid(args: argparse.Namespace) -> None:
+    """The figure verbs (fig4, fig8, fig9, fig10, crossval): run their grid."""
+    _run_grid(args, GRIDS[args.command])
 
 
 def cmd_gap(args: argparse.Namespace) -> None:
@@ -346,28 +307,6 @@ def cmd_workloads(args: argparse.Namespace) -> None:
     print(format_table(rows, title=title))
 
 
-def cmd_crossval(args: argparse.Namespace) -> None:
-    kwargs = {}
-    if args.quick:
-        kwargs = {"cluster_counts": (4,), "bus_counts": (1,), "latencies": (1, 4)}
-    ctx = _ctx(args)
-    points = run_crossval(ctx, **kwargs)
-    print(
-        format_table(
-            crossval_rows(points),
-            title="Cross-validation: analytic model vs simulation (Figure 8 grid)",
-            floatfmt=".3e",
-        )
-    )
-    print(
-        f"\n{len(points)} loop executions simulated; max IPC divergence "
-        f"{max_ipc_divergence(points):.3e}, max cycle divergence "
-        f"{max_cycle_divergence(points)}"
-    )
-    print(f"[{ctx.stats.render()}]")
-    _write_report(args, ctx, "crossval")
-
-
 def cmd_sweep(args: argparse.Namespace) -> None:
     if args.list or not args.grid:
         rows = [
@@ -386,11 +325,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     if args.distributed:
         output = _distributed_sweep(args, spec)
     else:
-        ctx = _ctx(args)
-        output = spec.run(ctx, args.quick)
-        print(output)
-        print(f"\n[{ctx.stats.render()}]")
-        _write_report(args, ctx, args.grid)
+        output = _run_grid(args, spec)
     if args.out:
         from pathlib import Path
 
@@ -463,17 +398,10 @@ def _distributed_sweep(args: argparse.Namespace, spec) -> str:
         file=sys.stderr,
         flush=True,
     )
-    ctx = _ctx(args)
-    ctx.executor = service.fabric.execute
     try:
-        try:
-            output = spec.run(ctx, args.quick)
-        except ServiceError as exc:
-            sys.exit(f"sweep: {exc}")
-        print(output)
-        print(f"\n[{ctx.stats.render()}]")
-        _write_report(args, ctx, args.grid)
-        return output
+        return _run_grid(args, spec, service.fabric.execute)
+    except ServiceError as exc:
+        sys.exit(f"sweep: {exc}")
     finally:
         server.shutdown()
         server.server_close()
@@ -669,7 +597,8 @@ def cmd_cache(args: argparse.Namespace) -> None:
     print(cache.stats().render())
 
 
-def main(argv: list[str] | None = None) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro-vliw`` argument parser with every subcommand registered."""
     parser = argparse.ArgumentParser(
         prog="repro-vliw",
         description="Reproduction of Sanchez & Gonzalez, ICPP 2000.",
@@ -680,20 +609,14 @@ def main(argv: list[str] | None = None) -> None:
     p = sub.add_parser("table2")
     p.add_argument("--buses", type=int, default=1)
     p.set_defaults(func=cmd_table2)
-    for name, func, has_quick in (
-        ("fig4", cmd_fig4, True),
-        ("fig7", cmd_fig7, False),
-        ("fig8", cmd_fig8, True),
-        ("fig9", cmd_fig9, True),
-        ("fig10", cmd_fig10, True),
-        ("crossval", cmd_crossval, True),
-    ):
+    for name in ("fig4", "fig7", "fig8", "fig9", "fig10", "crossval"):
         p = sub.add_parser(name)
-        if has_quick:
-            p.add_argument("--quick", action="store_true")
-        if name != "fig7":
-            _sweep_flags(p)
-        p.set_defaults(func=func)
+        if name == "fig7":
+            p.set_defaults(func=cmd_fig7)
+            continue
+        p.add_argument("--quick", action="store_true")
+        _sweep_flags(p)
+        p.set_defaults(func=cmd_grid)
     p = sub.add_parser("gap")
     p.add_argument("--quick", action="store_true")
     p.add_argument("--format", default="text",
@@ -864,8 +787,11 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--buses", type=int, default=1)
     p.add_argument("--latency", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> None:
+    args = build_parser().parse_args(argv)
     args.func(args)
 
 

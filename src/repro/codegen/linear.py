@@ -74,14 +74,6 @@ class LinearCode:
     #: ``bus_rows[r]`` — transfers starting at kernel row *r*.
     bus_rows: tuple[tuple[BusRecord, ...], ...]
 
-    @property
-    def ops_per_kernel_iteration(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-    @property
-    def comms_per_kernel_iteration(self) -> int:
-        return sum(len(r) for r in self.bus_rows)
-
 
 def linearize(schedule: ModuloSchedule) -> LinearCode:
     """Lower *schedule* into the issue plan the simulator executes."""

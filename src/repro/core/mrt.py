@@ -39,16 +39,6 @@ class _Grid:
         self.masks = [0] * self.rows
         self.full = (1 << self.cols) - 1
 
-    def free_col(self, row: int, want: int = 1) -> list[int]:
-        """Columns free at *row* (up to *want* of them)."""
-        out = []
-        free = ~self.masks[row] & self.full
-        while free and len(out) < want:
-            low = free & -free
-            out.append(low.bit_length() - 1)
-            free ^= low
-        return out
-
     def first_free_col(self, row: int) -> int | None:
         """The lowest free column at *row* (the O(1) hot-path query)."""
         free = ~self.masks[row] & self.full

@@ -36,9 +36,9 @@ from .crossval import (
 )
 from .fig4 import BUS_SWEEP, Fig4Point, fig4_grid, fig4_rows, run_fig4
 from .fig7 import Fig7Case, fig7_rows, run_fig7, run_fig7_ladder
-from .fig8 import Fig8Point, average_ipc, fig8_grid, fig8_rows, run_fig8
+from .fig8 import Fig8Point, average_ipc, fig8_grid, fig8_rows, fig8_scenarios, run_fig8
 from .fig9 import Fig9Point, best_speedup, fig9_grid, fig9_rows, run_fig9
-from .fig10 import Fig10Point, fig10_grid, fig10_rows, run_fig10
+from .fig10 import Fig10Point, fig10_rows, run_fig10
 from .gap import (
     GAP_HEURISTICS,
     GAP_SCHEDULERS,
@@ -67,13 +67,13 @@ __all__ = [
     "config_label",
     "crossval_grid",
     "crossval_rows",
-    "fig10_grid",
     "fig10_rows",
     "fig4_grid",
     "fig4_rows",
     "fig7_rows",
     "fig8_grid",
     "fig8_rows",
+    "fig8_scenarios",
     "fig9_grid",
     "fig9_rows",
     "gap_grid",

@@ -46,7 +46,6 @@ def run_singlepass_ablation(
     n_clusters: int = 4,
     n_buses: int = 1,
     latencies: tuple[int, ...] = (1, 2, 4),
-    jobs: int | None = None,
 ) -> list[LatencyAblationPoint]:
     """EXP-A1: BSA vs two-phase as communication latency grows."""
     grid = suite_grid(ctx.suite, unified_config(), "bsa", UnrollPolicy.NONE)
@@ -54,7 +53,7 @@ def run_singlepass_ablation(
         cfg = paper_machine(n_clusters, n_buses, latency)
         for algorithm in ("bsa", "two-phase"):
             grid.extend(suite_grid(ctx.suite, cfg, algorithm, UnrollPolicy.NONE))
-    ctx.run_grid(grid, jobs=jobs)
+    ctx.run_grid(grid)
     points = []
     for latency in latencies:
         cfg = paper_machine(n_clusters, n_buses, latency)
@@ -80,7 +79,6 @@ def run_selective_rule_ablation(
     *,
     n_clusters: int = 4,
     scenarios: tuple[tuple[int, int], ...] = ((1, 1), (1, 4), (2, 1)),
-    jobs: int | None = None,
 ) -> list[SelectiveRulePoint]:
     """EXP-A2: the two readings of the Figure 6 decision test."""
     grid = []
@@ -90,7 +88,7 @@ def run_selective_rule_ablation(
             grid.extend(
                 suite_grid(ctx.suite, cfg, "bsa", UnrollPolicy.SELECTIVE, rule)
             )
-    ctx.run_grid(grid, jobs=jobs)
+    ctx.run_grid(grid)
     points = []
     for n_buses, latency in scenarios:
         cfg = paper_machine(n_clusters, n_buses, latency)

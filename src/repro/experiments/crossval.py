@@ -13,17 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..arch.configs import (
-    PAPER_BUS_COUNTS,
-    PAPER_BUS_LATENCIES,
-    unified_config,
-)
 from ..core.selective import UnrollPolicy
 from ..errors import SimulationError
 from ..runner.scenario import GridItem
 from ..sim.crosscheck import CrossCheck
-from .common import ExperimentContext, paper_machine, suite_grid
-from .fig8 import POLICIES
+from .common import ExperimentContext, suite_grid
+from .fig8 import fig8_scenarios
 
 
 @dataclass(frozen=True)
@@ -39,94 +34,34 @@ class CrossvalPoint:
     check: CrossCheck
 
 
-def _crossval_scenarios(
-    cluster_counts: tuple[int, ...],
-    bus_counts: tuple[int, ...],
-    latencies: tuple[int, ...],
-    policies: tuple[UnrollPolicy, ...],
-) -> list[tuple[int, int, int, UnrollPolicy]]:
-    """Every machine scenario of the grid (unified baseline first)."""
-    scenarios: list[tuple[int, int, int, UnrollPolicy]] = [
-        (1, 0, 0, UnrollPolicy.NONE)
-    ]
-    scenarios.extend(
-        (n_clusters, n_buses, latency, policy)
-        for n_clusters in cluster_counts
-        for policy in policies
-        for n_buses in bus_counts
-        for latency in latencies
-    )
-    return scenarios
-
-
-def crossval_grid(
-    ctx: ExperimentContext,
-    *,
-    cluster_counts: tuple[int, ...] = (2, 4),
-    bus_counts: tuple[int, ...] = PAPER_BUS_COUNTS,
-    latencies: tuple[int, ...] = PAPER_BUS_LATENCIES,
-    scheduler: str = "bsa",
-    policies: tuple[UnrollPolicy, ...] = POLICIES,
-) -> list[GridItem]:
+def crossval_grid(ctx: ExperimentContext, **dims: tuple[int, ...]) -> list[GridItem]:
     """The cross-validation grid: Figure 8's points, simulate-flagged.
 
     Simulated points embed their schedule in the result, so a crossval
     sweep also warms the schedule cache for the other figures (and vice
     versa: cached Figure 8 schedules skip straight to simulation).
     """
-    items: list[GridItem] = []
-    for n_clusters, n_buses, latency, policy in _crossval_scenarios(
-        cluster_counts, bus_counts, latencies, policies
-    ):
-        cfg = (
-            unified_config()
-            if n_clusters == 1
-            else paper_machine(n_clusters, n_buses, latency)
-        )
-        items.extend(
-            suite_grid(ctx.suite, cfg, scheduler, policy, simulate=True)
-        )
-    return items
+    return [
+        item
+        for *_, policy, machine in fig8_scenarios(**dims)
+        for item in suite_grid(ctx.suite, machine, "bsa", policy, simulate=True)
+    ]
 
 
 def run_crossval(
-    ctx: ExperimentContext,
-    *,
-    cluster_counts: tuple[int, ...] = (2, 4),
-    bus_counts: tuple[int, ...] = PAPER_BUS_COUNTS,
-    latencies: tuple[int, ...] = PAPER_BUS_LATENCIES,
-    scheduler: str = "bsa",
-    policies: tuple[UnrollPolicy, ...] = POLICIES,
-    jobs: int | None = None,
+    ctx: ExperimentContext, **dims: tuple[int, ...]
 ) -> list[CrossvalPoint]:
     """Simulate every loop of the Figure 8 grid and diff against the model."""
-    ctx.run_grid(
-        crossval_grid(
-            ctx,
-            cluster_counts=cluster_counts,
-            bus_counts=bus_counts,
-            latencies=latencies,
-            scheduler=scheduler,
-            policies=policies,
-        ),
-        jobs=jobs,
-    )
+    ctx.run_grid(crossval_grid(ctx, **dims))
     points: list[CrossvalPoint] = []
-    for n_clusters, n_buses, latency, policy in _crossval_scenarios(
-        cluster_counts, bus_counts, latencies, policies
-    ):
-        cfg = (
-            unified_config()
-            if n_clusters == 1
-            else paper_machine(n_clusters, n_buses, latency)
-        )
+    for n_clusters, n_buses, latency, policy, machine in fig8_scenarios(**dims):
         for program in ctx.suite:
             for loop in program.eligible_loops():
                 try:
-                    check = ctx.crosscheck_loop(loop, cfg, scheduler, policy)
+                    check = ctx.crosscheck_loop(loop, machine, "bsa", policy)
                 except SimulationError as exc:  # a wrong schedule slipped through
                     raise SimulationError(
-                        f"{program.name}/{loop.name} on {cfg.name} "
+                        f"{program.name}/{loop.name} on {machine.name} "
                         f"({policy}): {exc}"
                     ) from exc
                 points.append(

@@ -16,35 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..arch.configs import (
-    PAPER_BUS_COUNTS,
-    PAPER_BUS_LATENCIES,
-    unified_config,
-)
 from ..codegen.codesize import ZERO_SIZE, CodeSize, schedule_code_size
 from ..core.selective import UnrollPolicy
-from ..runner.scenario import GridItem
-from .common import ExperimentContext, paper_machine, suite_grid
-from .fig8 import POLICIES
-
-
-def fig10_grid(
-    ctx: ExperimentContext,
-    *,
-    cluster_counts: tuple[int, ...] = (2, 4),
-    bus_counts: tuple[int, ...] = PAPER_BUS_COUNTS,
-    latencies: tuple[int, ...] = PAPER_BUS_LATENCIES,
-    scheduler: str = "bsa",
-) -> list[GridItem]:
-    """The Figure 10 grid (same scenarios as Figure 8's)."""
-    items = suite_grid(ctx.suite, unified_config(), scheduler, UnrollPolicy.NONE)
-    for n_clusters in cluster_counts:
-        for policy in POLICIES:
-            for n_buses in bus_counts:
-                for latency in latencies:
-                    cfg = paper_machine(n_clusters, n_buses, latency)
-                    items.extend(suite_grid(ctx.suite, cfg, scheduler, policy))
-    return items
+from .common import ExperimentContext
+from .fig8 import fig8_grid, fig8_scenarios
 
 
 @dataclass(frozen=True)
@@ -57,58 +32,31 @@ class Fig10Point:
     useful_ops_ratio: float  # black bars
 
 
-def _suite_code_size(
-    ctx: ExperimentContext, config, scheduler: str, policy: UnrollPolicy
-) -> CodeSize:
+def _suite_code_size(ctx: ExperimentContext, config, policy: UnrollPolicy) -> CodeSize:
     total = ZERO_SIZE
     for program in ctx.suite:
         for loop in program.eligible_loops():
-            result = ctx.schedule_loop(loop, config, scheduler, policy)
+            result = ctx.schedule_loop(loop, config, "bsa", policy)
             total = total + schedule_code_size(result.schedule)
     return total
 
 
-def run_fig10(
-    ctx: ExperimentContext,
-    *,
-    cluster_counts: tuple[int, ...] = (2, 4),
-    bus_counts: tuple[int, ...] = PAPER_BUS_COUNTS,
-    latencies: tuple[int, ...] = PAPER_BUS_LATENCIES,
-    scheduler: str = "bsa",
-    jobs: int | None = None,
-) -> list[Fig10Point]:
-    """Run the Figure 10 grid: normalised code size per scenario."""
-    ctx.run_grid(
-        fig10_grid(
-            ctx,
-            cluster_counts=cluster_counts,
-            bus_counts=bus_counts,
-            latencies=latencies,
-            scheduler=scheduler,
-        ),
-        jobs=jobs,
-    )
-    baseline = _suite_code_size(
-        ctx, unified_config(), scheduler, UnrollPolicy.NONE
-    )
+def run_fig10(ctx: ExperimentContext, **dims: tuple[int, ...]) -> list[Fig10Point]:
+    """Run the Figure 10 grid (Figure 8's): normalised code size per scenario.
+
+    The first scenario, the unified machine without unrolling, is the
+    baseline every other scenario is normalised to.
+    """
+    ctx.run_grid(fig8_grid(ctx, **dims))
+    (*_, unified), *scenarios = fig8_scenarios(**dims)
+    baseline = _suite_code_size(ctx, unified, UnrollPolicy.NONE)
     points = []
-    for n_clusters in cluster_counts:
-        for policy in POLICIES:
-            for n_buses in bus_counts:
-                for latency in latencies:
-                    cfg = paper_machine(n_clusters, n_buses, latency)
-                    size = _suite_code_size(ctx, cfg, scheduler, policy)
-                    total_ratio, useful_ratio = size.normalised_to(baseline)
-                    points.append(
-                        Fig10Point(
-                            n_clusters,
-                            n_buses,
-                            latency,
-                            policy,
-                            total_ratio,
-                            useful_ratio,
-                        )
-                    )
+    for n_clusters, n_buses, latency, policy, machine in scenarios:
+        size = _suite_code_size(ctx, machine, policy)
+        total_ratio, useful_ratio = size.normalised_to(baseline)
+        points.append(
+            Fig10Point(n_clusters, n_buses, latency, policy, total_ratio, useful_ratio)
+        )
     return points
 
 

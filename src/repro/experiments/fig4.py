@@ -58,14 +58,10 @@ def run_fig4(
     *,
     bus_sweep: tuple[int, ...] = BUS_SWEEP,
     cluster_counts: tuple[int, ...] = CLUSTER_COUNTS,
-    jobs: int | None = None,
 ) -> list[Fig4Point]:
     """Run the Figure 4 sweep: relative IPC per (clusters, algorithm,
     latency, bus count) point."""
-    ctx.run_grid(
-        fig4_grid(ctx, bus_sweep=bus_sweep, cluster_counts=cluster_counts),
-        jobs=jobs,
-    )
+    ctx.run_grid(fig4_grid(ctx, bus_sweep=bus_sweep, cluster_counts=cluster_counts))
     points = []
     for n_clusters in cluster_counts:
         for algorithm in ALGORITHMS:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..arch.cluster import MachineConfig
 from ..arch.configs import (
     PAPER_BUS_COUNTS,
     PAPER_BUS_LATENCIES,
@@ -28,29 +29,43 @@ from .common import ExperimentContext, paper_machine, suite_grid
 
 POLICIES = (UnrollPolicy.NONE, UnrollPolicy.ALL, UnrollPolicy.SELECTIVE)
 
+#: One machine scenario: ``(n_clusters, n_buses, latency, policy, machine)``.
+Scenario = tuple[int, int, int, UnrollPolicy, MachineConfig]
 
-def fig8_grid(
-    ctx: ExperimentContext,
+
+def fig8_scenarios(
     *,
     cluster_counts: tuple[int, ...] = (2, 4),
     bus_counts: tuple[int, ...] = PAPER_BUS_COUNTS,
     latencies: tuple[int, ...] = PAPER_BUS_LATENCIES,
-    scheduler: str = "bsa",
-) -> list[GridItem]:
-    """The Figure 8 grid as a flat scenario-point declaration.
+) -> list[Scenario]:
+    """Every machine scenario of Figures 8 and 10 (and of crossval).
 
-    One ``suite_grid`` per machine scenario (the unified baseline plus
-    every clusters x policy x buses x latency combination); ~2,000
-    schedule runs on the full suite.
+    The unified baseline ``(1, 0, 0, NONE, unified)`` comes first, then
+    every clusters x policy x buses x latency combination in that loop
+    order.  The figure functions take these three keywords as ``**dims``.
     """
-    items = suite_grid(ctx.suite, unified_config(), scheduler, UnrollPolicy.NONE)
+    scenarios: list[Scenario] = [(1, 0, 0, UnrollPolicy.NONE, unified_config())]
     for n_clusters in cluster_counts:
         for policy in POLICIES:
             for n_buses in bus_counts:
                 for latency in latencies:
-                    cfg = paper_machine(n_clusters, n_buses, latency)
-                    items.extend(suite_grid(ctx.suite, cfg, scheduler, policy))
-    return items
+                    machine = paper_machine(n_clusters, n_buses, latency)
+                    scenarios.append((n_clusters, n_buses, latency, policy, machine))
+    return scenarios
+
+
+def fig8_grid(ctx: ExperimentContext, **dims: tuple[int, ...]) -> list[GridItem]:
+    """The Figure 8 grid as a flat scenario-point declaration.
+
+    One ``suite_grid`` per :func:`fig8_scenarios` entry; ~2,000 schedule
+    runs on the full suite.  Figure 10 runs the same grid.
+    """
+    return [
+        item
+        for *_, policy, machine in fig8_scenarios(**dims)
+        for item in suite_grid(ctx.suite, machine, "bsa", policy)
+    ]
 
 
 @dataclass(frozen=True)
@@ -63,54 +78,26 @@ class Fig8Point:
     ipc: float
 
 
-def run_fig8(
-    ctx: ExperimentContext,
-    *,
-    cluster_counts: tuple[int, ...] = (2, 4),
-    bus_counts: tuple[int, ...] = PAPER_BUS_COUNTS,
-    latencies: tuple[int, ...] = PAPER_BUS_LATENCIES,
-    scheduler: str = "bsa",
-    jobs: int | None = None,
-) -> list[Fig8Point]:
+def run_fig8(ctx: ExperimentContext, **dims: tuple[int, ...]) -> list[Fig8Point]:
     """Run the Figure 8 grid: per-program IPC for every scenario.
 
-    The grid executes through the runner (parallel across *jobs* worker
-    processes, persisted in the context's cache); the reduction below is
-    then pure memo lookups.
+    The grid executes through the runner (parallel across the context's
+    ``jobs``, persisted in its cache); the reduction below is then pure
+    memo lookups.
     """
-    ctx.run_grid(
-        fig8_grid(
-            ctx,
-            cluster_counts=cluster_counts,
-            bus_counts=bus_counts,
-            latencies=latencies,
-            scheduler=scheduler,
-        ),
-        jobs=jobs,
-    )
-    points: list[Fig8Point] = []
-    unified = unified_config()
-    for program in ctx.suite:
-        perf = ctx.program_ipc(program, unified, scheduler, UnrollPolicy.NONE)
-        points.append(Fig8Point(program.name, 1, 0, 0, UnrollPolicy.NONE, perf.ipc))
-    for n_clusters in cluster_counts:
-        for policy in POLICIES:
-            for n_buses in bus_counts:
-                for latency in latencies:
-                    cfg = paper_machine(n_clusters, n_buses, latency)
-                    for program in ctx.suite:
-                        perf = ctx.program_ipc(program, cfg, scheduler, policy)
-                        points.append(
-                            Fig8Point(
-                                program.name,
-                                n_clusters,
-                                n_buses,
-                                latency,
-                                policy,
-                                perf.ipc,
-                            )
-                        )
-    return points
+    ctx.run_grid(fig8_grid(ctx, **dims))
+    return [
+        Fig8Point(
+            program.name,
+            n_clusters,
+            n_buses,
+            latency,
+            policy,
+            ctx.program_ipc(program, machine, "bsa", policy).ipc,
+        )
+        for n_clusters, n_buses, latency, policy, machine in fig8_scenarios(**dims)
+        for program in ctx.suite
+    ]
 
 
 def fig8_rows(points: list[Fig8Point]) -> list[dict]:

@@ -31,15 +31,14 @@ def fig9_grid(
     cluster_counts: tuple[int, ...] = (2, 4),
     bus_counts: tuple[int, ...] = (1, 2),
     bus_latency: int = 1,
-    scheduler: str = "bsa",
 ) -> list[GridItem]:
     """The Figure 9 grid as a flat scenario-point declaration."""
-    items = suite_grid(ctx.suite, unified_config(), scheduler, UnrollPolicy.NONE)
+    items = suite_grid(ctx.suite, unified_config(), "bsa", UnrollPolicy.NONE)
     for n_clusters in cluster_counts:
         for n_buses in bus_counts:
             cfg = paper_machine(n_clusters, n_buses, bus_latency)
             for _label, policy in SCENARIOS:
-                items.extend(suite_grid(ctx.suite, cfg, scheduler, policy))
+                items.extend(suite_grid(ctx.suite, cfg, "bsa", policy))
     return items
 
 
@@ -57,8 +56,6 @@ def run_fig9(
     cluster_counts: tuple[int, ...] = (2, 4),
     bus_counts: tuple[int, ...] = (1, 2),
     bus_latency: int = 1,
-    scheduler: str = "bsa",
-    jobs: int | None = None,
 ) -> list[Fig9Point]:
     """Run Figure 9: suite IPCs combined with modelled cycle times."""
     ctx.run_grid(
@@ -67,29 +64,20 @@ def run_fig9(
             cluster_counts=cluster_counts,
             bus_counts=bus_counts,
             bus_latency=bus_latency,
-            scheduler=scheduler,
-        ),
-        jobs=jobs,
+        )
     )
     unified = unified_config()
-    unified_perfs = ctx.suite_ipc(unified, scheduler, UnrollPolicy.NONE)
+    unified_perfs = ctx.suite_ipc(unified, "bsa", UnrollPolicy.NONE)
+    # The paper reports the SPECfp95 average; the speed-up is computed
+    # from the geometric-mean IPCs of the suite on each machine.
+    mean_ipc_u = geometric_mean([perf.ipc for perf in unified_perfs.values()])
     points = []
     for n_clusters in cluster_counts:
         for n_buses in bus_counts:
             cfg = paper_machine(n_clusters, n_buses, bus_latency)
             for label, policy in SCENARIOS:
-                perfs = ctx.suite_ipc(cfg, scheduler, policy)
-                # Per-program speed-ups averaged (the paper reports the
-                # SPECfp95 average); geometric mean is the fair average of
-                # ratios.
-                ratios = [
-                    perfs[name].ipc / unified_perfs[name].ipc
-                    for name in perfs
-                ]
-                mean_ipc_c = geometric_mean([perfs[n].ipc for n in perfs])
-                mean_ipc_u = geometric_mean(
-                    [unified_perfs[n].ipc for n in unified_perfs]
-                )
+                perfs = ctx.suite_ipc(cfg, "bsa", policy)
+                mean_ipc_c = geometric_mean([perf.ipc for perf in perfs.values()])
                 report = speedup_report(cfg, unified, mean_ipc_c, mean_ipc_u)
                 points.append(Fig9Point(n_clusters, n_buses, label, report))
     return points

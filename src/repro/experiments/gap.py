@@ -94,26 +94,16 @@ def gap_grid(
     return items
 
 
-def run_gap(
-    ctx: ExperimentContext,
-    *,
-    kernels: tuple[str, ...] | None = None,
-    configs: tuple[MachineConfig, ...] | None = None,
-    schedulers: tuple[str, ...] = GAP_SCHEDULERS,
-    quick: bool = False,
-    jobs: int | None = None,
-) -> list[GapPoint]:
+def run_gap(ctx: ExperimentContext, *, quick: bool = False) -> list[GapPoint]:
     """Measure every scheduler of the table on every kernel and machine."""
-    if kernels is None:
-        kernels = QUICK_KERNELS if quick else FULL_KERNELS
-    if configs is None:
-        configs = gap_configs(quick)
-    ctx.run_grid(gap_grid(kernels, configs, schedulers), jobs=jobs)
+    kernels = QUICK_KERNELS if quick else FULL_KERNELS
+    configs = gap_configs(quick)
+    ctx.run_grid(gap_grid(kernels, configs))
     points: list[GapPoint] = []
     for config in configs:
         for kernel in kernels:
             loop = kernel_loop(kernel)
-            for scheduler in schedulers:
+            for scheduler in GAP_SCHEDULERS:
                 result = ctx.schedule_loop(
                     loop, config, scheduler, UnrollPolicy.NONE
                 )

@@ -1,8 +1,9 @@
-"""Named grid registry for ``repro-vliw sweep``.
+"""Named grid registry for ``repro-vliw sweep`` and the figure verbs.
 
 Each :class:`GridSpec` names one declared experiment grid and knows how
 to run it through an :class:`~repro.experiments.common.ExperimentContext`
 and render the resulting tables.  ``repro-vliw sweep <name> --jobs N``
+(and ``repro-vliw <name>`` for the figures, which runs the same entry)
 is then the single entry point for any sweep: points are served from
 the shared cache, misses execute across worker processes, and
 interrupted runs resume from whatever finished.

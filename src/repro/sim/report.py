@@ -40,11 +40,6 @@ class SimReport:
         return self.useful_ops / self.cycles if self.cycles else 0.0
 
     @property
-    def issue_ipc(self) -> float:
-        """Operations actually issued per cycle (includes remainder waste)."""
-        return self.issued_ops / self.cycles if self.cycles else 0.0
-
-    @property
     def bus_occupancy(self) -> tuple[float, ...]:
         """Fraction of cycles each bus spent transferring."""
         if not self.cycles:

@@ -34,7 +34,7 @@ class TestBuilderBasics:
         b = LoopBuilder()
         x = b.load("x")
         y = b.fadd(x, b.live_in("c"), tag="y")
-        z = b.op("fmul", y, x, carried={y: 1})
+        b.op("fmul", y, x, carried={y: 1})
         g = b.build()
         carried = [d for d in g.edges if d.distance == 1]
         assert len(carried) == 1

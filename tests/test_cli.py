@@ -32,6 +32,25 @@ class TestCliFigures:
         assert "unrolled x2" in out
         assert "ladder" in out
 
+    @pytest.mark.parametrize("name", ["fig4", "fig8", "fig9", "fig10", "crossval"])
+    def test_figure_verb_runs_its_grid(self, name, capsys, monkeypatch):
+        """``repro-vliw NAME`` prints exactly what ``sweep NAME`` prints."""
+        from repro.runner.grids import GRIDS, GridSpec
+
+        calls = []
+
+        def run(ctx, quick):
+            calls.append(quick)
+            return f"stub table for {name}"
+
+        monkeypatch.setitem(GRIDS, name, GridSpec(name, "stub", run))
+        main([name, "--quick", "--no-cache"])
+        verb = capsys.readouterr().out
+        main(["sweep", name, "--quick", "--no-cache"])
+        assert verb == capsys.readouterr().out
+        assert verb.startswith(f"stub table for {name}\n")
+        assert calls == [True, True]
+
     @pytest.mark.slow
     def test_fig9_quick(self, capsys):
         main(["fig9", "--quick"])
@@ -167,10 +186,15 @@ class TestCliGap:
         assert fig7["ii_gap"] == 1
 
     def test_gap_report_out(self, capsys, tmp_path):
+        import json
+
         report = tmp_path / "gap.json"
-        main(["gap", "--quick", "--cache-dir", str(tmp_path / "cache"),
+        main(["gap", "--quick", "--format", "json",
+              "--cache-dir", str(tmp_path / "cache"),
               "--report-out", str(report)])
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)  # the report line must not corrupt it
+        assert "run report" in captured.err
         assert report.exists()
         main(["report", str(report), "--by", "scheduler"])
         out = capsys.readouterr().out

@@ -86,7 +86,6 @@ class TestSelectiveDecision:
 
         g = DependenceGraph("carried-heavy")
         prev = g.add_operation("fadd")
-        first = prev
         for i in range(7):
             node = g.add_operation("fadd")
             g.add_dependence(prev, node)

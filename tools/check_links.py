@@ -10,11 +10,11 @@ any other tracked directory):
   are skipped; a ``path#fragment`` target is checked for the path part
   only.
 * **CLI verbs** — every ``repro-vliw <subcommand>`` mention must name a
-  subcommand actually registered in ``src/repro/cli.py`` (parsed from
-  its ``add_parser`` calls), so the docs cannot drift as verbs are
-  added or renamed.
+  subcommand that ``repro.cli.build_parser()`` registers, so the docs
+  cannot drift as verbs are added or renamed.
 
-Used by the CI docs job::
+Used by the CI docs job (importing ``repro.cli`` needs the package's
+dependencies installed)::
 
     python tools/check_links.py
 
@@ -24,6 +24,7 @@ offender.
 
 from __future__ import annotations
 
+import argparse
 import re
 import sys
 from pathlib import Path
@@ -64,14 +65,6 @@ def broken_links(md_file: Path) -> list[tuple[str, str]]:
     return problems
 
 
-#: ``add_parser("name")`` registrations in cli.py — the ground truth of
-#: which subcommands exist.
-ADD_PARSER_RE = re.compile(r"""add_parser\(\s*["']([a-z0-9_-]+)["']""")
-
-#: Subcommands registered through the figure loop in cli.py:
-#: ``("fig8", cmd_fig8, True)`` tuples of (name, handler, has_quick).
-LOOPED_PARSER_RE = re.compile(r"""\(\s*["']([a-z0-9_-]+)["']\s*,\s*cmd_\w+\s*,""")
-
 #: ``repro-vliw <word>`` command mentions.  Only bare lowercase words
 #: are candidate subcommands; flags (``--jobs``), placeholders
 #: (``<command>``) and upper-case words (``KERNEL``, ``GRID``) are not
@@ -86,11 +79,16 @@ INLINE_CODE_RE = re.compile(r"`[^`\n]+`")
 
 
 def registered_subcommands(root: Path) -> set[str]:
-    """Subcommand names registered in ``src/repro/cli.py``."""
-    cli_source = (root / "src" / "repro" / "cli.py").read_text(encoding="utf-8")
-    return set(ADD_PARSER_RE.findall(cli_source)) | set(
-        LOOPED_PARSER_RE.findall(cli_source)
-    )
+    """Subcommand names the checkout's ``repro-vliw`` parser registers."""
+    sys.path.insert(0, str(root / "src"))
+    from repro.cli import build_parser
+
+    return {
+        name
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for name in action.choices
+    }
 
 
 def cli_mentions(md_file: Path) -> list[str]:
