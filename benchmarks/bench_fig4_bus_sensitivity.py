@@ -8,7 +8,6 @@ buses shrink or slow, the two-phase approach faster.
 
 from conftest import save_result
 
-from repro.core.selective import UnrollPolicy
 from repro.experiments import fig4_rows, run_fig4
 from repro.perf import format_table
 

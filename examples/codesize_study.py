@@ -11,7 +11,7 @@ Run:  python examples/codesize_study.py [program]
 
 import sys
 
-from repro import UnrollPolicy, unified_config
+from repro import UnrollPolicy
 from repro.codegen import schedule_code_size
 from repro.experiments import ExperimentContext, paper_machine
 from repro.perf import format_table

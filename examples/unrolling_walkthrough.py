@@ -15,7 +15,6 @@ from repro import (
     count_cross_copy_deps,
     schedule_with_policy,
     two_cluster_config,
-    unroll_graph,
     verify_schedule,
 )
 from repro.codegen import render_schedule

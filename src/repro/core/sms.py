@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..errors import GraphError
 from ..ir.ddg import DependenceGraph
 from .mii import rec_mii
@@ -101,10 +99,8 @@ def recurrence_sets(graph: DependenceGraph) -> list[set[int]]:
 
 
 def _recurrence_sets(graph: DependenceGraph) -> list[set[int]]:
-    g = graph.to_networkx()
     sccs = []
-    for comp in nx.strongly_connected_components(g):
-        comp = set(comp)
+    for comp in graph.strongly_connected_components():
         if len(comp) > 1 or any(
             dep.dst == next(iter(comp))
             for dep in graph.successors(next(iter(comp)))
@@ -137,17 +133,16 @@ def _subgraph(graph: DependenceGraph, nodes: set[int]) -> DependenceGraph:
     return sub
 
 
-def _path_nodes(g: nx.DiGraph, sources: set[int], targets: set[int]) -> set[int]:
-    """Nodes on some directed path from *sources* to *targets* (inclusive)."""
-    reach_fwd: set[int] = set()
-    for s in sources:
-        reach_fwd.add(s)
-        reach_fwd.update(nx.descendants(g, s))
-    reach_bwd: set[int] = set()
-    for t in targets:
-        reach_bwd.add(t)
-        reach_bwd.update(nx.ancestors(g, t))
-    return reach_fwd & reach_bwd
+def _reachable(starts: set[int], adjacency: dict[int, set[int]]) -> set[int]:
+    """*starts* plus every node reachable from them along *adjacency*."""
+    seen = set(starts)
+    frontier = list(starts)
+    while frontier:
+        for w in adjacency[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
 
 
 def ordering_sets(graph: DependenceGraph) -> list[set[int]]:
@@ -160,10 +155,15 @@ def ordering_sets(graph: DependenceGraph) -> list[set[int]]:
     default-cluster rotation place them — in particular the copies of an
     unrolled loop — on different clusters (paper, Section 5.1 case (a)).
     """
-    g = nx.DiGraph()
-    g.add_nodes_from(graph.node_ids)
+    succs: dict[int, set[int]] = {v: set() for v in graph.node_ids}
+    preds: dict[int, set[int]] = {v: set() for v in graph.node_ids}
     for dep in graph.edges:
-        g.add_edge(dep.src, dep.dst)
+        succs[dep.src].add(dep.dst)
+        preds[dep.dst].add(dep.src)
+
+    def path_nodes(sources: set[int], targets: set[int]) -> set[int]:
+        """Nodes on some directed path from *sources* to *targets*."""
+        return _reachable(sources, succs) & _reachable(targets, preds)
 
     sets: list[set[int]] = []
     placed: set[int] = set()
@@ -172,18 +172,19 @@ def ordering_sets(graph: DependenceGraph) -> list[set[int]]:
         if not new:
             continue
         if placed:
-            connectors = _path_nodes(g, placed, new) | _path_nodes(g, new, placed)
+            connectors = path_nodes(placed, new) | path_nodes(new, placed)
             new |= connectors - placed
         sets.append(new)
         placed |= new
     rest = set(graph.node_ids) - placed
-    if rest:
-        undirected = g.to_undirected(as_view=True).subgraph(rest)
-        components = sorted(
-            (set(c) for c in nx.connected_components(undirected)),
-            key=min,
-        )
-        sets.extend(components)
+    # Weak components of the subgraph induced by the rest, seeded in
+    # increasing node id, so they come out sorted by their smallest id.
+    undirected = {v: (succs[v] | preds[v]) & rest for v in rest}
+    for v in sorted(rest):
+        if v not in placed:
+            component = _reachable({v}, undirected)
+            sets.append(component)
+            placed |= component
     return sets
 
 
@@ -272,14 +273,7 @@ def _sms_order(graph: DependenceGraph, ii: int | None = None) -> list[int]:
 def topological_order(graph: DependenceGraph) -> list[int]:
     """Plain topological order on zero-distance edges (ablation baseline).
 
-    Memoised per graph (shared — do not mutate the result)."""
-
-    def build() -> list[int]:
-        g = nx.DiGraph()
-        g.add_nodes_from(graph.node_ids)
-        for dep in graph.edges:
-            if dep.distance == 0:
-                g.add_edge(dep.src, dep.dst)
-        return list(nx.lexicographical_topological_sort(g))
-
-    return graph.derived("topological_order", build)
+    The smallest-id-first order of
+    :meth:`~repro.ir.ddg.DependenceGraph.zero_distance_order`; memoised
+    per graph (shared — do not mutate the result)."""
+    return graph.zero_distance_order()

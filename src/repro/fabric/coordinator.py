@@ -46,7 +46,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TRACER
 from ..runner.cache import ResultCache, default_code_version
 from ..runner.engine import PriorFor, _shard, store_result, work_item
-from ..runner.scenario import GridItem, PointResult, ScenarioPoint
+from ..runner.scenario import PAYLOAD_ERRORS, GridItem, PointResult, ScenarioPoint
 from .protocol import (
     PROTOCOL_VERSION,
     FabricBadRequest,
@@ -477,7 +477,7 @@ class FabricCoordinator:
                 # Force-deserialise the embedded schedule so a corrupt
                 # payload is rejected here, not when a reducer reads it.
                 result.loop_result()
-            except (KeyError, TypeError, ValueError) as exc:
+            except PAYLOAD_ERRORS as exc:
                 raise FabricBadRequest(
                     f"results[{i}]: corrupt result payload: "
                     f"{type(exc).__name__}: {exc}"

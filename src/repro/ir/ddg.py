@@ -17,10 +17,9 @@ anti/output/memory-ordering edges constrain timing but never use a bus.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-import networkx as nx
 
 from ..errors import GraphError
 from .operation import DEFAULT_CATALOG, OpCatalog, Operation
@@ -234,24 +233,102 @@ class DependenceGraph:
     # ------------------------------------------------------------------
     # Derived structures
     # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Export to a :class:`networkx.MultiDiGraph` (nodes keep ops)."""
-        g = nx.MultiDiGraph(name=self.name)
-        for node_id, op in self._nodes.items():
-            g.add_node(node_id, op=op)
-        for dep in self._edges:
-            g.add_edge(
-                dep.src,
-                dep.dst,
-                latency=dep.latency,
-                distance=dep.distance,
-                kind=dep.kind,
-            )
-        return g
-
     def strongly_connected_components(self) -> list[set[int]]:
-        """SCCs of the graph (recurrences are the SCCs with a cycle)."""
-        return [set(c) for c in nx.strongly_connected_components(self.to_networkx())]
+        """SCCs of the graph (recurrences are the SCCs with a cycle).
+
+        Iterative Tarjan; memoised per graph (shared — do not mutate).
+        """
+        return self.derived("sccs", self._tarjan)
+
+    def _tarjan(self) -> list[set[int]]:
+        index: dict[int, int] = {}
+        low: dict[int, int] = {}
+        stack: list[int] = []
+        on_stack: set[int] = set()
+        work: list[tuple[int, Iterator[Dependence]]] = []
+        sccs: list[set[int]] = []
+
+        def visit(v: int) -> None:
+            index[v] = low[v] = len(index)
+            stack.append(v)
+            on_stack.add(v)
+            work.append((v, iter(self._succs[v])))
+
+        for root in self._nodes:
+            if root in index:
+                continue
+            visit(root)
+            while work:
+                v, deps = work[-1]
+                for dep in deps:
+                    if dep.dst not in index:
+                        visit(dep.dst)
+                        break
+                    if dep.dst in on_stack:
+                        low[v] = min(low[v], index[dep.dst])
+                else:  # every successor of v is done
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[v])
+                    if low[v] == index[v]:
+                        comp: set[int] = set()
+                        while v not in comp:
+                            comp.add(stack.pop())
+                        on_stack -= comp
+                        sccs.append(comp)
+        return sccs
+
+    def zero_distance_order(self) -> list[int]:
+        """Topological order of the distance-0 edges, smallest id first.
+
+        Kahn's algorithm with a heap, so the order is the unique
+        lexicographically smallest one.  Raises :class:`GraphError` when
+        the distance-0 edges hold a cycle.  Memoised per graph (shared —
+        do not mutate the result).
+        """
+        return self.derived("zero_distance_order", self._zero_distance_order)
+
+    def _zero_distance_order(self) -> list[int]:
+        indegree = dict.fromkeys(self._nodes, 0)
+        for dep in self._edges:
+            if dep.distance == 0:
+                indegree[dep.dst] += 1
+        ready = [v for v, n in indegree.items() if n == 0]
+        heapq.heapify(ready)
+        order: list[int] = []
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            for dep in self._succs[v]:
+                if dep.distance == 0:
+                    indegree[dep.dst] -= 1
+                    if indegree[dep.dst] == 0:
+                        heapq.heappush(ready, dep.dst)
+        if len(order) < len(indegree):
+            raise GraphError(
+                "zero-distance cycle (unschedulable): "
+                f"{self._zero_distance_cycle(indegree)}"
+            )
+        return order
+
+    def _zero_distance_cycle(self, indegree: dict[int, int]) -> list[tuple[int, int]]:
+        """One cycle, as edges, among the nodes Kahn's sort left behind.
+
+        Each such node keeps a distance-0 predecessor that was left behind
+        too, so walking predecessors from one of them must revisit a node.
+        """
+        v = next(v for v, n in indegree.items() if n)
+        path: list[int] = []
+        seen: dict[int, int] = {}
+        while v not in seen:
+            seen[v] = len(path)
+            path.append(v)
+            v = next(
+                d.src for d in self._preds[v] if d.distance == 0 and indegree[d.src]
+            )
+        cycle = path[seen[v] :][::-1]
+        return list(zip(cycle, cycle[1:] + cycle[:1]))
 
     def validate(self) -> None:
         """Raise :class:`GraphError` on structural problems.
@@ -260,14 +337,7 @@ class DependenceGraph:
         zero-distance subgraph is acyclic (a cycle entirely at distance 0
         can never be scheduled), and flow-edge latencies match producers.
         """
-        zero = nx.DiGraph()
-        zero.add_nodes_from(self._nodes)
-        for dep in self._edges:
-            if dep.distance == 0:
-                zero.add_edge(dep.src, dep.dst)
-        if not nx.is_directed_acyclic_graph(zero):
-            cycle = nx.find_cycle(zero)
-            raise GraphError(f"zero-distance cycle (unschedulable): {cycle}")
+        self.zero_distance_order()
         for dep in self._edges:
             if dep.kind is DepKind.FLOW:
                 expected = self._nodes[dep.src].latency

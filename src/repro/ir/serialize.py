@@ -23,6 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids ir<->arch cycle)
 
 FORMAT_VERSION = 1
 
+#: Graphs decoded so far, for :func:`schedule_from_dict` to share:
+#: ``graph name -> [(graph dict, graph decoded from it), ...]``.
+GraphMemo = dict[str, list[tuple[dict[str, Any], DependenceGraph]]]
+
 
 # ---------------------------------------------------------------------------
 # Dependence graphs
@@ -56,8 +60,10 @@ def graph_from_dict(
     _check_format(data, "graph")
     graph = DependenceGraph(data["name"], catalog)
     for op in data["operations"]:
+        _check_record(op, "operation")
         graph.add_operation(op["opcode"], op.get("tag", ""))
     for dep in data["dependences"]:
+        _check_record(dep, "dependence")
         graph.add_dependence(
             dep["src"],
             dep["dst"],
@@ -197,12 +203,22 @@ def schedule_to_dict(schedule) -> dict[str, Any]:
     }
 
 
-def schedule_from_dict(data: dict[str, Any], catalog: OpCatalog = DEFAULT_CATALOG):
-    """Rebuild a schedule; callers typically re-verify it afterwards."""
+def schedule_from_dict(
+    data: dict[str, Any],
+    catalog: OpCatalog = DEFAULT_CATALOG,
+    graphs: GraphMemo | None = None,
+):
+    """Rebuild a schedule; callers typically re-verify it afterwards.
+
+    With *graphs*, the schedule shares the graph of an earlier call whose
+    embedded graph dict was equal (``==``) to this one, and records the
+    graph it decodes otherwise: schedules of one loop then hold one graph
+    object, decoded and validated once.  Without it the graph is fresh.
+    """
     from ..core.schedule import Communication, FailureLog, ModuloSchedule, ScheduledOp
 
     _check_format(data, "schedule")
-    graph = graph_from_dict(data["graph"], catalog)
+    graph = _shared_graph(data["graph"], catalog, {} if graphs is None else graphs)
     config = config_from_dict(data["machine"])
     schedule = ModuloSchedule(graph, config, data["ii"], mii=data["mii"])
     schedule.bus_utilisation = data.get("bus_utilisation", 0.0)
@@ -226,6 +242,21 @@ def schedule_from_dict(data: dict[str, Any], catalog: OpCatalog = DEFAULT_CATALO
     return schedule
 
 
+def _shared_graph(
+    data: dict[str, Any], catalog: OpCatalog, graphs: GraphMemo
+) -> DependenceGraph:
+    """The graph in *graphs* decoded from a dict equal to *data*, else a
+    newly decoded one (recorded in *graphs*)."""
+    _check_format(data, "graph")
+    seen = graphs.setdefault(data["name"], [])
+    for known, graph in seen:
+        if graph.catalog is catalog and known == data:
+            return graph
+    graph = graph_from_dict(data, catalog)
+    seen.append((data, graph))
+    return graph
+
+
 # ---------------------------------------------------------------------------
 def dumps(obj_dict: dict[str, Any]) -> str:
     """JSON text for any dict produced by the *_to_dict functions."""
@@ -247,7 +278,14 @@ def _unfuset(d: dict[str, int]) -> "FuSet":
     return FuSet(d["int"], d["fp"], d["mem"])
 
 
+def _check_record(item: Any, what: str) -> None:
+    if not isinstance(item, dict):
+        raise GraphError(f"expected a {what} object, got {type(item).__name__}")
+
+
 def _check_format(data: dict[str, Any], kind: str) -> None:
+    if not isinstance(data, dict):
+        raise GraphError(f"expected a {kind!r} document, got {type(data).__name__}")
     if data.get("format") != FORMAT_VERSION:
         raise GraphError(
             f"unsupported format version {data.get('format')!r} "

@@ -37,7 +37,8 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .scenario import RESULT_FORMAT, PointResult, ScenarioPoint
+from ..ir.serialize import GraphMemo
+from .scenario import PAYLOAD_ERRORS, RESULT_FORMAT, PointResult, ScenarioPoint
 
 #: Environment variable overriding the default cache root.
 CACHE_ENV_VAR = "REPRO_VLIW_CACHE"
@@ -187,17 +188,22 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.json"
 
     # ------------------------------------------------------------------
-    def get(self, point: ScenarioPoint) -> PointResult | None:
+    def get(
+        self, point: ScenarioPoint, graphs: GraphMemo | None = None
+    ) -> PointResult | None:
         """The cached result for *point*, or ``None`` on a miss.
 
-        Corrupt, truncated or version-mismatched entries count as misses
-        (and will be overwritten by the next :meth:`put`).
+        The entry's schedule is materialised here (see
+        :meth:`PointResult.loop_result`, which *graphs* is passed to), so
+        corrupt, truncated or version-mismatched entries, and entries
+        whose schedule does not decode, count as misses (and will be
+        overwritten by the next :meth:`put`).
         """
         path = self.path_for(point)
         try:
-            data = json.loads(path.read_text())
-            result = PointResult.from_dict(data)
-        except (OSError, ValueError, KeyError, TypeError):
+            result = PointResult.from_dict(json.loads(path.read_text()))
+            result.loop_result(graphs)
+        except (OSError, *PAYLOAD_ERRORS):
             self.misses += 1
             return None
         self.hits += 1

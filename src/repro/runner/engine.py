@@ -57,7 +57,7 @@ from ..core.unified import UnifiedScheduler
 from ..errors import SchedulingError
 from ..ir.ddg import DependenceGraph
 from ..ir.loop import Loop
-from ..ir.serialize import loop_from_dict, loop_to_dict
+from ..ir.serialize import GraphMemo, loop_from_dict, loop_to_dict
 from ..obs.report import RunRecorder
 from ..obs.trace import TRACER
 from ..sim.crosscheck import crosscheck_loop
@@ -541,7 +541,9 @@ def run_sweep(
         Worker processes for the default executor.  ``1`` executes
         in-process (no pool, easier debugging, identical results).
     cache:
-        Shared on-disk cache; ``None`` disables persistence.
+        Shared on-disk cache; ``None`` disables persistence.  The entries
+        one call serves are materialised as they are probed, sharing one
+        decoded graph per distinct embedded graph.
     fresh:
         Ignore cached entries (results are still written back).
     prior_lookup:
@@ -581,13 +583,14 @@ def run_sweep(
 
     results: dict[str, PointResult] = {}
     stats = SweepStats(total=len(unique), jobs=max(1, jobs))
+    graphs: GraphMemo = {}
 
     ctx = TRACER.current_context()
     trace_id = ctx.trace_id if ctx is not None else None
 
     misses: list[tuple[str, GridItem]] = []
     for key, (point, loop) in unique.items():
-        cached = cache.get(point) if (cache is not None and not fresh) else None
+        cached = cache.get(point, graphs) if (cache is not None and not fresh) else None
         if cached is not None:
             results[key] = cached
             stats.cached += 1
@@ -609,7 +612,7 @@ def run_sweep(
             if known is not None:
                 return known
         if cache is not None and not fresh:
-            cached_twin = cache.get(twin)
+            cached_twin = cache.get(twin, graphs)
             if cached_twin is not None:
                 return cached_twin.loop_result(), cached_twin.fallback
         return None, False

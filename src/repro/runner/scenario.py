@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Any
 
 from ..core.selective import ScheduledLoopResult, SelectiveRule, UnrollPolicy
+from ..errors import ReproError
 from ..ir.ddg import DependenceGraph
 from ..ir.loop import Loop
 from ..ir.serialize import (
+    GraphMemo,
     config_from_dict,
     config_to_dict,
     graph_to_dict,
@@ -41,6 +43,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: invalidates every cache entry (it feeds the default code version).
 RESULT_FORMAT = 1
 
+#: What decoding a malformed :class:`PointResult` payload raises: a bad
+#: layout (``KeyError``, ``TypeError``, ``ValueError``) or a library error
+#: while rebuilding its schedule (a zero-distance cycle, an unknown
+#: format, an invalid machine, a node placed twice).
+PAYLOAD_ERRORS = (ReproError, KeyError, TypeError, ValueError)
+
 
 def _canonical_json(data: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace (hash input)."""
@@ -54,11 +62,15 @@ def graph_content_hash(graph: DependenceGraph) -> str:
     that owns it (ownership is not part of the graph), so shared loops
     dedupe to one cache entry per scenario.  The graph *name* is part of
     the content: two identically-shaped loops with different names are
-    distinct points.
+    distinct points.  Memoised on the graph (any mutation, and a rename,
+    recomputes it).
     """
-    return hashlib.sha256(
-        _canonical_json(graph_to_dict(graph)).encode()
-    ).hexdigest()[:24]
+
+    def build() -> str:
+        text = _canonical_json(graph_to_dict(graph))
+        return hashlib.sha256(text.encode()).hexdigest()[:24]
+
+    return graph.derived(("content_hash", graph.name), build)
 
 
 def machine_to_json(config: "MachineConfig") -> str:
@@ -133,11 +145,18 @@ class ScenarioPoint:
         points keep their historical identity byte-for-byte, while a
         user program's full content (already summarised by ``graph_hash``)
         still travels with the point so any worker can rebuild it.
+        Computed once per point (the point is frozen).
         """
-        data = asdict(self)
+        try:
+            return self.__dict__["_canonical"]
+        except KeyError:
+            pass
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         if not data["program"]:
             del data["program"]
-        return _canonical_json(data)
+        text = _canonical_json(data)
+        object.__setattr__(self, "_canonical", text)
+        return text
 
     def program_loop(self) -> Loop:
         """Rebuild the embedded user program as a live :class:`Loop`.
@@ -309,6 +328,8 @@ class PointResult:
         KeyError / ValueError
             On malformed payloads (the cache treats those as misses).
         """
+        if not isinstance(data, dict):
+            raise ValueError(f"point result is a {type(data).__name__}, not a dict")
         if data.get("format") != RESULT_FORMAT:
             raise ValueError(
                 f"unsupported point-result format {data.get('format')!r}"
@@ -322,13 +343,29 @@ class PointResult:
             sim=SimOutcome.from_dict(sim) if sim else None,
         )
 
-    def loop_result(self) -> ScheduledLoopResult:
-        """Materialise the :class:`ScheduledLoopResult` (deserialising the
-        schedule on first use)."""
-        sched = schedule_from_dict(self.schedule)
-        return ScheduledLoopResult(
+    def loop_result(self, graphs: GraphMemo | None = None) -> ScheduledLoopResult:
+        """Materialise the :class:`ScheduledLoopResult`.
+
+        The schedule is deserialised on first use and memoised on this
+        (frozen) result, so every later caller shares it; do not mutate
+        it.  *graphs* lets that first decode share its graph with other
+        results (see :func:`~repro.ir.serialize.schedule_from_dict`).
+
+        Raises
+        ------
+        PAYLOAD_ERRORS
+            When the embedded schedule is malformed.
+        """
+        try:
+            return self.__dict__["_loop_result"]
+        except KeyError:
+            pass
+        sched = schedule_from_dict(self.schedule, graphs=graphs)
+        result = ScheduledLoopResult(
             sched, self.unroll_factor, UnrollPolicy(self.policy)
         )
+        object.__setattr__(self, "_loop_result", result)
+        return result
 
     @classmethod
     def from_loop_result(

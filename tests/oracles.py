@@ -4,7 +4,11 @@
   ``OutEdgesOnCluster`` and ``tmpoutedges`` recounts, whose difference
   :func:`repro.core.bsa.join_profit` computes in O(degree);
 * :func:`rec_mii_exact` — RecMII by simple-cycle enumeration, against
-  the binary search of :func:`repro.core.mii.rec_mii`.
+  the binary search of :func:`repro.core.mii.rec_mii`;
+* :func:`to_networkx` and the networkx versions of the graph algorithms
+  the library implements with the stdlib: :func:`sccs_nx`,
+  :func:`zero_distance_acyclic_nx`, :func:`topological_order_nx` and
+  :func:`ordering_sets_nx`.
 """
 
 from __future__ import annotations
@@ -13,8 +17,82 @@ import math
 
 import networkx as nx
 
+from repro.core.mii import rec_mii
+from repro.core.sms import _subgraph
 from repro.errors import GraphError
 from repro.ir.ddg import DependenceGraph
+
+
+def to_networkx(graph: DependenceGraph) -> nx.MultiDiGraph:
+    """Export to a :class:`networkx.MultiDiGraph` (nodes keep ops)."""
+    g = nx.MultiDiGraph(name=graph.name)
+    for op in graph.operations():
+        g.add_node(op.node_id, op=op)
+    for dep in graph.edges:
+        g.add_edge(
+            dep.src,
+            dep.dst,
+            latency=dep.latency,
+            distance=dep.distance,
+            kind=dep.kind,
+        )
+    return g
+
+
+def _zero_distance_nx(graph: DependenceGraph) -> nx.DiGraph:
+    zero = nx.DiGraph()
+    zero.add_nodes_from(graph.node_ids)
+    zero.add_edges_from((d.src, d.dst) for d in graph.edges if d.distance == 0)
+    return zero
+
+
+def sccs_nx(graph: DependenceGraph) -> list[set[int]]:
+    """Strongly connected components, by networkx."""
+    return [set(c) for c in nx.strongly_connected_components(to_networkx(graph))]
+
+
+def zero_distance_acyclic_nx(graph: DependenceGraph) -> bool:
+    """Whether the distance-0 edges form a DAG, by networkx."""
+    return nx.is_directed_acyclic_graph(_zero_distance_nx(graph))
+
+
+def topological_order_nx(graph: DependenceGraph) -> list[int]:
+    """Smallest-id-first topological order of the distance-0 edges."""
+    return list(nx.lexicographical_topological_sort(_zero_distance_nx(graph)))
+
+
+def ordering_sets_nx(graph: DependenceGraph) -> list[set[int]]:
+    """:func:`repro.core.sms.ordering_sets` written with networkx."""
+    g = nx.DiGraph()
+    g.add_nodes_from(graph.node_ids)
+    g.add_edges_from((d.src, d.dst) for d in graph.edges)
+    recurrences = [
+        comp
+        for comp in sccs_nx(graph)
+        if len(comp) > 1 or g.has_edge(min(comp), min(comp))
+    ]
+    recurrences.sort(
+        key=lambda comp: (-rec_mii(_subgraph(graph, comp)), -len(comp), min(comp))
+    )
+
+    def path_nodes(sources: set[int], targets: set[int]) -> set[int]:
+        fwd = set(sources).union(*(nx.descendants(g, s) for s in sources))
+        bwd = set(targets).union(*(nx.ancestors(g, t) for t in targets))
+        return fwd & bwd
+
+    sets: list[set[int]] = []
+    placed: set[int] = set()
+    for comp in recurrences:
+        new = comp - placed
+        if not new:
+            continue
+        if placed:
+            new |= (path_nodes(placed, new) | path_nodes(new, placed)) - placed
+        sets.append(new)
+        placed |= new
+    rest = g.to_undirected(as_view=True).subgraph(set(graph.node_ids) - placed)
+    sets.extend(sorted((set(c) for c in nx.connected_components(rest)), key=min))
+    return sets
 
 
 def cluster_out_edges(
@@ -49,10 +127,7 @@ def rec_mii_exact(graph: DependenceGraph, max_cycles: int = 200_000) -> int:
     Raises :class:`GraphError` if the graph has more than *max_cycles*
     simple cycles (enumeration would be intractable).
     """
-    g = nx.MultiDiGraph()
-    g.add_nodes_from(graph.node_ids)
-    for dep in graph.edges:
-        g.add_edge(dep.src, dep.dst, latency=dep.latency, distance=dep.distance)
+    g = to_networkx(graph)
     best = 1
     count = 0
     # networkx yields node cycles; with multi-edges we must consider every

@@ -7,20 +7,12 @@ from repro.arch.cluster import MachineConfig
 from repro.arch.configs import four_cluster_config, two_cluster_config
 from repro.arch.resources import BusSpec, FuSet
 from repro.core.bsa import BsaScheduler
-from repro.core.mii import mii
 from repro.core.unified import UnifiedScheduler
 from repro.core.verify import verify_schedule
 from repro.errors import ConfigError
 from repro.ir.ddg import DependenceGraph
 from repro.ir.unroll import unroll_graph
-from repro.workloads.kernels import (
-    ALL_KERNELS,
-    daxpy,
-    dot_product,
-    figure7_graph,
-    ladder_graph,
-    stencil3,
-)
+from repro.workloads.kernels import daxpy, figure7_graph, ladder_graph, stencil3
 
 
 class TestProfitMeasure:

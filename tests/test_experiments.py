@@ -21,7 +21,7 @@ from repro.experiments import (
     sequential_fallback,
 )
 from repro.ir.loop import Loop, Program
-from repro.workloads.kernels import daxpy, ladder_graph
+from repro.workloads.kernels import daxpy
 from repro.workloads.specfp import build_program
 
 

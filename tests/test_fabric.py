@@ -21,6 +21,7 @@ API the handlers call.
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 import time
@@ -449,6 +450,31 @@ class TestCoordinator:
                     results_body("w1", doc["lease"], CODE_VERSION, malformed)
                 )
 
+            # A reverse memory edge closes a zero-distance cycle in the
+            # embedded graph: the schedule does not decode (GraphError).
+            cyclic = [dict(item) for item in honest]
+            result = json.loads(json.dumps(cyclic[0]["result"]))
+            deps = result["schedule"]["graph"]["dependences"]
+            dep = next(d for d in deps if d["distance"] == 0)
+            deps.append(
+                dict(dep, src=dep["dst"], dst=dep["src"], latency=1, kind="mem")
+            )
+            cyclic[0] = dict(cyclic[0], result=result)
+            with pytest.raises(FabricBadRequest, match="GraphError"):
+                coordinator.submit_results(
+                    results_body("w1", doc["lease"], CODE_VERSION, cyclic)
+                )
+
+            # An operation that is not an object does not decode either.
+            shapeless = [dict(item) for item in honest]
+            result = json.loads(json.dumps(shapeless[0]["result"]))
+            result["schedule"]["graph"]["operations"] = ["x"]
+            shapeless[0] = dict(shapeless[0], result=result)
+            with pytest.raises(FabricBadRequest, match="GraphError"):
+                coordinator.submit_results(
+                    results_body("w1", doc["lease"], CODE_VERSION, shapeless)
+                )
+
             # Nothing committed: the good items in the bad posts did NOT
             # land (all-or-nothing), and the cache is untouched.
             assert coordinator.stats()["counters"]["points_completed"] == 0
@@ -460,7 +486,7 @@ class TestCoordinator:
             assert reply["accepted"] == len(misses)
         assert box["finished"] and "error" not in box
         assert as_docs(box["results"]) == reference_docs(misses)
-        assert coordinator.stats()["counters"]["results_rejected"] == 2
+        assert coordinator.stats()["counters"]["results_rejected"] == 4
         assert coordinator.cache.writes == len(misses)
 
     def test_claim_with_wrong_code_version_conflicts(self, tmp_path):

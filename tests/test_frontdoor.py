@@ -21,7 +21,6 @@ from repro.cli import main
 from repro.codegen import rename_kernel
 from repro.core.selective import UnrollPolicy
 from repro.core.verify import verify_schedule
-from repro.errors import ParseError
 from repro.experiments import ExperimentContext
 from repro.experiments.common import program_grid
 from repro.fabric import PROTOCOL_VERSION, FabricCoordinator, FabricGone

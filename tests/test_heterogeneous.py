@@ -11,7 +11,7 @@ from repro.core.twophase import TwoPhaseScheduler
 from repro.core.verify import verify_schedule
 from repro.errors import ConfigError
 from repro.ir.ddg import DependenceGraph
-from repro.workloads.kernels import ALL_KERNELS, daxpy, stencil3
+from repro.workloads.kernels import stencil3
 
 
 def fp_and_mem_machine():

@@ -1,7 +1,5 @@
 """Unit tests for the register-pressure (MaxLive) model."""
 
-import pytest
-
 from repro.arch.configs import two_cluster_config, unified_config
 from repro.core.lifetimes import _intervals, cluster_pressures, max_pressure, pressure_ok
 from repro.core.schedule import Communication, ModuloSchedule, ScheduledOp

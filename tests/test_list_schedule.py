@@ -1,10 +1,8 @@
 """Tests for the list scheduler (no-pipelining baseline) and MVE factor."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from repro.arch.configs import four_cluster_config, two_cluster_config, unified_config
+from repro.arch.configs import four_cluster_config
 from repro.core.lifetimes import mve_factor
 from repro.core.list_schedule import list_schedule
 from repro.core.unified import UnifiedScheduler

@@ -9,7 +9,6 @@ from repro.errors import (
     SchedulingError,
     VerificationError,
 )
-from repro.ir.ddg import DependenceGraph
 from repro.ir.loop import MIN_MODULO_TRIP_COUNT, Loop, Program
 from repro.workloads.kernels import daxpy
 

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.ir.operation import (
-    DEFAULT_CATALOG,
-    FuClass,
-    OpCatalog,
-    Opcode,
-    Operation,
-)
+from repro.ir.operation import DEFAULT_CATALOG, FuClass, Opcode, Operation
 
 
 class TestOpcode:

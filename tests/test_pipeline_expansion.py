@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.arch.configs import four_cluster_config, unified_config
 from repro.codegen import expand_software_pipeline, schedule_code_size
 from repro.core.bsa import BsaScheduler
 from repro.core.unified import UnifiedScheduler

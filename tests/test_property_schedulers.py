@@ -4,7 +4,6 @@ Every schedule any scheduler produces must pass the independent verifier;
 II must never be below MII; BSA on one cluster must match unified SMS.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

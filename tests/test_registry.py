@@ -27,7 +27,6 @@ from repro.workloads import (
     resolve_workload,
     unregister_workload,
     workload,
-    workload_table,
     workloads,
 )
 from repro.workloads.kernels import ALL_KERNELS, daxpy

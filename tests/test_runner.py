@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import pickle
 import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from functools import partial
 
 import pytest
@@ -33,6 +35,7 @@ from repro.core.bsa import BsaScheduler
 from repro.core.selective import SelectiveRule, UnrollPolicy
 from repro.core.unified import UnifiedScheduler
 from repro.errors import SchedulingError
+from repro.ir.ddg import DepKind
 from repro.experiments import (
     ExperimentContext,
     fig8_grid,
@@ -50,7 +53,12 @@ from repro.runner import (
     scenario_for,
 )
 from repro.runner.engine import SCHEDULERS, _run_batch, _shard, store_result, work_item
-from repro.runner.scenario import graph_content_hash, machine_to_json
+from repro.runner.scenario import (
+    ScenarioPoint,
+    graph_content_hash,
+    machine_to_json,
+    program_payload,
+)
 from repro.workloads.kernels import kernel_loop
 from repro.workloads.specfp import build_program
 
@@ -264,6 +272,212 @@ class TestResultCache:
         twin = cache.get(point.without_simulation())
         assert twin is not None and twin.sim is None
         assert cache.stats().entries == 2
+
+
+def reverse_mem_edge(entry):
+    """Close a zero-distance cycle with a memory edge against a dependence."""
+    graph = entry["schedule"]["graph"]
+    dep = next(d for d in graph["dependences"] if d["distance"] == 0)
+    graph["dependences"].append(
+        {
+            "src": dep["dst"],
+            "dst": dep["src"],
+            "latency": 1,
+            "distance": 0,
+            "kind": "mem",
+        }
+    )
+    return entry
+
+
+def unknown_schedule_format(entry):
+    entry["schedule"]["format"] = 99
+    return entry
+
+
+def machine_without_clusters(entry):
+    entry["schedule"]["machine"]["n_clusters"] = 0
+    return entry
+
+
+def graph_not_a_document(entry):
+    entry["schedule"]["graph"] = []
+    return entry
+
+
+def operation_not_a_document(entry):
+    entry["schedule"]["graph"]["operations"] = ["x"]
+    return entry
+
+
+def dependence_not_a_document(entry):
+    entry["schedule"]["graph"]["dependences"].append(["x"])
+    return entry
+
+
+def entry_not_a_document(entry):
+    return [entry]
+
+
+def rewrite_entry(cache, point, edit):
+    path = cache.path_for(point)
+    entry = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(entry), sort_keys=True))
+
+
+def daxpy_policy_grid():
+    loop = kernel_loop("daxpy")
+    return [
+        (scenario_for(loop, two_cluster_config(), "bsa", policy), loop)
+        for policy in UnrollPolicy
+    ]
+
+
+class TestCorruptSchedules:
+    """An entry whose embedded schedule does not decode is a miss."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            reverse_mem_edge,
+            unknown_schedule_format,
+            machine_without_clusters,
+            graph_not_a_document,
+            operation_not_a_document,
+            dependence_not_a_document,
+            entry_not_a_document,
+        ],
+    )
+    def test_get_treats_bad_schedule_as_miss(self, cache, edit):
+        loop = kernel_loop("daxpy")
+        point = scenario_for(loop, two_cluster_config(), "bsa", UnrollPolicy.NONE)
+        cache.put(point, execute_point(point, loop))
+        rewrite_entry(cache, point, edit)
+        assert cache.get(point) is None
+        assert cache.stats().misses == 1
+
+    def test_run_grid_reexecutes_and_overwrites(self, cache):
+        items = daxpy_policy_grid()
+        ctx = small_ctx(cache=cache)
+        ctx.run_grid(items)
+        good = {point: cache.get(point).to_dict() for point, _loop in items}
+        (first, _), (second, _) = items[:2]
+        rewrite_entry(cache, first, reverse_mem_edge)
+        rewrite_entry(cache, second, unknown_schedule_format)
+
+        replay = small_ctx(cache=cache)
+        stats = replay.run_grid(items)
+        assert (stats.executed, stats.cached) == (2, len(items) - 2)
+        for point, _loop in items:
+            assert cache.get(point).to_dict() == good[point]
+
+
+class TestGraphSharing:
+    """A warm sweep decodes each distinct embedded graph once, soundly."""
+
+    def items(self):
+        loops = [kernel_loop(name) for name in ("daxpy", "dot")]
+        return [
+            (scenario_for(loop, config, "bsa", policy), loop)
+            for loop in loops
+            for config in (two_cluster_config(), four_cluster_config())
+            for policy in UnrollPolicy
+        ]
+
+    def count_decodes(self, monkeypatch):
+        from repro.ir import serialize
+
+        calls = []
+        decode = serialize.graph_from_dict
+
+        def counting(data, *args, **kwargs):
+            calls.append(data["name"])
+            return decode(data, *args, **kwargs)
+
+        monkeypatch.setattr(serialize, "graph_from_dict", counting)
+        return calls
+
+    def test_warm_sweep_decodes_each_graph_once(self, cache, monkeypatch):
+        items = self.items()
+        run_sweep(items, cache=cache)
+        calls = self.count_decodes(monkeypatch)
+        results, stats = run_sweep(items, cache=cache)
+        assert stats.executed == 0
+        distinct = {
+            json.dumps(result.schedule["graph"], sort_keys=True)
+            for result in results.values()
+        }
+        assert len(calls) == len(distinct) < len(items)
+        graphs = {}
+        for result in results.values():
+            text = json.dumps(result.schedule["graph"], sort_keys=True)
+            graph = result.loop_result().schedule.graph
+            assert graphs.setdefault(text, graph) is graph
+
+    def test_same_name_different_latency_gets_its_own_graph(self, cache, monkeypatch):
+        loop = kernel_loop("daxpy")
+        items = [
+            (scenario_for(loop, config, "bsa", UnrollPolicy.NONE), loop)
+            for config in (two_cluster_config(), four_cluster_config())
+        ]
+        run_sweep(items, cache=cache)
+        (plain, _), (edited, _) = items
+
+        def slower_edge(entry):
+            deps = entry["schedule"]["graph"]["dependences"]
+            next(d for d in deps if d["kind"] == "flow")["latency"] += 1
+            return entry
+
+        rewrite_entry(cache, edited, slower_edge)
+        calls = self.count_decodes(monkeypatch)
+        results, _stats = run_sweep(items, cache=cache)
+        assert calls == ["daxpy", "daxpy"]
+        a, b = (
+            results[point.canonical()].loop_result().schedule.graph
+            for point in (plain, edited)
+        )
+        assert a is not b and a.name == b.name
+        latencies = {(d.src, d.dst): d.latency for d in a.edges}
+        assert any(d.latency == latencies[d.src, d.dst] + 1 for d in b.edges)
+
+    def test_loop_result_is_decoded_once(self, cache):
+        loop = kernel_loop("daxpy")
+        point = scenario_for(loop, two_cluster_config(), "bsa", UnrollPolicy.NONE)
+        result = PointResult.from_dict(execute_point(point, loop).to_dict())
+        assert result.loop_result() is result.loop_result()
+
+    def test_content_hash_follows_mutation(self):
+        graph = kernel_loop("daxpy").graph.copy()
+        before = graph_content_hash(graph)
+        node = graph.add_operation("fadd")
+        after_op = graph_content_hash(graph)
+        graph.add_dependence(node, 0, kind=DepKind.MEM)
+        after_dep = graph_content_hash(graph)
+        graph.name = "renamed"
+        renamed = graph_content_hash(graph)
+        assert len({before, after_op, after_dep, renamed}) == 4
+        fresh = graph.copy()
+        assert graph_content_hash(fresh) == renamed
+
+    @pytest.mark.parametrize("program", [False, True])
+    def test_canonical_is_memoised_soundly(self, program):
+        loop = kernel_loop("daxpy")
+        point = scenario_for(
+            loop,
+            two_cluster_config(),
+            "bsa",
+            UnrollPolicy.ALL,
+            program=program_payload(loop) if program else "",
+        )
+        data = asdict(point)
+        if not data["program"]:
+            del data["program"]
+        fresh = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        assert point.canonical() == fresh
+        assert point.canonical() is point.canonical()
+        assert pickle.loads(pickle.dumps(point)).canonical() == fresh
+        rebuilt = ScenarioPoint(**json.loads(point.canonical()))
+        assert rebuilt == point and rebuilt.canonical() == fresh
 
 
 class TestRunSweep:

@@ -1,8 +1,6 @@
 """Unit/integration tests for the unrolling policies (Figure 6)."""
 
-import pytest
-
-from repro.arch.configs import four_cluster_config, two_cluster_config, unified_config
+from repro.arch.configs import two_cluster_config
 from repro.core.bsa import BsaScheduler
 from repro.core.selective import (
     ScheduleMemo,

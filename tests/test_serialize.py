@@ -1,8 +1,6 @@
 """Round-trip tests for JSON serialisation."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.arch.configs import four_cluster_config, two_cluster_config, unified_config
 from repro.arch.resources import BusSpec, FuSet
@@ -53,6 +51,13 @@ class TestGraphRoundTrip:
         data = graph_to_dict(daxpy())
         data["format"] = 99
         with pytest.raises(GraphError, match="version"):
+            graph_from_dict(data)
+
+    @pytest.mark.parametrize("field", ["operations", "dependences"])
+    def test_non_object_item_rejected(self, field):
+        data = graph_to_dict(daxpy())
+        data[field].append("x")
+        with pytest.raises(GraphError, match="object, got str"):
             graph_from_dict(data)
 
 

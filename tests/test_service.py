@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 
 import pytest
 
 from repro.cli import main
-from repro.errors import ServiceError
 from repro.runner import ResultCache
 from repro.runner.grids import GRIDS, GridSpec
 from repro.service import (
@@ -38,7 +36,6 @@ from repro.service import (
     reference_payload,
     run_loadtest,
 )
-from repro.service.core import result_payload
 
 
 @pytest.fixture()

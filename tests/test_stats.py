@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.arch.configs import four_cluster_config, two_cluster_config, unified_config
 from repro.core.bsa import BsaScheduler
 from repro.core.selective import ScheduledLoopResult, UnrollPolicy
 from repro.core.unified import UnifiedScheduler

@@ -1,14 +1,12 @@
 """Integration tests for the two-phase (N&E-style) comparator."""
 
-import pytest
-
 from repro.arch.configs import four_cluster_config, two_cluster_config
 from repro.core.bsa import BsaScheduler
 from repro.core.twophase import TwoPhaseScheduler, partition_graph
 from repro.core.verify import verify_schedule
 from repro.ir.ddg import DependenceGraph
 from repro.ir.unroll import unroll_graph
-from repro.workloads.kernels import daxpy, dot_product, figure7_graph, ladder_graph
+from repro.workloads.kernels import figure7_graph, ladder_graph
 
 
 class TestPartitioner:
