@@ -13,7 +13,9 @@ modulo scheduling).  Nodes are visited in SMS order; for the current node:
    discarded;
 3. feasible clusters are ranked by *profit* — the reduction in the number
    of value edges leaving the cluster's current node set if the node joins
-   it — and the best-profit candidates are kept;
+   it — and the best-profit candidates are kept (profit does not depend
+   on the placement, so steps (2) and (3) run as one search: clusters are
+   tried best-profit tier first, stopping at the first tier that fits);
 4. ties are broken in the paper's priority order: the only candidate; a
    candidate holding a scheduled predecessor/successor of the node; the
    default cluster; the candidate minimising register requirements;
@@ -32,6 +34,7 @@ from ..errors import ConfigError
 from ..ir.ddg import DependenceGraph
 from .base import SchedulerBase
 from .engine import Placement, PlacementEngine
+from .schedule import FailureLog
 from .sms import sms_order, topological_order
 
 OrderFn = Callable[[DependenceGraph], list[int]]
@@ -69,6 +72,7 @@ class BsaScheduler(SchedulerBase):
     """Unified assign-and-schedule modulo scheduler (the paper's proposal)."""
 
     name = "bsa"
+    lazy_log = True
 
     def __init__(
         self,
@@ -98,7 +102,18 @@ class BsaScheduler(SchedulerBase):
         self._default_policy = default_cluster_policy
 
     # ------------------------------------------------------------------
-    def _place_all(self, engine: PlacementEngine) -> bool:
+    def _place_all(self, engine: PlacementEngine, probe_all: bool = False) -> bool:
+        """Place every node at the engine's II (Figure 5); False on failure.
+
+        Step (3) keeps only the best-profit feasible clusters, and a
+        cluster's profit reads the assignment, never the placement.  So
+        the clusters are tried in tiers of equal profit, best first, and
+        the first tier holding a feasible cluster yields exactly the
+        candidates that trying every cluster would: the same placements,
+        from fewer probes.  The failure log then counts only the probes
+        made; with *probe_all* the skipped tiers are probed too, for the
+        log alone, which makes it the log of trying every cluster.
+        """
         graph = engine.graph
         n_clusters = self.config.n_clusters
         assignment: dict[int, int] = {}
@@ -118,27 +133,38 @@ class BsaScheduler(SchedulerBase):
                         loads[placed.cluster] += 1
                     default_cluster = min(range(n_clusters), key=lambda c: (loads[c], c))
 
-            # TryNodeOnCluster for every cluster.
-            feasible: dict[int, Placement] = {}
-            profit: dict[int, int] = {}
+            tiers: dict[int, list[int]] = {}
             for cluster in range(n_clusters):
-                placement = engine.find_placement(node, cluster)
-                if not isinstance(placement, Placement):
-                    continue
-                feasible[cluster] = placement
-                profit[cluster] = join_profit(graph, assignment, cluster, node)
+                profit = join_profit(graph, assignment, cluster, node)
+                tiers.setdefault(profit, []).append(cluster)
+            # TryNodeOnCluster, best-profit tier first.
+            feasible: dict[int, Placement] = {}
+            for profit in sorted(tiers, reverse=True):
+                if feasible and not probe_all:
+                    break
+                tier: dict[int, Placement] = {}
+                for cluster in tiers[profit]:
+                    placement = engine.find_placement(node, cluster)
+                    if isinstance(placement, Placement):
+                        tier[cluster] = placement
+                if not feasible:
+                    feasible = tier
 
             if not feasible:
                 return False  # II++ and reinitialise (paper step (5))
 
-            best = max(profit.values())
-            candidates = [c for c in sorted(feasible) if profit[c] == best]
             chosen = self._choose_cluster(
-                engine, graph, node, candidates, default_cluster, feasible
+                engine, graph, node, feasible, default_cluster
             )
             engine.commit(feasible[chosen])
             assignment[node] = chosen
         return True
+
+    def _full_log(self, graph: DependenceGraph, ii: int, mii: int) -> FailureLog:
+        """Re-run the failed attempt at *ii* trying every cluster."""
+        engine = PlacementEngine(graph, self.config, ii, mii)
+        self._place_all(engine, probe_all=True)
+        return engine.fail
 
     # ------------------------------------------------------------------
     def _choose_cluster(
@@ -146,12 +172,12 @@ class BsaScheduler(SchedulerBase):
         engine: PlacementEngine,
         graph: DependenceGraph,
         node: int,
-        candidates: list[int],
+        candidates: dict[int, Placement],
         default_cluster: int,
-        feasible: dict[int, Placement],
     ) -> int:
+        """Break the tie between best-profit feasible clusters, by index."""
         if len(candidates) == 1:  # paper step (6)
-            return candidates[0]
+            return next(iter(candidates))
 
         # Step (7): a candidate already holding a scheduled pred/succ.
         neighbor_clusters: dict[int, int] = {}
@@ -172,5 +198,5 @@ class BsaScheduler(SchedulerBase):
         # Step (9): minimise register requirements.
         return min(
             candidates,
-            key=lambda c: (engine.placement_pressure(feasible[c]), c),
+            key=lambda c: (engine.placement_pressure(candidates[c]), c),
         )

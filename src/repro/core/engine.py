@@ -320,18 +320,13 @@ class PlacementEngine:
                 self.fail.no_bus += 1
                 worst = _NO_BUS
                 continue
-            if not self._pressure_ok(node, cluster, cycle, plan):
+            if not self._pressure.placement_fits(node, cluster, cycle, plan):
                 self.fail.register_pressure += 1
                 if worst < _REG_PRESSURE:
                     worst = _REG_PRESSURE
                 continue
             return Placement(node=node, cluster=cluster, cycle=cycle, comm_plan=plan)
         return _FAIL_RANKS[worst]
-
-    def _pressure_ok(
-        self, node: int, cluster: int, cycle: int, plan: CommPlan
-    ) -> bool:
-        return self._pressure.placement_fits(node, cluster, cycle, plan)
 
     def placement_pressure(self, placement: Placement) -> int:
         """MaxLive of the placement's cluster if it were committed."""

@@ -70,7 +70,13 @@ class Communication:
 
 @dataclass
 class FailureLog:
-    """Why placements failed, per II attempt (drives LimitedByBus)."""
+    """Why placements failed, per II attempt (drives LimitedByBus).
+
+    Each field counts the failed probes of one class among the probes
+    the attempt made.  BSA probes clusters lazily, so its counts may be
+    a subset of those trying every cluster would give (see
+    :attr:`repro.core.base.SchedulerBase.lazy_log`).
+    """
 
     no_fu: int = 0
     no_bus: int = 0
@@ -80,12 +86,6 @@ class FailureLog:
     @property
     def total(self) -> int:
         return self.no_fu + self.no_bus + self.register_pressure + self.dependence_window
-
-    def dominated_by_bus(self) -> bool:
-        """Bus failures were the leading cause of this attempt's failure."""
-        return self.no_bus > 0 and self.no_bus >= max(
-            self.no_fu, self.register_pressure, self.dependence_window
-        )
 
 
 class ModuloSchedule:
@@ -110,7 +110,8 @@ class ModuloSchedule:
         #: producer's transfers in their inner loops; keep in sync via
         #: add_comm / replace_comm / _rebuild_comm_index).
         self._comms_by_producer: dict[int, list[Communication]] = {}
-        #: Failure log of the II attempts before this one succeeded.
+        #: Failure log of the II attempts before this one succeeded: one
+        #: :class:`FailureLog` per attempt, of the probes it made.
         self.attempt_failures: list[FailureLog] = []
         #: Bus rows occupied / total (filled by the scheduler).
         self.bus_utilisation: float = 0.0

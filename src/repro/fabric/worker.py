@@ -3,7 +3,8 @@
 A :class:`FabricWorker` is the whole client side of the fabric protocol
 in one loop: claim a lease (``POST /leases``), execute the shard's
 points one at a time through the exact same batch core the local
-``--jobs`` path uses (:func:`~repro.runner.engine._run_batch`), renew
+``--jobs`` path uses (:func:`~repro.runner.engine._run_batch`, with one
+schedule memo per family across the lease's points), renew
 the lease between points when a heartbeat is due, then post the shard's
 results (``POST /results``) and go claim the next one.  Because the
 worker runs the same code version as the coordinator (enforced at claim
@@ -215,6 +216,7 @@ class FabricWorker:
         heartbeat = float(doc.get("heartbeat_s") or 1.0)
         last_beat = time.monotonic()
         results: list[dict[str, Any]] = []
+        memos: dict = {}  # a family's policy points share their schedules
         for item in doc["shard"]:
             if self.fail_after is not None and self._executed >= self.fail_after:
                 raise WorkerDied(
@@ -228,7 +230,7 @@ class FabricWorker:
             # One-point batches keep heartbeats timely and make injected
             # deaths land *between* points, i.e. genuinely mid-shard.
             (_key, payload, meta) = _run_batch(
-                [item], None, None, doc.get("trace")
+                [item], None, None, doc.get("trace"), memos
             )[0]
             self._executed += 1
             self.stats.points += 1

@@ -259,18 +259,22 @@ def _execute_and_store(
     return result, meta
 
 
-def _families(points: list[ScenarioPoint]) -> list[list[int]]:
-    """Indices of *points* grouped by family, in order of first appearance.
+def _family(point: ScenarioPoint) -> tuple[str, str, str]:
+    """The family of *point*: its ``(graph_hash, machine, scheduler)``.
 
-    A family is the points sharing ``(graph_hash, machine, scheduler)``:
-    they differ only in unrolling policy (or rule, or simulation), so one
-    :class:`~repro.core.selective.ScheduleMemo` serves them all.  Indices
-    ascend within a family.
+    The points of one family differ only in unrolling policy (or rule,
+    or simulation), so one :class:`~repro.core.selective.ScheduleMemo`
+    serves them all.
     """
+    return point.graph_hash, point.machine, point.scheduler
+
+
+def _families(points: list[ScenarioPoint]) -> list[list[int]]:
+    """Indices of *points* grouped by :func:`_family`, in order of first
+    appearance.  Indices ascend within a family."""
     families: dict[tuple[str, str, str], list[int]] = {}
     for i, point in enumerate(points):
-        key = (point.graph_hash, point.machine, point.scheduler)
-        families.setdefault(key, []).append(i)
+        families.setdefault(_family(point), []).append(i)
     return list(families.values())
 
 
@@ -304,11 +308,14 @@ def _run_batch(
     cache_root: str | None,
     code_version: str | None,
     trace_carrier: dict[str, str] | None = None,
+    memos: dict[tuple[str, str, str], ScheduleMemo] | None = None,
 ) -> list[tuple[str, dict[str, Any], dict[str, Any]]]:
     """Execute one shard of :func:`work_item` items in a worker process.
 
     Items run one family at a time (see :func:`_families`), each family
-    sharing a fresh :class:`~repro.core.selective.ScheduleMemo`.
+    sharing one :class:`~repro.core.selective.ScheduleMemo`: fresh, or
+    the one *memos* holds for the family (a fabric worker runs a lease
+    one point per call and passes one *memos* for the whole lease).
     Results are written to the shared cache *as each point completes*
     (atomic, content-keyed), so a sweep killed mid-shard still resumes
     from every finished point.  Returns ``(canonical_key,
@@ -324,9 +331,10 @@ def _run_batch(
     )
     points = [ScenarioPoint(**item["point"]) for item in batch]
     out: list[Any] = [None] * len(batch)
+    memos = {} if memos is None else memos
     with TRACER.adopt(trace_carrier):
         for family in _families(points):
-            memo = ScheduleMemo()
+            memo = memos.setdefault(_family(points[family[0]]), ScheduleMemo())
             for i in family:
                 point, item = points[i], batch[i]
                 prior, prior_fallback = None, False

@@ -346,10 +346,11 @@ class PointResult:
     def loop_result(self, graphs: GraphMemo | None = None) -> ScheduledLoopResult:
         """Materialise the :class:`ScheduledLoopResult`.
 
-        The schedule is deserialised on first use and memoised on this
-        (frozen) result, so every later caller shares it; do not mutate
-        it.  *graphs* lets that first decode share its graph with other
-        results (see :func:`~repro.ir.serialize.schedule_from_dict`).
+        The schedule is deserialised on first use (unless the result
+        was built from a live one) and memoised on this (frozen) result,
+        so every later caller shares it; do not mutate it.  *graphs*
+        lets that first decode share its graph with other results (see
+        :func:`~repro.ir.serialize.schedule_from_dict`).
 
         Raises
         ------
@@ -375,14 +376,22 @@ class PointResult:
         fallback: bool = False,
         sim: SimOutcome | None = None,
     ) -> "PointResult":
-        """Wrap a live :class:`ScheduledLoopResult` for caching."""
-        return cls(
+        """Wrap a live :class:`ScheduledLoopResult` for caching.
+
+        :meth:`loop_result` then returns the live schedule, with no
+        ``base_schedule`` (which is what a decode yields), instead of
+        decoding the payload back.
+        """
+        point_result = cls(
             schedule=schedule_to_dict(result.schedule),
             unroll_factor=result.unroll_factor,
             policy=result.policy.value,
             fallback=fallback,
             sim=sim,
         )
+        live = ScheduledLoopResult(result.schedule, result.unroll_factor, result.policy)
+        object.__setattr__(point_result, "_loop_result", live)
+        return point_result
 
 
 #: One entry of a declared grid: the work unit plus the live loop whose

@@ -1,18 +1,25 @@
-"""Golden digests of every named grid's ``--quick`` output.
+"""Golden digests and per-point fingerprints of every named grid's
+``--quick`` output.
 
 Each entry of :data:`repro.runner.grids.GRIDS` is run through a fresh,
 cache-less :class:`~repro.experiments.common.ExperimentContext`; the
 rendered tables plus the context's :meth:`SweepStats.render` line are
-hashed and compared with ``tests/golden/quick_grids.json``.  The tier-1
-suite (``test_golden.py``) recomputes a fast slice; the full set is a
-CI step::
+hashed and compared with ``tests/golden/quick_grids.json``.  Beside the
+digest, every scheduled point of the grid has a fingerprint row in
+``tests/golden/quick_fingerprints.json``: the emitted schedule's II and
+stage count, its unroll factor, whether the point fell back to list
+scheduling, and the schedule's ``was_bus_limited`` (the paper's
+LimitedByBus, which no table prints for an unrolled schedule).  A check
+that fails names every point whose row moved.  The tier-1 suite
+(``test_golden.py``) recomputes a fast slice; the full set is a CI
+step::
 
     PYTHONPATH=src python tests/golden_grids.py --check     # all grids
     PYTHONPATH=src python tests/golden_grids.py --check fig8
     PYTHONPATH=src python tests/golden_grids.py --write     # regenerate
 
-A change that alters figure output on purpose regenerates the file with
-``--write`` and says why in its description.
+A change that alters figure output on purpose regenerates both files
+with ``--write`` and says why in its description.
 """
 
 from __future__ import annotations
@@ -24,28 +31,72 @@ import sys
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "quick_grids.json"
+FINGERPRINTS = GOLDEN.parent / "quick_fingerprints.json"
 
 
-def render_grid(name: str) -> tuple[str, str]:
-    """``(tables, stats_line)`` of one grid's quick run, uncached."""
+def record(name: str) -> tuple[dict[str, str], dict[str, str]]:
+    """One grid's quick run, uncached: its digest and its fingerprints.
+
+    The digest is the output+stats sha256 and the stats line; the
+    fingerprints map a point label to its row (see :func:`fingerprints`).
+    """
     from repro.experiments.common import ExperimentContext
     from repro.runner.grids import GRIDS
 
     ctx = ExperimentContext()
     output = GRIDS[name].run(ctx, True)
-    return output, ctx.stats.render()
-
-
-def digest(name: str) -> dict[str, str]:
-    """The golden record of one grid: output+stats sha256 and the stats."""
-    output, stats = render_grid(name)
+    stats = ctx.stats.render()
     text = f"{output}\n{stats}\n"
-    return {"sha256": hashlib.sha256(text.encode()).hexdigest(), "stats": stats}
+    digest = {"sha256": hashlib.sha256(text.encode()).hexdigest(), "stats": stats}
+    return digest, fingerprints(ctx)
+
+
+def fingerprints(ctx) -> dict[str, str]:
+    """A row per scheduled point of *ctx*, keyed by a readable label.
+
+    The label names the loop, machine, scheduler, policy and rule, plus
+    a short hash of the point's canonical identity, which keeps labels
+    unique where two points differ only in fields the label omits.
+    """
+    from repro.experiments.common import config_label
+    from repro.runner.scenario import ScenarioPoint
+
+    fallbacks = {point.canonical() for point in ctx.fallbacks}
+    rows = {}
+    for key, result in ctx.memo.items():
+        point = ScenarioPoint(**json.loads(key))
+        label = (
+            f"{point.loop} @ {config_label(point.config())} "
+            f"[{point.scheduler}/{point.policy}/{point.rule}] "
+            f"{hashlib.sha256(key.encode()).hexdigest()[:8]}"
+        )
+        sched = result.schedule
+        rows[label] = (
+            f"ii={sched.ii} sc={sched.stage_count} unroll={result.unroll_factor} "
+            f"fallback={int(key in fallbacks)} bus_limited={int(sched.was_bus_limited)}"
+        )
+    return dict(sorted(rows.items()))
+
+
+def moved(golden: dict[str, str], got: dict[str, str]) -> list[str]:
+    """One line per point whose fingerprint differs, appeared or vanished."""
+    lines = []
+    for label in sorted(set(golden) | set(got)):
+        before = golden.get(label, "(absent)")
+        after = got.get(label, "(absent)")
+        if before != after:
+            lines.append(f"{label}: {before} -> {after}")
+    return lines
 
 
 def load() -> dict[str, dict[str, str]]:
-    """The committed golden records, by grid name."""
+    """The committed golden digests, by grid name."""
     return json.loads(GOLDEN.read_text())["grids"]
+
+
+def load_fingerprints() -> dict[str, dict[str, str]]:
+    """The committed fingerprint rows, by grid name."""
+    return json.loads(FINGERPRINTS.read_text())["grids"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -53,24 +104,30 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--check", action="store_true", help="compare with the file")
-    mode.add_argument("--write", action="store_true", help="regenerate the file")
+    mode.add_argument("--check", action="store_true", help="compare with the files")
+    mode.add_argument("--write", action="store_true", help="regenerate the files")
     parser.add_argument("grids", nargs="*", help="grid names (default: all)")
     args = parser.parse_args(argv)
     names = args.grids or sorted(GRIDS)
     if args.write:
-        records = {name: digest(name) for name in sorted(GRIDS)}
+        records = {name: record(name) for name in sorted(GRIDS)}
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN.write_text(json.dumps({"grids": records}, indent=2) + "\n")
-        print(f"wrote {len(records)} golden record(s) to {GOLDEN}")
+        digests = {name: digest for name, (digest, _rows) in records.items()}
+        rows = {name: rows for name, (_digest, rows) in records.items()}
+        GOLDEN.write_text(json.dumps({"grids": digests}, indent=2) + "\n")
+        FINGERPRINTS.write_text(json.dumps({"grids": rows}, indent=1) + "\n")
+        print(f"wrote {len(records)} golden record(s) to {GOLDEN} and {FINGERPRINTS}")
         return 0
-    golden = load()
+    golden, golden_rows = load(), load_fingerprints()
     bad = 0
     for name in names:
-        got = digest(name)
-        ok = got == golden.get(name)
+        digest, rows = record(name)
+        lines = moved(golden_rows.get(name, {}), rows)
+        ok = digest == golden.get(name) and not lines
         bad += not ok
-        print(f"{'ok  ' if ok else 'DIFF'} {name}: {got['stats']}")
+        print(f"{'ok  ' if ok else 'DIFF'} {name}: {digest['stats']}")
+        for line in lines:
+            print(f"     moved {line}")
     return 1 if bad else 0
 
 

@@ -5,6 +5,9 @@
   :func:`repro.core.bsa.join_profit` computes in O(degree);
 * :func:`rec_mii_exact` — RecMII by simple-cycle enumeration, against
   the binary search of :func:`repro.core.mii.rec_mii`;
+* :class:`ReferenceBsa` — BSA trying every cluster for every node, with
+  full failure logs, against the tiered search of
+  :class:`repro.core.bsa.BsaScheduler`;
 * :func:`to_networkx` and the networkx versions of the graph algorithms
   the library implements with the stdlib: :func:`sccs_nx`,
   :func:`zero_distance_acyclic_nx`, :func:`topological_order_nx` and
@@ -17,6 +20,8 @@ import math
 
 import networkx as nx
 
+from repro.core.bsa import BsaScheduler, join_profit
+from repro.core.engine import Placement, PlacementEngine
 from repro.core.mii import rec_mii
 from repro.core.sms import _subgraph
 from repro.errors import GraphError
@@ -169,3 +174,57 @@ def _best_ratio(choices: list[list[tuple[int, int]]]) -> int:
             continue
         best = max(best, math.ceil(L / D))
     return best
+
+
+class ReferenceBsa(BsaScheduler):
+    """BSA as Figure 5 reads: every cluster tried for every node.
+
+    Its failure logs are full, so the II search never re-runs an attempt.
+    """
+
+    lazy_log = False
+
+    def _place_all(self, engine: PlacementEngine) -> bool:
+        graph = engine.graph
+        n_clusters = self.config.n_clusters
+        assignment: dict[int, int] = {}
+        default_cluster = n_clusters - 1  # first advance lands on cluster 0
+
+        for node in self._order_fn(graph):
+            has_scheduled_neighbor = any(
+                engine.schedule.is_scheduled(other)
+                for other in graph.neighbors(node)
+            )
+            if not has_scheduled_neighbor:
+                if self._default_policy == "circular":
+                    default_cluster = (default_cluster + 1) % n_clusters
+                else:  # least-loaded
+                    loads = [0] * n_clusters
+                    for placed in engine.schedule.ops.values():
+                        loads[placed.cluster] += 1
+                    default_cluster = min(
+                        range(n_clusters), key=lambda c: (loads[c], c)
+                    )
+
+            feasible: dict[int, Placement] = {}
+            profit: dict[int, int] = {}
+            for cluster in range(n_clusters):
+                placement = engine.find_placement(node, cluster)
+                if not isinstance(placement, Placement):
+                    continue
+                feasible[cluster] = placement
+                profit[cluster] = join_profit(graph, assignment, cluster, node)
+
+            if not feasible:
+                return False
+
+            best = max(profit.values())
+            candidates = {
+                c: p for c, p in sorted(feasible.items()) if profit[c] == best
+            }
+            chosen = self._choose_cluster(
+                engine, graph, node, candidates, default_cluster
+            )
+            engine.commit(feasible[chosen])
+            assignment[node] = chosen
+        return True

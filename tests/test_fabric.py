@@ -26,6 +26,7 @@ import socket
 import threading
 import time
 import urllib.request
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -33,6 +34,7 @@ from fabric_chaos import ChaosWorker, drain, spawn
 
 from repro.arch.configs import clustered_config
 from repro.cli import main
+from repro.core.base import SchedulerBase
 from repro.core.selective import UnrollPolicy
 from repro.experiments import ExperimentContext, fig8_rows, run_fig8
 from repro.fabric import (
@@ -937,6 +939,38 @@ class TestWorker:
             drain(svc.fabric)
         assert box["finished"] and "error" not in box
         assert as_docs(box["results"]) == reference_docs(misses)
+
+    def test_lease_shares_a_family_schedules(self, fabric_env, monkeypatch):
+        # Ladder on one bus at latency 2 is bus limited and passes the
+        # Figure 6 test, so ALL and SELECTIVE both unroll it.
+        loop = kernel_loop("ladder", trip_count=100)
+        config = clustered_config(2, 1, 2)
+        misses = []
+        for policy in UnrollPolicy:
+            point = scenario_for(loop, config, "bsa", policy)
+            misses.append((point.canonical(), (point, loop)))
+        expected = reference_docs(misses)
+        calls = Counter()
+        original = SchedulerBase.schedule
+
+        def counting(self, graph):
+            calls[graph.name] += 1
+            return original(self, graph)
+
+        monkeypatch.setattr(SchedulerBase, "schedule", counting)
+        svc, srv, _client = fabric_env(shard_size=3)
+        with fabric_sweep(svc.fabric, misses) as box:
+            stats = FabricWorker(
+                srv.url,
+                code_version=svc.fabric.code_version,
+                max_shards=1,
+                poll_s=0.02,
+            ).run()
+            drain(svc.fabric)
+        assert stats.shards == 1 and stats.points == 3
+        assert box["finished"] and "error" not in box
+        assert as_docs(box["results"]) == expected
+        assert calls == {"ladder": 1, "ladder@x2": 1}
 
     def test_idle_exit(self, fabric_env):
         svc, srv, _client = fabric_env()

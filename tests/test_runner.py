@@ -440,6 +440,27 @@ class TestGraphSharing:
         latencies = {(d.src, d.dst): d.latency for d in a.edges}
         assert any(d.latency == latencies[d.src, d.dst] + 1 for d in b.edges)
 
+    def test_cold_in_process_grid_decodes_no_schedule(self, monkeypatch):
+        from repro.runner import scenario
+
+        calls = []
+        decode = scenario.schedule_from_dict
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "schedule_from_dict", counting)
+        ctx = ExperimentContext(suite=small_suite())
+        items = self.items()
+        ctx.run_grid(items)
+        assert calls == []
+        assert len(ctx.memo) == len(items)
+        for point, _loop in items:
+            result = ctx.memo[point.canonical()]
+            assert result.base_schedule is None
+            assert result.schedule.graph.name.startswith(point.loop)
+
     def test_loop_result_is_decoded_once(self, cache):
         loop = kernel_loop("daxpy")
         point = scenario_for(loop, two_cluster_config(), "bsa", UnrollPolicy.NONE)

@@ -46,11 +46,6 @@ class TestFailureLog:
         log = FailureLog(no_fu=2, no_bus=3, register_pressure=1)
         assert log.total == 6
 
-    def test_dominated_by_bus(self):
-        assert FailureLog(no_bus=5, no_fu=2).dominated_by_bus()
-        assert not FailureLog(no_bus=1, no_fu=5).dominated_by_bus()
-        assert not FailureLog().dominated_by_bus()
-
 
 class TestModuloSchedule:
     def test_place_twice_rejected(self):
