@@ -4,7 +4,7 @@ from .base import SchedulerBase, default_ii_budget
 from .bsa import BsaScheduler, join_profit
 from .comm import AddReader, CommPlan, NewTransfer
 from .engine import FailReason, Placement, PlacementEngine
-from .exact import ExactScheduler, resolve_backend
+from .exact import ExactScheduler
 from .lifetimes import cluster_pressures, max_pressure, mve_factor, pressure_ok
 from .list_schedule import list_schedule
 from .mii import MiiReport, mii, mii_report, rec_mii, res_mii
@@ -68,7 +68,6 @@ __all__ = [
     "rec_mii",
     "recurrence_sets",
     "res_mii",
-    "resolve_backend",
     "schedule_with_policy",
     "selective_unroll_decision",
     "sms_order",

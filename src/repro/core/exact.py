@@ -22,21 +22,12 @@ are likewise enumerated over the II-wide canonical window after the value
 is produced; a single bus transfer may broadcast to several reader
 clusters, exactly as the placement engine's ``AddReader`` reuse does.
 
-Two backends share the interface, selected when the scheduler is
-instantiated (i.e. at registry time):
+There is one search, the stdlib depth-first branch and bound of
+:class:`_BnbSearch`, and nothing selects another: a search that finishes
+inside its budget gives the same schedule for the same graph and machine
+on any host.
 
-* ``bnb`` — the pure-python depth-first branch and bound (always
-  available; the default);
-* ``z3`` — an SMT formulation solved by ``z3-solver`` when it is
-  importable (install the ``exact`` extra); register pressure is checked
-  on the python side with blocking clauses, falling back to ``bnb`` if
-  the clause budget runs out.
-
-The ``REPRO_VLIW_EXACT`` environment variable (``bnb`` / ``z3`` / ``auto``)
-overrides the default resolution, which CI uses to run the differential
-suite against both backends.
-
-Exhaustive search is exponential, so the backend guards itself: graphs
+Exhaustive search is exponential, so the scheduler guards itself: graphs
 above ``max_nodes`` operations and searches above ``time_budget_s``
 wall-clock seconds raise :class:`~repro.errors.ExactTimeout` — fail fast
 with a clear message instead of hanging a runner worker.
@@ -44,12 +35,11 @@ with a clear message instead of hanging a runner worker.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 
 from ..arch.cluster import MachineConfig
-from ..errors import ConfigError, ExactTimeout, SchedulingError
+from ..errors import ExactTimeout, SchedulingError
 from ..ir.ddg import DependenceGraph
 from ..ir.operation import FuClass
 from .base import SchedulerBase, default_ii_budget
@@ -60,51 +50,14 @@ from .schedule import Communication, FailureLog, ModuloSchedule, ScheduledOp
 from .sms import sms_order
 from .verify import verify_schedule
 
-try:  # pragma: no cover - exercised only on machines with z3 installed
-    import z3  # type: ignore
-
-    HAVE_Z3 = True
-except ImportError:  # pragma: no cover - the common case in this image
-    z3 = None
-    HAVE_Z3 = False
-
-#: Environment variable overriding backend resolution (``bnb``/``z3``/``auto``).
-EXACT_BACKEND_ENV = "REPRO_VLIW_EXACT"
 #: Node-count guard: catalogue kernels stay below this, random soups above
 #: it would take the search exponential territory.
 DEFAULT_MAX_NODES = 24
 #: Wall-clock guard per :meth:`ExactScheduler.schedule` call.
 DEFAULT_TIME_BUDGET_S = 10.0
-#: Blocking-clause budget of the z3 pressure loop before falling back.
-_Z3_PRESSURE_MODELS = 64
 
 _NEG = -(1 << 30)
 _POS = 1 << 30
-
-
-def resolve_backend(requested: str = "auto") -> str:
-    """Resolve ``bnb``/``z3``/``auto`` to a concrete backend name.
-
-    ``auto`` consults :data:`EXACT_BACKEND_ENV`, then picks ``z3`` when the
-    solver is importable and ``bnb`` otherwise.  Requesting ``z3`` without
-    the package installed is a :class:`~repro.errors.ConfigError`.
-    """
-    choice = requested.strip().lower() if requested else "auto"
-    if choice == "auto":
-        choice = os.environ.get(EXACT_BACKEND_ENV, "auto").strip().lower() or "auto"
-    if choice == "auto":
-        return "z3" if HAVE_Z3 else "bnb"
-    if choice not in ("bnb", "z3"):
-        raise ConfigError(
-            f"exact scheduler: unknown backend {choice!r} "
-            "(use 'bnb', 'z3' or 'auto')"
-        )
-    if choice == "z3" and not HAVE_Z3:
-        raise ConfigError(
-            "exact scheduler: z3 backend requested but z3-solver is not "
-            "importable (pip install repro-vliw[exact], or use backend='bnb')"
-        )
-    return choice
 
 
 @dataclass(frozen=True)
@@ -139,7 +92,7 @@ class _Requirement:
 
 
 class ExactScheduler(SchedulerBase):
-    """Optimal modulo scheduler (branch and bound, optional z3 backend).
+    """Optimal modulo scheduler (branch and bound).
 
     Finds the minimum feasible II for the graph on this machine, then
     minimises MaxLive at that II (binary search over the register budget,
@@ -157,13 +110,11 @@ class ExactScheduler(SchedulerBase):
         max_ii: int | None = None,
         max_nodes: int = DEFAULT_MAX_NODES,
         time_budget_s: float = DEFAULT_TIME_BUDGET_S,
-        backend: str = "auto",
         minimize_pressure: bool = True,
     ):
         super().__init__(config, max_ii=max_ii)
         self.max_nodes = max_nodes
         self.time_budget_s = time_budget_s
-        self.backend = resolve_backend(backend)
         self.minimize_pressure = minimize_pressure
 
     # ------------------------------------------------------------------
@@ -212,8 +163,6 @@ class ExactScheduler(SchedulerBase):
         deadline: float,
     ) -> _Solution | None:
         """A feasible assignment at *ii* under *reg_limit*, or ``None``."""
-        if self.backend == "z3":
-            return self._solve_z3(graph, ii, reg_limit, deadline)
         return _BnbSearch(
             graph, self.config, ii, reg_limit, deadline, self.time_budget_s
         ).run()
@@ -259,160 +208,6 @@ class ExactScheduler(SchedulerBase):
             sched.add_comm(moved)
         sched.bus_utilisation = mrt.bus_utilisation()
         return sched
-
-    # ------------------------------------------------------------------
-    # z3 backend
-    # ------------------------------------------------------------------
-    def _solve_z3(
-        self,
-        graph: DependenceGraph,
-        ii: int,
-        reg_limit: int,
-        deadline: float,
-    ) -> _Solution | None:  # pragma: no cover - needs z3 (CI extra)
-        """SMT formulation of one fixed-II feasibility problem.
-
-        Cycles and clusters are integer variables over a bounded horizon
-        (the window argument bounds any compacted schedule well inside
-        it); functional units are cardinality constraints per MRT row;
-        one optional transfer variable exists per (producer, reader
-        cluster), and same-producer transfers agreeing on start and bus
-        merge into one broadcast.  Register pressure is not encoded:
-        models are checked with :func:`cluster_pressures` and blocked
-        until one fits, falling back to the branch and bound when the
-        clause budget runs out (UNSAT of the relaxation remains a sound
-        infeasibility proof either way).
-        """
-        cfg = self.config
-        nodes = graph.node_ids
-        n = len(nodes)
-        latbus = cfg.buses.latency
-        n_buses = cfg.buses.count if cfg.is_clustered else 0
-        horizon = ii * (n + 1) + sum(op.latency for op in graph.operations()) + latbus
-
-        solver = z3.Solver()
-        cyc = {v: z3.Int(f"c{v}") for v in nodes}
-        clu = {v: z3.Int(f"k{v}") for v in nodes}
-        for v in nodes:
-            solver.add(cyc[v] >= 0, cyc[v] < horizon)
-            solver.add(clu[v] >= 0, clu[v] < cfg.n_clusters)
-        solver.add(cyc[nodes[0]] < ii)  # translation symmetry
-        for dep in graph.edges:
-            solver.add(
-                cyc[dep.dst] + ii * dep.distance >= cyc[dep.src] + dep.latency
-            )
-        # Functional units: per (cluster, class, row) cardinality.
-        by_class: dict[FuClass, list[int]] = {}
-        for v in nodes:
-            by_class.setdefault(graph.operation(v).fu_class, []).append(v)
-        for q in cfg.clusters():
-            for fu_class, members in by_class.items():
-                cap = cfg.fu_count(q, fu_class)
-                for r in range(ii):
-                    here = [
-                        z3.And(clu[v] == q, cyc[v] % ii == r) for v in members
-                    ]
-                    solver.add(z3.AtMost(*here, cap) if here else True)
-        # Communications: one candidate transfer per (producer, reader).
-        producers = sorted(
-            {d.src for v in nodes for d in graph.flow_consumers(v) if d.src == v}
-        )
-        tvar: dict[tuple[int, int], tuple] = {}
-        if n_buses:
-            for u in producers:
-                for q in cfg.clusters():
-                    t = z3.Int(f"t{u}_{q}")
-                    b = z3.Int(f"b{u}_{q}")
-                    used = z3.Bool(f"u{u}_{q}")
-                    solver.add(z3.Implies(used, z3.And(t >= 0, t < horizon + ii)))
-                    solver.add(z3.Implies(used, z3.And(b >= 0, b < n_buses)))
-                    lat_u = graph.operation(u).latency
-                    solver.add(z3.Implies(used, t >= cyc[u] + lat_u))
-                    if latbus > ii:
-                        solver.add(z3.Not(used))
-                    tvar[(u, q)] = (t, b, used)
-        for v in nodes:
-            for dep in graph.flow_producers(v):
-                u = dep.src
-                if not n_buses:
-                    solver.add(clu[v] == clu[u])
-                    continue
-                for q in cfg.clusters():
-                    t, b, used = tvar[(u, q)]
-                    solver.add(
-                        z3.Implies(
-                            z3.And(clu[v] == q, clu[u] != q),
-                            z3.And(used, t + latbus <= cyc[v] + ii * dep.distance),
-                        )
-                    )
-        # Pairwise bus exclusion (same-producer broadcasts may merge).
-        keys = sorted(tvar)
-        for i, ki in enumerate(keys):
-            ti, bi, ui = tvar[ki]
-            for kj in keys[i + 1 :]:
-                tj, bj, uj = tvar[kj]
-                diff = (ti - tj) % ii
-                apart = z3.And(diff >= latbus, diff <= ii - latbus)
-                same = z3.And(ti == tj, bi == bj) if ki[0] == kj[0] else False
-                solver.add(
-                    z3.Implies(z3.And(ui, uj), z3.Or(bi != bj, apart, same))
-                )
-
-        for _ in range(_Z3_PRESSURE_MODELS):
-            remaining_ms = int(max(0.0, deadline - time.monotonic()) * 1000)
-            if remaining_ms <= 0:
-                raise ExactTimeout(
-                    f"exact[z3]: search for {graph.name!r} on {cfg.name!r} "
-                    f"exceeded the {self.time_budget_s:.1f}s budget at II={ii}"
-                )
-            solver.set("timeout", remaining_ms)
-            res = solver.check()
-            if res == z3.unsat:
-                return None
-            if res != z3.sat:
-                if time.monotonic() >= deadline:
-                    raise ExactTimeout(
-                        f"exact[z3]: solver gave up on {graph.name!r} at "
-                        f"II={ii} within the {self.time_budget_s:.1f}s budget"
-                    )
-                break  # solver unknown for other reasons: fall back to bnb
-            model = solver.model()
-            sol = self._z3_extract(graph, ii, model, cyc, clu, tvar)
-            sched = self._materialize(graph, sol, ii)
-            if max(cluster_pressures(sched).values()) <= reg_limit:
-                return sol
-            block = [cyc[v] != model[cyc[v]] for v in nodes]
-            block += [clu[v] != model[clu[v]] for v in nodes]
-            for t, b, used in tvar.values():
-                if z3.is_true(model[used]):
-                    block += [t != model[t], b != model[b]]
-            solver.add(z3.Or(*block))
-        return _BnbSearch(
-            graph, cfg, ii, reg_limit, deadline, self.time_budget_s
-        ).run()
-
-    def _z3_extract(
-        self, graph, ii, model, cyc, clu, tvar
-    ) -> _Solution:  # pragma: no cover - needs z3 (CI extra)
-        """Assignment + the *needed* transfers (merged into broadcasts)."""
-        cycles = {v: model[cyc[v]].as_long() for v in cyc}
-        clusters = {v: model[clu[v]].as_long() for v in clu}
-        needed: dict[tuple[int, int, int], set[int]] = {}
-        for v in clusters:
-            for dep in graph.flow_producers(v):
-                u = dep.src
-                q = clusters[v]
-                if clusters[u] == q:
-                    continue
-                t, b, _ = tvar[(u, q)]
-                key = (u, model[t].as_long(), model[b].as_long())
-                needed.setdefault(key, set()).add(q)
-        comms = tuple(
-            Communication(u, clusters[u], bus, start, frozenset(readers))
-            for (u, start, bus), readers in sorted(needed.items())
-        )
-        ops = tuple((v, cycles[v], clusters[v]) for v in sorted(cycles))
-        return _Solution(ii, ops, comms)
 
 
 class _BnbSearch:

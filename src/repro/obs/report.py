@@ -194,6 +194,7 @@ class RunReport:
 # Aggregation and rendering
 # ---------------------------------------------------------------------------
 def _percentile(sorted_values: list[float], q: float) -> float:
+    """Nearest-rank percentile of an already-sorted sample (0 when empty)."""
     if not sorted_values:
         return 0.0
     rank = math.ceil(q * len(sorted_values))

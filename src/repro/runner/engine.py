@@ -73,9 +73,8 @@ SchedulerFactory = Callable[[MachineConfig], SchedulerBase]
 PriorFor = Callable[[ScenarioPoint], tuple[ScheduledLoopResult | None, bool]]
 
 #: Registered schedulers, by the names used in scenario points,
-#: experiment grids and ablation studies.  ``exact`` resolves its backend
-#: (pure-python branch and bound vs z3) when instantiated — i.e. here, at
-#: registry time.
+#: experiment grids and ablation studies.  ``exact`` is the branch-and-bound
+#: optimality oracle of :mod:`repro.core.exact`.
 SCHEDULERS: dict[str, SchedulerFactory] = {
     "bsa": lambda cfg: BsaScheduler(cfg),
     "two-phase": lambda cfg: TwoPhaseScheduler(cfg),

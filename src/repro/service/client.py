@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import math
 import threading
 import time
 import urllib.error
@@ -28,6 +27,7 @@ from typing import Any
 
 from ..errors import ServiceError
 from ..obs.metrics import LATENCY_BUCKETS_S, _format_bound
+from ..obs.report import _percentile
 from ..obs.trace import new_trace_id
 from .core import ScheduleRequest, reference_payload
 from .server import DEFAULT_HOST, DEFAULT_PORT
@@ -240,14 +240,6 @@ def default_mix() -> list[dict[str, Any]]:
         for kernel in kernels
         for (clusters, buses, latency) in machines
     ]
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample (0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = math.ceil(q * len(sorted_values))
-    return sorted_values[max(0, min(len(sorted_values), rank) - 1)]
 
 
 @dataclass

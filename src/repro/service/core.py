@@ -31,6 +31,7 @@ without touching disk), on-disk cache (shared with the CLI sweeps — a
 
 from __future__ import annotations
 
+import enum
 import itertools
 import json
 import queue
@@ -109,6 +110,24 @@ def _as_int(data: dict[str, Any], key: str, default: int) -> int:
         f"{key!r} must be an integer, got {value!r}",
     )
     return value
+
+
+def _choice(
+    data: dict[str, Any],
+    key: str,
+    default: str,
+    members: type[enum.Enum],
+    aliases: dict[str, str],
+) -> str:
+    """The value of the *members* entry that ``data[key]`` names (or aliases)."""
+    value = data.get(key, default)
+    if isinstance(value, str):
+        try:
+            return members(aliases.get(value, value)).value
+        except ValueError:
+            pass
+    known = sorted([m.value for m in members] + list(aliases))
+    raise RequestError(f"unknown {key} {value!r}; known: {known}")
 
 
 @dataclass(frozen=True)
@@ -206,29 +225,11 @@ class ScheduleRequest:
 
         scheduler = data.get("scheduler", cls.scheduler)
         _require(
-            scheduler in SCHEDULERS,
+            isinstance(scheduler, str) and scheduler in SCHEDULERS,
             f"unknown scheduler {scheduler!r}; known: {sorted(SCHEDULERS)}",
         )
-        policy = data.get("policy", cls.policy)
-        policy = POLICY_ALIASES.get(policy, policy)
-        try:
-            policy = UnrollPolicy(policy).value
-        except ValueError:
-            known = sorted(
-                [p.value for p in UnrollPolicy] + list(POLICY_ALIASES)
-            )
-            raise RequestError(
-                f"unknown policy {data.get('policy')!r}; known: {known}"
-            ) from None
-        rule = data.get("rule", cls.rule)
-        rule = RULE_ALIASES.get(rule, rule)
-        try:
-            rule = SelectiveRule(rule).value
-        except ValueError:
-            known = sorted([r.value for r in SelectiveRule] + list(RULE_ALIASES))
-            raise RequestError(
-                f"unknown rule {data.get('rule')!r}; known: {known}"
-            ) from None
+        policy = _choice(data, "policy", cls.policy, UnrollPolicy, POLICY_ALIASES)
+        rule = _choice(data, "rule", cls.rule, SelectiveRule, RULE_ALIASES)
 
         simulate = data.get("simulate", False)
         _require(
@@ -633,7 +634,7 @@ class SchedulingService:
         (cache probing, reducers, rendering) is identical, so the output
         is byte-identical to a local run.
         """
-        if grid not in GRIDS:
+        if not isinstance(grid, str) or grid not in GRIDS:
             raise RequestError(
                 f"unknown grid {grid!r}; known: {sorted(GRIDS)}"
             )

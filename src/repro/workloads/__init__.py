@@ -7,7 +7,6 @@ importing this package registers the full built-in catalogue."""
 from .generator import LoopShape, RecurrenceSpec, generate_loop
 from .kernels import (
     ALL_KERNELS,
-    KERNEL_ALIASES,
     figure7_graph,
     kernel_loop,
     kernel_table,
@@ -29,7 +28,6 @@ from .specfp import PROGRAM_NAMES, build_program, specfp95_suite
 
 __all__ = [
     "ALL_KERNELS",
-    "KERNEL_ALIASES",
     "LIVERMORE_KERNELS",
     "RECURRENCE_BOUND",
     "WORKLOAD_PATH_ENV",

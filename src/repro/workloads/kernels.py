@@ -5,10 +5,9 @@ tests (known MII values) and as building blocks of the synthetic suite.
 Each function returns a fresh :class:`~repro.ir.ddg.DependenceGraph`.
 
 All kernels register through :mod:`repro.workloads.registry` under the
-``"kernel"`` tag; ``ALL_KERNELS`` / ``KERNEL_ALIASES`` / ``kernel_table``
-/ ``resolve_kernel`` are thin views over that registry kept for
-compatibility (and because "the classic catalogue" is still a useful
-subset to iterate).
+``"kernel"`` tag; ``ALL_KERNELS`` / ``kernel_table`` / ``resolve_kernel``
+are thin views over that registry kept for compatibility (and because
+"the classic catalogue" is still a useful subset to iterate).
 """
 
 from __future__ import annotations
@@ -264,17 +263,6 @@ def ladder_graph() -> DependenceGraph:
 ALL_KERNELS = {
     spec.name: spec.factory for spec in workloads(tag="kernel", discover=False)
 }
-
-#: Accept the builder functions' own names too (``dot_product`` for ``dot``
-#: and so on) — the CLI and docs use both interchangeably.  The full
-#: canonical-name -> alias table is printed by ``repro-vliw schedule
-#: --list`` (see :func:`kernel_table`) and documented in README.md.
-KERNEL_ALIASES = {
-    alias: spec.name
-    for spec in workloads(tag="kernel", discover=False)
-    for alias in spec.aliases
-}
-
 
 def kernel_table() -> list[dict]:
     """The canonical-name -> alias catalogue as table rows.

@@ -211,19 +211,18 @@ def load_plugins(*, refresh: bool = False) -> None:
     if _PLUGINS_LOADED and not refresh:
         return
     _PLUGINS_LOADED = True
-    try:
-        from importlib.metadata import entry_points
+    # Imported on first use: importlib.metadata is slow to import, and
+    # only plugin loading needs it.
+    from importlib.metadata import entry_points
 
-        for entry_point in entry_points(group=ENTRY_POINT_GROUP):
-            try:
-                entry_point.load()
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                raise WorkloadError(
-                    f"workload entry point {entry_point.name!r} failed to "
-                    f"load: {exc}"
-                ) from exc
-    except ImportError:  # pragma: no cover - stdlib always has it on 3.10+
-        pass
+    for entry_point in entry_points(group=ENTRY_POINT_GROUP):
+        try:
+            entry_point.load()
+        except Exception as exc:  # noqa: BLE001 - report, don't crash
+            raise WorkloadError(
+                f"workload entry point {entry_point.name!r} failed to "
+                f"load: {exc}"
+            ) from exc
     for entry in os.environ.get(WORKLOAD_PATH_ENV, "").split(os.pathsep):
         entry = entry.strip()
         if not entry:

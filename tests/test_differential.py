@@ -1,7 +1,7 @@
 """Differential tests: every heuristic cross-checked against the oracle.
 
 A pinned-seed corpus of small synthetic loops (the same generator the
-workload suite uses) is scheduled by the exact backend and by every
+workload suite uses) is scheduled by the exact scheduler and by every
 heuristic; the oracle must never lose on II, its schedules must pass the
 independent verifier and execute cycle-exactly on the simulator, and its
 pressure accounting must agree with the incremental tracker.  Random
@@ -52,8 +52,6 @@ HEURISTICS = (BsaScheduler, TwoPhaseScheduler)
 
 
 def exact(config) -> ExactScheduler:
-    # The corpus must be backend-agnostic: CI runs this file once with
-    # REPRO_VLIW_EXACT=bnb and once with =z3, so resolution stays "auto".
     return ExactScheduler(config, time_budget_s=30.0)
 
 

