@@ -45,8 +45,14 @@ from typing import Any
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TRACER
 from ..runner.cache import ResultCache, default_code_version
-from ..runner.engine import PriorFor, _shard, store_result, work_item
-from ..runner.scenario import PAYLOAD_ERRORS, GridItem, PointResult, ScenarioPoint
+from ..runner.engine import PriorFor, _shard, checked_result, store_result, work_item
+from ..runner.scenario import (
+    PAYLOAD_ERRORS,
+    DecodeMemo,
+    GridItem,
+    PointResult,
+    ScenarioPoint,
+)
 from .protocol import (
     PROTOCOL_VERSION,
     FabricBadRequest,
@@ -108,6 +114,8 @@ class _Sweep:
     meta: dict[str, dict[str, Any]] = field(default_factory=dict)
     #: Completed-lease turnarounds (drives the straggler threshold).
     turnarounds: list[float] = field(default_factory=list)
+    #: The graphs and machines posted results decode against.
+    decode: DecodeMemo = field(default_factory=DecodeMemo)
     event: threading.Event = field(default_factory=threading.Event)
 
 
@@ -239,7 +247,8 @@ class FabricCoordinator:
         )
         metrics.counter(
             "fabric_results_rejected_total",
-            "Result posts rejected (malformed, duplicate, expired, version)",
+            "Result posts rejected "
+            "(malformed, unverified, duplicate, expired, version)",
             callback=lambda: self._results_rejected,
         )
         metrics.gauge(
@@ -349,10 +358,12 @@ class FabricCoordinator:
         """Handle one ``POST /results`` body.
 
         The whole post is validated **before** anything commits: a
-        corrupt item rejects the post atomically (400) and leaves the
-        sweep untouched.  Committing is first-write-wins per point; the
-        winning write also lands in the shared result cache, so every
-        point is stored exactly once no matter how many leases raced.
+        corrupt item, or one whose schedule fails verification against
+        its point's own graph and machine, rejects the post atomically
+        (400) and leaves the sweep and the cache untouched.  Committing
+        is first-write-wins per point; the winning write also lands in
+        the shared result cache, so every point is stored exactly once
+        no matter how many leases raced.
         """
         doc = validate_results(data)
         now = time.time()
@@ -458,7 +469,13 @@ class FabricCoordinator:
     def _parse_results(
         items: list[dict[str, Any]], lease: _Lease, shard_keys: set[str]
     ) -> list[tuple[str, ScenarioPoint, PointResult, dict[str, Any]]]:
-        """Deserialise and validate every posted item (atomic: all or 400)."""
+        """Deserialise and verify every posted item (atomic: all or 400).
+
+        Each result is decoded against the sweep's own ``(point, loop)``
+        for its key and its schedule verified (see
+        :func:`~repro.runner.engine.checked_result`).
+        """
+        sweep = lease.shard.sweep
         parsed = []
         for i, item in enumerate(items):
             try:
@@ -472,11 +489,9 @@ class FabricCoordinator:
                 raise FabricBadRequest(
                     f"results[{i}]: point is not part of lease {lease.id}"
                 )
+            point, loop = sweep.items[key]
             try:
-                result = PointResult.from_dict(item["result"])
-                # Force-deserialise the embedded schedule so a corrupt
-                # payload is rejected here, not when a reducer reads it.
-                result.loop_result()
+                result = checked_result(item["result"], point, loop, sweep.decode)
             except PAYLOAD_ERRORS as exc:
                 raise FabricBadRequest(
                     f"results[{i}]: corrupt result payload: "

@@ -23,10 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids ir<->arch cycle)
 
 FORMAT_VERSION = 1
 
-#: Graphs decoded so far, for :func:`schedule_from_dict` to share:
-#: ``graph name -> [(graph dict, graph decoded from it), ...]``.
-GraphMemo = dict[str, list[tuple[dict[str, Any], DependenceGraph]]]
-
 
 # ---------------------------------------------------------------------------
 # Dependence graphs
@@ -163,12 +159,29 @@ def config_from_dict(data: dict[str, Any]) -> "MachineConfig":
 
 
 def schedule_to_dict(schedule) -> dict[str, Any]:
-    """Serialise a :class:`~repro.core.schedule.ModuloSchedule`."""
+    """Serialise a :class:`~repro.core.schedule.ModuloSchedule`, graph and
+    machine included (:func:`schedule_body_to_dict` leaves them out)."""
     return {
         "format": FORMAT_VERSION,
         "kind": "schedule",
         "graph": graph_to_dict(schedule.graph),
         "machine": config_to_dict(schedule.config),
+        **schedule_body_to_dict(schedule),
+    }
+
+
+def schedule_from_dict(data: dict[str, Any], catalog: OpCatalog = DEFAULT_CATALOG):
+    """Rebuild a schedule; callers typically re-verify it afterwards."""
+    _check_format(data, "schedule")
+    return schedule_body_from_dict(
+        data, graph_from_dict(data["graph"], catalog), config_from_dict(data["machine"])
+    )
+
+
+def schedule_body_to_dict(schedule) -> dict[str, Any]:
+    """The placements, transfers and II of a schedule, without its graph
+    and machine: for a store whose reader already holds both."""
+    return {
         "ii": schedule.ii,
         "mii": schedule.mii,
         "bus_utilisation": schedule.bus_utilisation,
@@ -203,33 +216,43 @@ def schedule_to_dict(schedule) -> dict[str, Any]:
     }
 
 
-def schedule_from_dict(
-    data: dict[str, Any],
-    catalog: OpCatalog = DEFAULT_CATALOG,
-    graphs: GraphMemo | None = None,
+def schedule_body_from_dict(
+    data: dict[str, Any], graph: DependenceGraph, config: "MachineConfig"
 ):
-    """Rebuild a schedule; callers typically re-verify it afterwards.
+    """Rebuild a :func:`schedule_body_to_dict` body as a schedule of
+    *graph* on *config*.
 
-    With *graphs*, the schedule shares the graph of an earlier call whose
-    embedded graph dict was equal (``==``) to this one, and records the
-    graph it decodes otherwise: schedules of one loop then hold one graph
-    object, decoded and validated once.  Without it the graph is fresh.
+    Raises
+    ------
+    GraphError
+        When II or MII is not a positive integer, or the body does not
+        place every node of *graph* exactly once (a node twice raises
+        :class:`~repro.errors.SchedulingError`).
     """
     from ..core.schedule import Communication, FailureLog, ModuloSchedule, ScheduledOp
 
-    _check_format(data, "schedule")
-    graph = _shared_graph(data["graph"], catalog, {} if graphs is None else graphs)
-    config = config_from_dict(data["machine"])
+    for key in ("ii", "mii"):
+        if type(data[key]) is not int or data[key] < 1:
+            raise GraphError(
+                f"schedule {key} must be a positive integer, got {data[key]!r}"
+            )
     schedule = ModuloSchedule(graph, config, data["ii"], mii=data["mii"])
     schedule.bus_utilisation = data.get("bus_utilisation", 0.0)
     schedule.attempt_failures = [
         FailureLog(**log) for log in data.get("attempt_failures", [])
     ]
     for op in data["operations"]:
+        _check_record(op, "operation")
         schedule.place(
             ScheduledOp(op["node"], op["cycle"], op["cluster"], op["fu_index"])
         )
+    if schedule.ops.keys() != set(graph.node_ids):
+        raise GraphError(
+            f"schedule places nodes {sorted(schedule.ops)}, not the "
+            f"{len(graph)} node(s) of graph {graph.name!r}"
+        )
     for c in data["communications"]:
+        _check_record(c, "communication")
         schedule.add_comm(
             Communication(
                 c["producer"],
@@ -240,21 +263,6 @@ def schedule_from_dict(
             )
         )
     return schedule
-
-
-def _shared_graph(
-    data: dict[str, Any], catalog: OpCatalog, graphs: GraphMemo
-) -> DependenceGraph:
-    """The graph in *graphs* decoded from a dict equal to *data*, else a
-    newly decoded one (recorded in *graphs*)."""
-    _check_format(data, "graph")
-    seen = graphs.setdefault(data["name"], [])
-    for known, graph in seen:
-        if graph.catalog is catalog and known == data:
-            return graph
-    graph = graph_from_dict(data, catalog)
-    seen.append((data, graph))
-    return graph
 
 
 # ---------------------------------------------------------------------------

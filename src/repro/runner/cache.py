@@ -2,7 +2,11 @@
 
 Each executed :class:`~repro.runner.scenario.ScenarioPoint` is stored as
 one small JSON file whose name is
-``sha256(point.canonical() + code_version)``.  Consequences:
+``sha256(point.canonical() + code_version)``.  The file holds the
+:meth:`~repro.runner.scenario.PointResult.to_dict` payload — schedule
+placements and transfers, no graph, no machine — plus the point's
+``canonical()`` text and the code version it was written under, so an
+entry names its own point.  Consequences:
 
 * **resume for free** — an interrupted sweep re-hits every finished
   point on the next run and recomputes only the remainder;
@@ -11,7 +15,12 @@ one small JSON file whose name is
   and across sessions;
 * **invalidation by construction** — the code version participates in
   the key, so bumping it (new release, changed result schema) orphans
-  every stale entry instead of silently serving it.
+  every stale entry instead of silently serving it; an entry whose
+  recorded point or version is not the one probed is a miss too;
+* **decoded against the point** — a hit is decoded against the loop of
+  the probing grid item and the point's machine
+  (:meth:`~repro.runner.scenario.PointResult.from_dict`), never against a
+  graph the entry brought with it.
 
 Writes are atomic (``os.replace`` from a per-*writer* unique temp file
 via :func:`tempfile.mkstemp`), so concurrent writers — worker processes,
@@ -37,8 +46,14 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..ir.serialize import GraphMemo
-from .scenario import PAYLOAD_ERRORS, RESULT_FORMAT, PointResult, ScenarioPoint
+from ..ir.loop import Loop
+from .scenario import (
+    PAYLOAD_ERRORS,
+    RESULT_FORMAT,
+    DecodeMemo,
+    PointResult,
+    ScenarioPoint,
+)
 
 #: Environment variable overriding the default cache root.
 CACHE_ENV_VAR = "REPRO_VLIW_CACHE"
@@ -189,20 +204,25 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def get(
-        self, point: ScenarioPoint, graphs: GraphMemo | None = None
+        self, point: ScenarioPoint, loop: Loop, memo: DecodeMemo | None = None
     ) -> PointResult | None:
-        """The cached result for *point*, or ``None`` on a miss.
+        """The cached result for *point* run on *loop*, or ``None`` on a miss.
 
-        The entry's schedule is materialised here (see
-        :meth:`PointResult.loop_result`, which *graphs* is passed to), so
-        corrupt, truncated or version-mismatched entries, and entries
-        whose schedule does not decode, count as misses (and will be
-        overwritten by the next :meth:`put`).
+        The entry is decoded here against *loop* and the point's machine
+        (built by *memo*, see :meth:`PointResult.from_dict`), so corrupt,
+        truncated or version-mismatched entries, entries recorded under
+        another point or code version, and entries whose schedule does
+        not decode count as misses (and will be overwritten by the next
+        :meth:`put`).
         """
         path = self.path_for(point)
         try:
-            result = PointResult.from_dict(json.loads(path.read_text()))
-            result.loop_result(graphs)
+            entry = json.loads(path.read_text())
+            if not isinstance(entry, dict) or (
+                entry.get("point"), entry.get("code_version")
+            ) != (point.canonical(), self.code_version):
+                raise ValueError("entry recorded under another point or version")
+            result = PointResult.from_dict(entry, point, loop, memo)
         except (OSError, *PAYLOAD_ERRORS):
             self.misses += 1
             return None
@@ -212,6 +232,9 @@ class ResultCache:
     def put(self, point: ScenarioPoint, result: PointResult) -> Path:
         """Persist *result* for *point* atomically; returns the path.
 
+        The entry records the point's ``canonical()`` text and this
+        cache's code version beside the result.
+
         The temp name must be unique per *writer*, not per process: the
         service executes batches on handler threads, so a pid-suffixed
         temp file would let two threads interleave writes and publish a
@@ -220,7 +243,10 @@ class ResultCache:
         """
         path = self.path_for(point)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(result.to_dict(), sort_keys=True)
+        entry = result.to_dict()
+        entry["point"] = point.canonical()
+        entry["code_version"] = self.code_version
+        payload = json.dumps(entry, sort_keys=True, separators=(",", ":"))
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=path.stem[:8], suffix=".tmp"
         )

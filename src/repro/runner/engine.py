@@ -54,16 +54,17 @@ from ..core.selective import (
 )
 from ..core.twophase import TwoPhaseScheduler
 from ..core.unified import UnifiedScheduler
+from ..core.verify import verify_schedule
 from ..errors import SchedulingError
 from ..ir.ddg import DependenceGraph
 from ..ir.loop import Loop
-from ..ir.serialize import GraphMemo, loop_from_dict, loop_to_dict
+from ..ir.serialize import loop_from_dict, loop_to_dict
 from ..obs.report import RunRecorder
 from ..obs.trace import TRACER
 from ..sim.crosscheck import crosscheck_loop
 from ..sim.memory import MemoryModel, RandomMissMemory
 from .cache import ResultCache
-from .scenario import GridItem, PointResult, ScenarioPoint, SimOutcome
+from .scenario import DecodeMemo, GridItem, PointResult, ScenarioPoint, SimOutcome
 
 #: Scheduler factory signature: config -> scheduler.
 SchedulerFactory = Callable[[MachineConfig], SchedulerBase]
@@ -232,6 +233,27 @@ def store_result(
             )
 
 
+def checked_result(
+    payload: dict[str, Any], point: ScenarioPoint, loop: Loop, memo: DecodeMemo
+) -> PointResult:
+    """Decode a result that crossed a process boundary and verify it.
+
+    The payload is decoded against *point*'s own graph and machine
+    (:meth:`PointResult.from_dict`), then its schedule is re-checked by
+    :func:`~repro.core.verify.verify_schedule`: a pool worker's return
+    or a fabric worker's post is believed only once it passes both.
+
+    Raises
+    ------
+    PAYLOAD_ERRORS
+        When the payload does not decode, or its schedule fails
+        verification (:class:`~repro.errors.VerificationError`).
+    """
+    result = PointResult.from_dict(payload, point, loop, memo)
+    verify_schedule(result.loop_result().schedule)
+    return result
+
+
 def _execute_and_store(
     point: ScenarioPoint,
     loop: Loop,
@@ -331,23 +353,23 @@ def _run_batch(
     points = [ScenarioPoint(**item["point"]) for item in batch]
     out: list[Any] = [None] * len(batch)
     memos = {} if memos is None else memos
+    priors = DecodeMemo()
     with TRACER.adopt(trace_carrier):
         for family in _families(points):
             memo = memos.setdefault(_family(points[family[0]]), ScheduleMemo())
             for i in family:
                 point, item = points[i], batch[i]
+                loop = loop_from_dict(item["loop"])
                 prior, prior_fallback = None, False
                 if item.get("prior") is not None:
-                    prior_result = PointResult.from_dict(item["prior"])
+                    # The twin shares the point's graph hash and machine.
+                    prior_result = PointResult.from_dict(
+                        item["prior"], point, loop, priors
+                    )
                     prior = prior_result.loop_result()
                     prior_fallback = prior_result.fallback
                 result, meta = _execute_and_store(
-                    point,
-                    loop_from_dict(item["loop"]),
-                    cache,
-                    prior,
-                    prior_fallback,
-                    memo,
+                    point, loop, cache, prior, prior_fallback, memo
                 )
                 if TRACER.enabled:
                     meta["spans"] = [span.to_dict() for span in TRACER.drain()]
@@ -414,7 +436,9 @@ def execute_points(
 
     Either way the points of one family (see :func:`_families`) run
     together and share one :class:`~repro.core.selective.ScheduleMemo`,
-    dropped when the family is done.
+    dropped when the family is done.  A pooled result is decoded against
+    its own ``(point, loop)`` and verified on return
+    (:func:`checked_result`); one that fails raises.
 
     Parameters
     ----------
@@ -443,6 +467,12 @@ def execute_points(
         order (and *meta_out* filled in that order).  Deterministic in
         content (scheduling is deterministic per point) regardless of
         strategy.
+
+    Raises
+    ------
+    PAYLOAD_ERRORS
+        When a pool worker returns a result that does not decode or
+        fails verification (the worker has already stored it).
     """
     results: dict[str, PointResult] = {}
     if not misses:
@@ -470,6 +500,8 @@ def execute_points(
         code_version = cache.code_version if cache is not None else None
         owned = make_worker_pool(len(shards)) if pool is None else nullcontext(pool)
         carrier = TRACER.carrier()
+        items = dict(misses)
+        memo = DecodeMemo()
         with owned as executor:
             futures = [
                 executor.submit(_run_batch, batch, cache_root, code_version, carrier)
@@ -479,7 +511,7 @@ def execute_points(
                 for key, payload, meta in future.result():
                     for span in meta.pop("spans", []):
                         TRACER.record(span)
-                    done[key] = PointResult.from_dict(payload), meta
+                    done[key] = checked_result(payload, *items[key], memo), meta
     for key, _item in misses:
         results[key], meta_out[key] = done[key]
     return results
@@ -549,8 +581,9 @@ def run_sweep(
         in-process (no pool, easier debugging, identical results).
     cache:
         Shared on-disk cache; ``None`` disables persistence.  The entries
-        one call serves are materialised as they are probed, sharing one
-        decoded graph per distinct embedded graph.
+        one call serves are decoded as they are probed, against their
+        grid item's loop and machine, each unrolled graph and machine
+        built once per call (one :class:`DecodeMemo`).
     fresh:
         Ignore cached entries (results are still written back).
     prior_lookup:
@@ -590,14 +623,16 @@ def run_sweep(
 
     results: dict[str, PointResult] = {}
     stats = SweepStats(total=len(unique), jobs=max(1, jobs))
-    graphs: GraphMemo = {}
+    memo = DecodeMemo()
 
     ctx = TRACER.current_context()
     trace_id = ctx.trace_id if ctx is not None else None
 
     misses: list[tuple[str, GridItem]] = []
     for key, (point, loop) in unique.items():
-        cached = cache.get(point, graphs) if (cache is not None and not fresh) else None
+        cached = (
+            cache.get(point, loop, memo) if (cache is not None and not fresh) else None
+        )
         if cached is not None:
             results[key] = cached
             stats.cached += 1
@@ -619,7 +654,7 @@ def run_sweep(
             if known is not None:
                 return known
         if cache is not None and not fresh:
-            cached_twin = cache.get(twin, graphs)
+            cached_twin = cache.get(twin, unique[point.canonical()][1], memo)
             if cached_twin is not None:
                 return cached_twin.loop_result(), cached_twin.fallback
         return None, False

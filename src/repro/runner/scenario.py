@@ -8,10 +8,14 @@ canonical JSON, numbers), so they are hashable, picklable, and stable
 across processes; :meth:`ScenarioPoint.canonical` is the content-address
 used by both the in-process memo and the on-disk cache.
 
-A :class:`PointResult` is the JSON-serialisable outcome: the full
-schedule (via :mod:`repro.ir.serialize`), the transformation that
-produced it, and — for simulated points — the analytic-vs-simulated
-cycle and IPC comparison.  Everything any figure reducer needs can be
+A :class:`PointResult` is the JSON-serialisable outcome: the schedule's
+placements and transfers (:func:`~repro.ir.serialize.schedule_body_to_dict`),
+the transformation that produced it, and — for simulated points — the
+analytic-vs-simulated cycle and IPC comparison.  Its payload carries no
+graph and no machine: both follow from the point and the loop it was
+run on, so a payload decodes only against its ``(point, loop)``
+(:meth:`PointResult.from_dict`, with a :class:`DecodeMemo` shared by the
+results of one sweep).  Everything any figure reducer needs can be
 recovered from it, which is what lets repeated sweeps skip scheduling
 entirely.
 """
@@ -23,17 +27,21 @@ import json
 from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Any
 
-from ..core.selective import ScheduledLoopResult, SelectiveRule, UnrollPolicy
+from ..core.selective import (
+    ScheduledLoopResult,
+    ScheduleMemo,
+    SelectiveRule,
+    UnrollPolicy,
+)
 from ..errors import ReproError
 from ..ir.ddg import DependenceGraph
 from ..ir.loop import Loop
 from ..ir.serialize import (
-    GraphMemo,
     config_from_dict,
     config_to_dict,
     graph_to_dict,
-    schedule_from_dict,
-    schedule_to_dict,
+    schedule_body_from_dict,
+    schedule_body_to_dict,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,12 +49,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version of the :class:`PointResult` payload layout.  Bumping it
 #: invalidates every cache entry (it feeds the default code version).
-RESULT_FORMAT = 1
+RESULT_FORMAT = 2
 
 #: What decoding a malformed :class:`PointResult` payload raises: a bad
 #: layout (``KeyError``, ``TypeError``, ``ValueError``) or a library error
-#: while rebuilding its schedule (a zero-distance cycle, an unknown
-#: format, an invalid machine, a node placed twice).
+#: while rebuilding its schedule (a node placed twice, a node set that is
+#: not the graph's, a schedule that fails verification).
 PAYLOAD_ERRORS = (ReproError, KeyError, TypeError, ValueError)
 
 
@@ -289,8 +297,9 @@ class PointResult:
     Attributes
     ----------
     schedule:
-        ``schedule_to_dict`` payload of the emitted modulo schedule
-        (of the unrolled graph when the policy unrolled).
+        :func:`~repro.ir.serialize.schedule_body_to_dict` payload of the
+        emitted modulo schedule (of the unrolled graph when the policy
+        unrolled); the graph and machine are the point's.
     unroll_factor:
         How many source iterations one kernel iteration retires.
     policy:
@@ -320,13 +329,27 @@ class PointResult:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PointResult":
-        """Rebuild from :meth:`to_dict` output.
+    def from_dict(
+        cls,
+        data: dict[str, Any],
+        point: ScenarioPoint,
+        loop: Loop,
+        memo: DecodeMemo | None = None,
+    ) -> "PointResult":
+        """Rebuild a :meth:`to_dict` payload of *point* run on *loop*.
+
+        The schedule is decoded here, against ``loop.graph`` unrolled by
+        the payload's factor and the point's machine, both built by
+        *memo* (a private one when not given); only the point's graph
+        hash and machine are read, so a simulated point's schedule-only
+        twin decodes the same way.
 
         Raises
         ------
-        KeyError / ValueError
-            On malformed payloads (the cache treats those as misses).
+        PAYLOAD_ERRORS
+            On a malformed payload, an unroll factor no policy emits on
+            the point's machine (1 or its cluster count), or a schedule
+            that does not place exactly the graph's nodes.
         """
         if not isinstance(data, dict):
             raise ValueError(f"point result is a {type(data).__name__}, not a dict")
@@ -334,39 +357,45 @@ class PointResult:
             raise ValueError(
                 f"unsupported point-result format {data.get('format')!r}"
             )
+        memo = DecodeMemo() if memo is None else memo
+        config = memo.machine(point)
+        factor = data["unroll_factor"]
+        if type(factor) is not int or factor not in (1, config.n_clusters):
+            raise ValueError(
+                f"unroll factor {factor!r} on a {config.n_clusters}-cluster machine"
+            )
+        schedule = schedule_body_from_dict(
+            data["schedule"], memo.graph(point, loop, factor), config
+        )
         sim = data.get("sim")
-        return cls(
+        result = cls(
             schedule=data["schedule"],
-            unroll_factor=data["unroll_factor"],
+            unroll_factor=factor,
             policy=data["policy"],
             fallback=data["fallback"],
             sim=SimOutcome.from_dict(sim) if sim else None,
         )
+        decoded = ScheduledLoopResult(schedule, factor, UnrollPolicy(result.policy))
+        object.__setattr__(result, "_loop_result", decoded)
+        return result
 
-    def loop_result(self, graphs: GraphMemo | None = None) -> ScheduledLoopResult:
-        """Materialise the :class:`ScheduledLoopResult`.
-
-        The schedule is deserialised on first use (unless the result
-        was built from a live one) and memoised on this (frozen) result,
-        so every later caller shares it; do not mutate it.  *graphs*
-        lets that first decode share its graph with other results (see
-        :func:`~repro.ir.serialize.schedule_from_dict`).
+    def loop_result(self) -> ScheduledLoopResult:
+        """The :class:`ScheduledLoopResult`, decoded by :meth:`from_dict`
+        or live from :meth:`from_loop_result`; do not mutate it.
 
         Raises
         ------
-        PAYLOAD_ERRORS
-            When the embedded schedule is malformed.
+        ValueError
+            For a result built by the constructor, which holds only the
+            payload.
         """
         try:
             return self.__dict__["_loop_result"]
         except KeyError:
-            pass
-        sched = schedule_from_dict(self.schedule, graphs=graphs)
-        result = ScheduledLoopResult(
-            sched, self.unroll_factor, UnrollPolicy(self.policy)
-        )
-        object.__setattr__(self, "_loop_result", result)
-        return result
+            raise ValueError(
+                "this point result holds no schedule; build it with "
+                "PointResult.from_dict or PointResult.from_loop_result"
+            ) from None
 
     @classmethod
     def from_loop_result(
@@ -379,11 +408,10 @@ class PointResult:
         """Wrap a live :class:`ScheduledLoopResult` for caching.
 
         :meth:`loop_result` then returns the live schedule, with no
-        ``base_schedule`` (which is what a decode yields), instead of
-        decoding the payload back.
+        ``base_schedule`` (which is what a decode yields).
         """
         point_result = cls(
-            schedule=schedule_to_dict(result.schedule),
+            schedule=schedule_body_to_dict(result.schedule),
             unroll_factor=result.unroll_factor,
             policy=result.policy.value,
             fallback=fallback,
@@ -397,3 +425,35 @@ class PointResult:
 #: One entry of a declared grid: the work unit plus the live loop whose
 #: graph the worker will schedule.  Grids are lists of these.
 GridItem = tuple[ScenarioPoint, Loop]
+
+
+class DecodeMemo:
+    """The graphs and machines that stored results decode against.
+
+    Every unrolling policy emits a schedule of the loop as written or of
+    the loop unrolled by the cluster count, on the point's machine, so a
+    result needs nothing the ``(point, loop)`` pair of its grid item does
+    not already hold.  One memo builds each unrolled graph (keyed by the
+    point's graph hash, see :meth:`ScheduleMemo.graph`) and each machine
+    once, however many results read them; :func:`~repro.runner.engine.run_sweep`
+    and each fabric sweep keep one.
+    """
+
+    def __init__(self) -> None:
+        self._graphs: dict[str, ScheduleMemo] = {}
+        self._machines: dict[str, MachineConfig] = {}
+
+    def graph(self, point: ScenarioPoint, loop: Loop, factor: int) -> DependenceGraph:
+        """``loop.graph`` (whose hash is ``point.graph_hash``) unrolled by
+        *factor*; ``loop.graph`` itself for factor 1."""
+        memo = self._graphs.get(point.graph_hash)
+        if memo is None:
+            memo = self._graphs[point.graph_hash] = ScheduleMemo()
+        return memo.graph(loop.graph, factor)
+
+    def machine(self, point: ScenarioPoint) -> "MachineConfig":
+        """The machine configuration *point* targets."""
+        config = self._machines.get(point.machine)
+        if config is None:
+            config = self._machines[point.machine] = point.config()
+        return config

@@ -58,6 +58,7 @@ from ..runner.engine import (
 from ..runner.grids import GRIDS
 from ..ir.frontend import parse_program
 from ..ir.loop import Loop
+from ..ir.serialize import schedule_to_dict
 from ..runner.scenario import (
     GridItem,
     PointResult,
@@ -331,7 +332,7 @@ def result_payload(point: ScenarioPoint, result: PointResult) -> dict[str, Any]:
         "policy": result.policy,
         "fallback": result.fallback,
         "rendered": f"{sched.describe()}\n\n{render_schedule(sched)}",
-        "schedule": result.schedule,
+        "schedule": schedule_to_dict(sched),
         "sim": result.sim.to_dict() if result.sim is not None else None,
     }
     return payload

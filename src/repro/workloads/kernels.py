@@ -117,6 +117,7 @@ register_workload(
     "fir",
     tags=("parametric",),
     params={"taps": 4},
+    ranges={"taps": (1, None)},
     description="Parametric FIR filter family; instance names like fir(taps=8).",
 )(fir_filter)
 

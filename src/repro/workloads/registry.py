@@ -77,7 +77,11 @@ class WorkloadSpec:
         catalogue, ``"parametric"`` the instantiable families, ...
     params:
         Declared keyword parameters and their defaults; only these keys
-        are accepted by the ``name(key=value, ...)`` instance syntax.
+        are accepted by the ``name(key=value, ...)`` instance syntax, and
+        only with a value of the default's type.
+    ranges:
+        Inclusive ``(low, high)`` bounds (``None`` for open) of numeric
+        parameters, checked before the factory runs.
     kind:
         ``"graph"`` (a single loop body) or ``"program"`` (a multi-loop
         program, e.g. the SPECfp95 builders).
@@ -91,6 +95,7 @@ class WorkloadSpec:
     aliases: tuple[str, ...] = ()
     tags: tuple[str, ...] = ()
     params: dict[str, Any] = field(default_factory=dict)
+    ranges: dict[str, tuple[Any, Any]] = field(default_factory=dict)
     kind: str = "graph"
     description: str = ""
 
@@ -125,19 +130,26 @@ def register_workload(
     aliases: tuple[str, ...] = (),
     tags: tuple[str, ...] = (),
     params: dict[str, Any] | None = None,
+    ranges: dict[str, tuple[Any, Any]] | None = None,
     kind: str = "graph",
     description: str | None = None,
 ):
     """Decorator registering a workload factory under *name*.
 
-    Raises :class:`WorkloadError` immediately on a duplicate name or an
-    alias colliding with any registered name or alias — a misbehaving
-    plugin fails at import time rather than shadowing a catalogue entry.
+    Raises :class:`WorkloadError` immediately on a duplicate name, an
+    alias colliding with any registered name or alias, or a range for an
+    undeclared parameter — a misbehaving plugin fails at import time
+    rather than shadowing a catalogue entry.
     """
     if kind not in ("graph", "program"):
         raise WorkloadError(
             f"workload {name!r}: kind must be 'graph' or 'program', "
             f"got {kind!r}"
+        )
+    undeclared = sorted(set(ranges or {}) - set(params or {}))
+    if undeclared:
+        raise WorkloadError(
+            f"workload {name!r}: ranges for undeclared parameter(s) {undeclared}"
         )
 
     def decorator(factory):
@@ -160,6 +172,7 @@ def register_workload(
             aliases=tuple(aliases),
             tags=tuple(tags),
             params=dict(params or {}),
+            ranges=dict(ranges or {}),
             kind=kind,
             description=doc,
         )
@@ -318,7 +331,9 @@ def resolve_workload(
     (explicit overrides only, sorted by key), so distinct
     parametrisations are distinct — and because factories name their
     graphs after the parameters, their graphs content-hash distinctly in
-    the result cache too.
+    the result cache too.  Each override must have its default's type
+    (``bool`` is not ``int``) and lie in the workload's declared range;
+    the factory never sees one that does not.
     """
     base, overrides = _parse_instance(spec_text)
     spec = workload(base)
@@ -332,6 +347,8 @@ def resolve_workload(
             f"workload {base!r} accepts no parameter(s) {unknown}; "
             f"declared: {sorted(spec.params)}"
         )
+    for key, value in overrides.items():
+        _check_override(spec, key, value)
     if not overrides:
         return spec.name, spec.factory
     canonical = "{}({})".format(
@@ -339,6 +356,24 @@ def resolve_workload(
         ",".join(f"{key}={overrides[key]}" for key in sorted(overrides)),
     )
     return canonical, functools.partial(spec.factory, **overrides)
+
+
+def _check_override(spec: WorkloadSpec, key: str, value: Any) -> None:
+    """Raise :class:`WorkloadError` unless *value* may replace the
+    default of parameter *key* of *spec*."""
+    default = spec.params[key]
+    if type(value) is not type(default):
+        raise WorkloadError(
+            f"workload {spec.name!r} parameter {key!r} takes "
+            f"{type(default).__name__} values, got {value!r}"
+        )
+    low, high = spec.ranges.get(key, (None, None))
+    if (low is not None and value < low) or (high is not None and value > high):
+        raise WorkloadError(
+            f"workload {spec.name!r} parameter {key!r} must lie in "
+            f"[{'-inf' if low is None else low}, {'inf' if high is None else high}], "
+            f"got {value!r}"
+        )
 
 
 def workloads(

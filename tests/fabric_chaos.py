@@ -13,7 +13,8 @@ that misbehaves on purpose, one failure mode per knob:
 * ``corrupt=fn`` — post ``fn(results)`` instead of the honest payload
   (the coordinator must reject the whole post with 400 and commit
   nothing); ``corrupt_recover=True`` follows up with the honest post, so
-  the sweep still completes through this worker.
+  the sweep still completes through this worker.  ``corrupt=swap_cycles``
+  is the lying worker: a well-formed post whose schedules are wrong.
 
 Every injected failure and every server rejection is counted in
 :attr:`ChaosWorker.chaos`, so property tests can assert both sides: the
@@ -28,6 +29,7 @@ assertions deterministic.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -38,6 +40,18 @@ from repro.fabric.protocol import PROTOCOL_VERSION, FabricGone
 from repro.fabric.worker import FabricWorker, WorkerStats
 from repro.runner.engine import _run_batch
 from repro.service.client import ClientError
+
+
+def swap_cycles(results: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """A lying worker's post: every result well-formed, but in each
+    schedule the earliest and the latest operation trade cycles."""
+    lied = json.loads(json.dumps(results))
+    for item in lied:
+        ops = item["result"]["schedule"]["operations"]
+        first = min(ops, key=lambda op: op["cycle"])
+        last = max(ops, key=lambda op: op["cycle"])
+        first["cycle"], last["cycle"] = last["cycle"], first["cycle"]
+    return lied
 
 
 @dataclass

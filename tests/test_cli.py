@@ -4,6 +4,17 @@ import pytest
 
 from repro.cli import main
 
+#: Workload overrides the registry rejects (a type or range its default
+#: does not allow); each must be a one-line error, never a traceback.
+BAD_FIR_OVERRIDES = (
+    "fir(taps=0)",
+    "fir(taps=-1)",
+    "fir(taps=x)",
+    "fir(taps=1.5)",
+    "fir(taps=True)",
+    "fir(taps=[1])",
+)
+
 
 class TestCliTables:
     def test_table1(self, capsys):
@@ -152,6 +163,14 @@ class TestCliSchedule:
     def test_unknown_kernel_exits(self):
         with pytest.raises(SystemExit):
             main(["schedule", "nonsense"])
+
+    @pytest.mark.parametrize("kernel", BAD_FIR_OVERRIDES)
+    def test_bad_workload_override_is_a_one_line_error(self, kernel):
+        with pytest.raises(SystemExit) as err:
+            main(["schedule", kernel, "--clusters", "2"])
+        message = str(err.value)
+        assert "\n" not in message
+        assert message.startswith("workload 'fir' parameter 'taps'")
 
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):

@@ -30,7 +30,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 import pytest
-from fabric_chaos import ChaosWorker, drain, spawn
+from fabric_chaos import ChaosWorker, drain, spawn, swap_cycles
 
 from repro.arch.configs import clustered_config
 from repro.cli import main
@@ -452,25 +452,32 @@ class TestCoordinator:
                     results_body("w1", doc["lease"], CODE_VERSION, malformed)
                 )
 
-            # A reverse memory edge closes a zero-distance cycle in the
-            # embedded graph: the schedule does not decode (GraphError).
-            cyclic = [dict(item) for item in honest]
-            result = json.loads(json.dumps(cyclic[0]["result"]))
-            deps = result["schedule"]["graph"]["dependences"]
-            dep = next(d for d in deps if d["distance"] == 0)
-            deps.append(
-                dict(dep, src=dep["dst"], dst=dep["src"], latency=1, kind="mem")
-            )
-            cyclic[0] = dict(cyclic[0], result=result)
+            # A post carries no graph; a schedule that places a node the
+            # point's own graph does not have does not decode (GraphError).
+            alien = [dict(item) for item in honest]
+            result = json.loads(json.dumps(alien[0]["result"]))
+            ops = result["schedule"]["operations"]
+            ops[-1]["node"] = max(op["node"] for op in ops) + 1
+            alien[0] = dict(alien[0], result=result)
             with pytest.raises(FabricBadRequest, match="GraphError"):
                 coordinator.submit_results(
-                    results_body("w1", doc["lease"], CODE_VERSION, cyclic)
+                    results_body("w1", doc["lease"], CODE_VERSION, alien)
+                )
+
+            # Nor does a schedule whose II is not a positive integer.
+            zero_ii = [dict(item) for item in honest]
+            result = json.loads(json.dumps(zero_ii[0]["result"]))
+            result["schedule"]["ii"] = 0
+            zero_ii[0] = dict(zero_ii[0], result=result)
+            with pytest.raises(FabricBadRequest, match="GraphError"):
+                coordinator.submit_results(
+                    results_body("w1", doc["lease"], CODE_VERSION, zero_ii)
                 )
 
             # An operation that is not an object does not decode either.
             shapeless = [dict(item) for item in honest]
             result = json.loads(json.dumps(shapeless[0]["result"]))
-            result["schedule"]["graph"]["operations"] = ["x"]
+            result["schedule"]["operations"] = ["x"]
             shapeless[0] = dict(shapeless[0], result=result)
             with pytest.raises(FabricBadRequest, match="GraphError"):
                 coordinator.submit_results(
@@ -488,8 +495,32 @@ class TestCoordinator:
             assert reply["accepted"] == len(misses)
         assert box["finished"] and "error" not in box
         assert as_docs(box["results"]) == reference_docs(misses)
-        assert coordinator.stats()["counters"]["results_rejected"] == 4
+        assert coordinator.stats()["counters"]["results_rejected"] == 5
         assert coordinator.cache.writes == len(misses)
+
+    def test_lying_post_is_rejected_and_never_cached(self, tmp_path):
+        """Well-formed results with two ops' cycles swapped fail
+        verification against the point's own graph: a 400, counted, and
+        nothing of the post lands."""
+        coordinator = make_coordinator(tmp_path, shard_size=99)
+        misses = make_misses(kernels=("daxpy", "dot"))
+        with fabric_sweep(coordinator, misses) as box:
+            doc = coordinator.claim(claim_body("w1", CODE_VERSION))
+            honest = execute_items(doc["shard"], doc.get("trace"))
+            lying = honest[:-1] + swap_cycles(honest[-1:])
+            with pytest.raises(FabricBadRequest, match="VerificationError"):
+                coordinator.submit_results(
+                    results_body("w1", doc["lease"], CODE_VERSION, lying)
+                )
+            counters = coordinator.stats()["counters"]
+            assert counters["results_rejected"] == 1
+            assert counters["points_completed"] == 0
+            assert coordinator.cache.writes == 0
+            coordinator.submit_results(
+                results_body("w1", doc["lease"], CODE_VERSION, honest)
+            )
+        assert box["finished"] and "error" not in box
+        assert as_docs(box["results"]) == reference_docs(misses)
 
     def test_claim_with_wrong_code_version_conflicts(self, tmp_path):
         coordinator = make_coordinator(tmp_path)
@@ -840,6 +871,32 @@ class TestChaosE2E:
         assert counters["points_completed"] == len(misses)
         assert counters["results_rejected"] == 2
         assert svc.cache.writes == len(misses)
+
+    def test_lying_worker_rejected_then_recovered(self, fabric_env):
+        svc, srv, _client = fabric_env(shard_size=2)
+        misses = make_misses(kernels=("daxpy", "dot"))  # 2 shards
+        with fabric_sweep(svc.fabric, misses) as box:
+            liar = spawn(
+                ChaosWorker(
+                    srv.url,
+                    worker_id="liar",
+                    code_version=svc.fabric.code_version,
+                    corrupt=swap_cycles,
+                    corrupt_recover=True,
+                    idle_exit_s=1.0,
+                    poll_s=0.02,
+                )
+            )
+            liar.join()
+        assert box["finished"] and "error" not in box
+        assert liar.error is None
+        assert liar.worker.chaos.rejections == [400, 400]
+        assert as_docs(box["results"]) == reference_docs(misses)
+        assert svc.cache.writes == len(misses)
+        with urllib.request.urlopen(f"{srv.url}/metrics", timeout=10) as resp:
+            families = parse_metrics(resp.read().decode())
+        (rejected,) = families["fabric_results_rejected_total"].samples
+        assert rejected.value == 2
 
     def test_menagerie_converges_byte_identical(self, fabric_env):
         """Every failure mode at once; the sweep must still converge."""

@@ -31,6 +31,18 @@ from repro.workloads import (
 )
 from repro.workloads.kernels import ALL_KERNELS, daxpy
 
+#: Overrides that must fail in ``resolve_workload``, before any factory
+#: runs, and the message each one gets.
+BAD_FIR_OVERRIDES = {
+    "fir(taps=0)": r"must lie in \[1, inf\], got 0",
+    "fir(taps=-1)": r"must lie in \[1, inf\], got -1",
+    "fir(taps=x)": r"takes int values, got 'x'",
+    "fir(taps=1.5)": r"takes int values, got 1.5",
+    "fir(taps=True)": r"takes int values, got 'True'",
+    "fir(taps=[1])": r"takes int values, got '\[1\]'",
+    "fir(taps=)": r"takes int values, got ''",
+}
+
 
 @pytest.fixture()
 def scratch_workload():
@@ -106,6 +118,29 @@ class TestErrorErgonomics:
         with pytest.raises(WorkloadError, match="taps"):
             resolve_workload("fir(width=8)")
 
+    @pytest.mark.parametrize("spec_text", sorted(BAD_FIR_OVERRIDES))
+    def test_bad_override_is_rejected_before_the_factory(self, spec_text):
+        with pytest.raises(WorkloadError, match=BAD_FIR_OVERRIDES[spec_text]):
+            resolve_workload(spec_text)
+        with pytest.raises(WorkloadError, match="parameter 'taps'"):
+            resolve_kernel(spec_text)
+
+    def test_override_of_a_float_default_must_be_a_float(self, scratch_workload):
+        scratch_workload(
+            "zz-scaled", params={"scale": 1.0}, ranges={"scale": (0.5, 2.0)}
+        )
+        assert resolve_workload("zz-scaled(scale=2.0)")[0] == "zz-scaled(scale=2.0)"
+        with pytest.raises(WorkloadError, match="takes float values, got 2"):
+            resolve_workload("zz-scaled(scale=2)")
+        with pytest.raises(WorkloadError, match=r"must lie in \[0.5, 2.0\]"):
+            resolve_workload("zz-scaled(scale=2.5)")
+
+    def test_range_of_an_undeclared_parameter_rejected_at_register_time(
+        self, scratch_workload
+    ):
+        with pytest.raises(WorkloadError, match="undeclared parameter"):
+            scratch_workload("zz-ranged", params={"n": 1}, ranges={"m": (1, None)})
+
 
 class TestParametrizedInstances:
     def test_canonical_instance_name_and_graph(self):
@@ -132,8 +167,8 @@ class TestParametrizedInstances:
         for key, result in results.items():
             point = next(p for p, _l in points if p.canonical() == key)
             cache.put(point, result)
-        for point, _loop in points:
-            assert cache.get(point) is not None
+        for point, loop in points:
+            assert cache.get(point, loop) is not None
 
     def test_instance_equals_direct_factory_call(self):
         from repro.workloads.kernels import fir_filter

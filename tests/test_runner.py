@@ -18,11 +18,12 @@ import multiprocessing
 import pickle
 import threading
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import asdict
 from functools import partial
 
 import pytest
+from fabric_chaos import swap_cycles
 
 from repro.arch.configs import (
     clustered_config,
@@ -34,7 +35,7 @@ from repro.core.base import SchedulerBase
 from repro.core.bsa import BsaScheduler
 from repro.core.selective import SelectiveRule, UnrollPolicy
 from repro.core.unified import UnifiedScheduler
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, VerificationError
 from repro.ir.ddg import DepKind
 from repro.experiments import (
     ExperimentContext,
@@ -89,15 +90,16 @@ def _hammer_cache(root, code_version, payload, rounds):
     from repro.runner.scenario import ScenarioPoint
 
     cache = ResultCache(root, code_version=code_version)
-    pairs = [
-        (ScenarioPoint(**point_doc), PointResult.from_dict(result_doc))
-        for point_doc, result_doc in payload
-    ]
+    loop = kernel_loop("daxpy")
+    pairs = []
+    for point_doc, result_doc in payload:
+        point = ScenarioPoint(**point_doc)
+        pairs.append((point, PointResult.from_dict(result_doc, point, loop)))
     failures = 0
     for _ in range(rounds):
         for point, result in pairs:
             cache.put(point, result)
-            if cache.get(point) is None:
+            if cache.get(point, loop) is None:
                 failures += 1
     return failures
 
@@ -143,19 +145,22 @@ class TestScenarioPoint:
         loop = kernel_loop("daxpy")
         point = scenario_for(loop, two_cluster_config(), "bsa", UnrollPolicy.NONE)
         result = execute_point(point, loop)
-        back = PointResult.from_dict(json.loads(json.dumps(result.to_dict())))
+        back = PointResult.from_dict(
+            json.loads(json.dumps(result.to_dict())), point, loop
+        )
         assert back.loop_result().ii == result.loop_result().ii
         assert back.unroll_factor == result.unroll_factor
+        assert back.loop_result().schedule.graph is loop.graph
 
 
 class TestResultCache:
     def test_miss_then_hit(self, cache):
         loop = kernel_loop("daxpy")
         point = scenario_for(loop, two_cluster_config(), "bsa", UnrollPolicy.NONE)
-        assert cache.get(point) is None
+        assert cache.get(point, loop) is None
         result = execute_point(point, loop)
         cache.put(point, result)
-        again = cache.get(point)
+        again = cache.get(point, loop)
         assert again is not None
         assert again.loop_result().ii == result.loop_result().ii
         assert cache.stats().entries == 1
@@ -168,13 +173,13 @@ class TestResultCache:
         point = scenario_for(loop, two_cluster_config(), "bsa", UnrollPolicy.NONE)
         v1 = ResultCache(tmp_path / "c", code_version="v1")
         v1.put(point, execute_point(point, loop))
-        assert v1.get(point) is not None
+        assert v1.get(point, loop) is not None
         v2 = ResultCache(tmp_path / "c", code_version="v2")
-        assert v2.get(point) is None
+        assert v2.get(point, loop) is None
         # the old entry is still on disk (clear wipes all versions)
         assert v2.stats().entries == 1
         assert v2.clear() == 1
-        assert ResultCache(tmp_path / "c", code_version="v1").get(point) is None
+        assert ResultCache(tmp_path / "c", code_version="v1").get(point, loop) is None
 
     def test_default_code_version_tracks_source_content(self, monkeypatch):
         """Any scheduler edit invalidates the cache, version bump or not.
@@ -213,7 +218,7 @@ class TestResultCache:
         point = scenario_for(loop, two_cluster_config(), "bsa", UnrollPolicy.NONE)
         cache.put(point, execute_point(point, loop))
         cache.path_for(point).write_text("{not json")
-        assert cache.get(point) is None
+        assert cache.get(point, loop) is None
 
     def test_concurrent_writers_never_tear_entries(self, tmp_path):
         """Handler threads and worker processes hammering the same keys.
@@ -260,7 +265,11 @@ class TestResultCache:
         assert check.stats().entries == len(points)
         for point, result in results.items():
             data = json.loads(check.path_for(point).read_text())
-            assert data == result.to_dict()
+            assert data == {
+                **result.to_dict(),
+                "point": point.canonical(),
+                "code_version": "test-v1",
+            }
 
     def test_sim_point_cross_pollinates_schedule(self, cache):
         """Caching a simulated point also publishes its schedule twin."""
@@ -269,54 +278,51 @@ class TestResultCache:
             loop, two_cluster_config(), "bsa", UnrollPolicy.NONE, simulate=True
         )
         store_result(cache, point, execute_point(point, loop))
-        twin = cache.get(point.without_simulation())
+        twin = cache.get(point.without_simulation(), loop)
         assert twin is not None and twin.sim is None
         assert cache.stats().entries == 2
 
 
-def reverse_mem_edge(entry):
-    """Close a zero-distance cycle with a memory edge against a dependence."""
-    graph = entry["schedule"]["graph"]
-    dep = next(d for d in graph["dependences"] if d["distance"] == 0)
-    graph["dependences"].append(
-        {
-            "src": dep["dst"],
-            "dst": dep["src"],
-            "latency": 1,
-            "distance": 0,
-            "kind": "mem",
-        }
-    )
-    return entry
-
-
 def unknown_schedule_format(entry):
-    entry["schedule"]["format"] = 99
-    return entry
-
-
-def machine_without_clusters(entry):
-    entry["schedule"]["machine"]["n_clusters"] = 0
-    return entry
-
-
-def graph_not_a_document(entry):
-    entry["schedule"]["graph"] = []
+    """The entry's result format is one this code does not read."""
+    entry["format"] = 99
     return entry
 
 
 def operation_not_a_document(entry):
-    entry["schedule"]["graph"]["operations"] = ["x"]
-    return entry
-
-
-def dependence_not_a_document(entry):
-    entry["schedule"]["graph"]["dependences"].append(["x"])
+    entry["schedule"]["operations"] = ["x"]
     return entry
 
 
 def entry_not_a_document(entry):
     return [entry]
+
+
+def node_placed_twice(entry):
+    ops = entry["schedule"]["operations"]
+    ops.append(dict(ops[0]))
+    return entry
+
+
+def node_omitted(entry):
+    entry["schedule"]["operations"].pop()
+    return entry
+
+
+def node_outside_graph(entry):
+    ops = entry["schedule"]["operations"]
+    ops[-1]["node"] = max(op["node"] for op in ops) + 1
+    return entry
+
+
+def ii_zero(entry):
+    entry["schedule"]["ii"] = 0
+    return entry
+
+
+def unroll_factor_no_policy_emits(entry):
+    entry["unroll_factor"] = 3  # neither 1 nor the 2-cluster machine's 2
+    return entry
 
 
 def rewrite_entry(cache, point, edit):
@@ -334,46 +340,101 @@ def daxpy_policy_grid():
 
 
 class TestCorruptSchedules:
-    """An entry whose embedded schedule does not decode is a miss."""
+    """An entry whose stored schedule does not decode is a miss."""
 
     @pytest.mark.parametrize(
         "edit",
         [
-            reverse_mem_edge,
             unknown_schedule_format,
-            machine_without_clusters,
-            graph_not_a_document,
             operation_not_a_document,
-            dependence_not_a_document,
             entry_not_a_document,
+            node_placed_twice,
+            node_omitted,
+            node_outside_graph,
+            ii_zero,
+            unroll_factor_no_policy_emits,
         ],
     )
     def test_get_treats_bad_schedule_as_miss(self, cache, edit):
         loop = kernel_loop("daxpy")
         point = scenario_for(loop, two_cluster_config(), "bsa", UnrollPolicy.NONE)
         cache.put(point, execute_point(point, loop))
+        assert cache.get(point, loop) is not None
         rewrite_entry(cache, point, edit)
-        assert cache.get(point) is None
+        assert cache.get(point, loop) is None
         assert cache.stats().misses == 1
 
     def test_run_grid_reexecutes_and_overwrites(self, cache):
         items = daxpy_policy_grid()
         ctx = small_ctx(cache=cache)
         ctx.run_grid(items)
-        good = {point: cache.get(point).to_dict() for point, _loop in items}
+        good = {point: cache.get(point, loop).to_dict() for point, loop in items}
         (first, _), (second, _) = items[:2]
-        rewrite_entry(cache, first, reverse_mem_edge)
+        rewrite_entry(cache, first, node_omitted)
         rewrite_entry(cache, second, unknown_schedule_format)
 
         replay = small_ctx(cache=cache)
         stats = replay.run_grid(items)
         assert (stats.executed, stats.cached) == (2, len(items) - 2)
-        for point, _loop in items:
-            assert cache.get(point).to_dict() == good[point]
+        for point, loop in items:
+            assert cache.get(point, loop).to_dict() == good[point]
+
+
+class TestEntryIdentity:
+    """An entry names its point and code version; only a match is a hit."""
+
+    def test_entry_under_another_points_key_is_a_miss(self, cache):
+        loop = kernel_loop("daxpy")
+        plain, selective = (
+            scenario_for(loop, two_cluster_config(), "bsa", policy)
+            for policy in (UnrollPolicy.NONE, UnrollPolicy.SELECTIVE)
+        )
+        cache.put(plain, execute_point(plain, loop))
+        target = cache.path_for(selective)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(cache.path_for(plain).read_text())
+        assert cache.get(selective, loop) is None
+        cache.put(selective, execute_point(selective, loop))
+        assert cache.get(selective, loop) is not None
+        assert json.loads(target.read_text())["point"] == selective.canonical()
+
+    def test_entry_from_another_code_version_is_a_miss(self, tmp_path):
+        loop = kernel_loop("daxpy")
+        point = scenario_for(loop, two_cluster_config(), "bsa", UnrollPolicy.NONE)
+        v1 = ResultCache(tmp_path / "c", code_version="v1")
+        v2 = ResultCache(tmp_path / "c", code_version="v2")
+        v1.put(point, execute_point(point, loop))
+        target = v2.path_for(point)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(v1.path_for(point).read_text())
+        assert v2.get(point, loop) is None
+        assert v1.get(point, loop) is not None
+
+    def test_format_1_entry_is_a_miss(self, cache):
+        """The layout that embedded the graph and machine is not read."""
+        from repro.ir.serialize import schedule_to_dict
+
+        loop = kernel_loop("daxpy")
+        point = scenario_for(loop, two_cluster_config(), "bsa", UnrollPolicy.NONE)
+        result = execute_point(point, loop)
+        cache.put(point, result)
+        rewrite_entry(
+            cache,
+            point,
+            lambda entry: dict(
+                entry,
+                format=1,
+                schedule=schedule_to_dict(result.loop_result().schedule),
+            ),
+        )
+        assert cache.get(point, loop) is None
+        cache.put(point, result)
+        assert cache.get(point, loop) is not None
 
 
 class TestGraphSharing:
-    """A warm sweep decodes each distinct embedded graph once, soundly."""
+    """A warm sweep decodes every result against its point's own graph,
+    built once per sweep, and decodes no graph from the cache."""
 
     def items(self):
         loops = [kernel_loop(name) for name in ("daxpy", "dot")]
@@ -384,73 +445,87 @@ class TestGraphSharing:
             for policy in UnrollPolicy
         ]
 
-    def count_decodes(self, monkeypatch):
+    def count_builds(self, monkeypatch):
+        """Record every graph decoded from a dict and every graph unrolled."""
+        from repro.core import selective
         from repro.ir import serialize
 
-        calls = []
-        decode = serialize.graph_from_dict
+        calls = {"decoded": [], "unrolled": []}
+        decode, unroll = serialize.graph_from_dict, selective.unroll_graph
 
-        def counting(data, *args, **kwargs):
-            calls.append(data["name"])
+        def decoding(data, *args, **kwargs):
+            calls["decoded"].append(data["name"])
             return decode(data, *args, **kwargs)
 
-        monkeypatch.setattr(serialize, "graph_from_dict", counting)
+        def unrolling(graph, factor):
+            calls["unrolled"].append((graph.name, factor))
+            return unroll(graph, factor)
+
+        monkeypatch.setattr(serialize, "graph_from_dict", decoding)
+        monkeypatch.setattr(selective, "unroll_graph", unrolling)
         return calls
 
-    def test_warm_sweep_decodes_each_graph_once(self, cache, monkeypatch):
+    def test_warm_sweep_builds_each_graph_once(self, cache, monkeypatch):
         items = self.items()
         run_sweep(items, cache=cache)
-        calls = self.count_decodes(monkeypatch)
+        calls = self.count_builds(monkeypatch)
         results, stats = run_sweep(items, cache=cache)
-        assert stats.executed == 0
-        distinct = {
-            json.dumps(result.schedule["graph"], sort_keys=True)
-            for result in results.values()
+        assert stats.executed == 0 and calls["decoded"] == []
+        unrolled = {
+            (point.loop, results[point.canonical()].unroll_factor)
+            for point, _loop in items
+            if results[point.canonical()].unroll_factor > 1
         }
-        assert len(calls) == len(distinct) < len(items)
+        assert unrolled and sorted(calls["unrolled"]) == sorted(unrolled)
         graphs = {}
-        for result in results.values():
-            text = json.dumps(result.schedule["graph"], sort_keys=True)
+        for point, loop in items:
+            result = results[point.canonical()]
             graph = result.loop_result().schedule.graph
-            assert graphs.setdefault(text, graph) is graph
+            if result.unroll_factor == 1:
+                assert graph is loop.graph
+            key = point.graph_hash, result.unroll_factor
+            assert graphs.setdefault(key, graph) is graph
 
-    def test_same_name_different_latency_gets_its_own_graph(self, cache, monkeypatch):
-        loop = kernel_loop("daxpy")
+    def test_same_name_different_latency_gets_its_own_graph(self, cache):
+        from repro.ir.loop import Loop
+        from repro.ir.serialize import graph_from_dict, graph_to_dict
+
+        plain = kernel_loop("daxpy")
+        data = graph_to_dict(plain.graph)
+        next(d for d in data["dependences"] if d["kind"] == "flow")["latency"] += 1
+        slower = Loop(graph=graph_from_dict(data), trip_count=plain.trip_count)
+        assert slower.name == plain.name
         items = [
-            (scenario_for(loop, config, "bsa", UnrollPolicy.NONE), loop)
-            for config in (two_cluster_config(), four_cluster_config())
+            (scenario_for(loop, two_cluster_config(), "bsa", policy), loop)
+            for loop in (plain, slower)
+            for policy in (UnrollPolicy.NONE, UnrollPolicy.ALL)
         ]
         run_sweep(items, cache=cache)
-        (plain, _), (edited, _) = items
-
-        def slower_edge(entry):
-            deps = entry["schedule"]["graph"]["dependences"]
-            next(d for d in deps if d["kind"] == "flow")["latency"] += 1
-            return entry
-
-        rewrite_entry(cache, edited, slower_edge)
-        calls = self.count_decodes(monkeypatch)
-        results, _stats = run_sweep(items, cache=cache)
-        assert calls == ["daxpy", "daxpy"]
-        a, b = (
-            results[point.canonical()].loop_result().schedule.graph
-            for point in (plain, edited)
-        )
-        assert a is not b and a.name == b.name
-        latencies = {(d.src, d.dst): d.latency for d in a.edges}
-        assert any(d.latency == latencies[d.src, d.dst] + 1 for d in b.edges)
+        results, stats = run_sweep(items, cache=cache)
+        assert stats.cached == len(items)
+        by_policy = {}
+        for point, loop in items:
+            result = results[point.canonical()]
+            graph = result.loop_result().schedule.graph
+            if result.unroll_factor == 1:
+                assert graph is loop.graph
+            by_policy.setdefault(point.policy, []).append(graph)
+        for a, b in by_policy.values():
+            assert a is not b and a.name == b.name
+            latencies = {(d.src, d.dst): d.latency for d in a.edges}
+            assert any(d.latency == latencies[d.src, d.dst] + 1 for d in b.edges)
 
     def test_cold_in_process_grid_decodes_no_schedule(self, monkeypatch):
         from repro.runner import scenario
 
         calls = []
-        decode = scenario.schedule_from_dict
+        decode = scenario.schedule_body_from_dict
 
         def counting(*args, **kwargs):
             calls.append(args)
             return decode(*args, **kwargs)
 
-        monkeypatch.setattr(scenario, "schedule_from_dict", counting)
+        monkeypatch.setattr(scenario, "schedule_body_from_dict", counting)
         ctx = ExperimentContext(suite=small_suite())
         items = self.items()
         ctx.run_grid(items)
@@ -464,8 +539,12 @@ class TestGraphSharing:
     def test_loop_result_is_decoded_once(self, cache):
         loop = kernel_loop("daxpy")
         point = scenario_for(loop, two_cluster_config(), "bsa", UnrollPolicy.NONE)
-        result = PointResult.from_dict(execute_point(point, loop).to_dict())
+        payload = execute_point(point, loop).to_dict()
+        result = PointResult.from_dict(payload, point, loop)
         assert result.loop_result() is result.loop_result()
+        bare = PointResult(**{k: v for k, v in payload.items() if k != "format"})
+        with pytest.raises(ValueError, match="holds no schedule"):
+            bare.loop_result()
 
     def test_content_hash_follows_mutation(self):
         graph = kernel_loop("daxpy").graph.copy()
@@ -575,8 +654,8 @@ class TestExecutePoints:
                 for key in serial:
                     assert serial[key].to_dict() == results[key].to_dict()
             # pooled workers persisted their results to the shared cache
-            for _key, (point, _loop) in misses:
-                assert cache.get(point) is not None
+            for _key, (point, loop) in misses:
+                assert cache.get(point, loop) is not None
         finally:
             pool.shutdown(wait=True)
 
@@ -603,6 +682,27 @@ class TestExecutePoints:
 
     def test_empty_misses(self):
         assert execute_points([]) == {}
+
+    def test_pool_return_that_fails_verification_raises(self):
+        """A pooled result is believed only once it verifies against its
+        point's own graph and machine."""
+        with pytest.raises(VerificationError):
+            execute_points(self.misses(), jobs=2, pool=LyingPool())
+
+
+class LyingPool(Executor):
+    """Runs each shard in-process, then swaps two operations' cycles in
+    every schedule it returns (a worker that lies)."""
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_result(
+            [
+                (key, swap_cycles([{"result": payload}])[0]["result"], meta)
+                for key, payload, meta in fn(*args, **kwargs)
+            ]
+        )
+        return future
 
 
 def family_misses():

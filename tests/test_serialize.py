@@ -20,6 +20,8 @@ from repro.ir.serialize import (
     loop_to_dict,
     program_from_dict,
     program_to_dict,
+    schedule_body_from_dict,
+    schedule_body_to_dict,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -122,3 +124,15 @@ class TestScheduleRoundTrip:
         sched2 = schedule_from_dict(data)
         with pytest.raises(VerificationError):
             verify_schedule(sched2)
+
+    def test_body_decodes_only_against_its_own_graph(self):
+        cfg = two_cluster_config(1, 1)
+        graph = daxpy()
+        sched = BsaScheduler(cfg).schedule(graph)
+        body = loads(dumps(schedule_body_to_dict(sched)))
+        assert "graph" not in body and "machine" not in body
+        back = schedule_body_from_dict(body, graph, cfg)
+        assert back.graph is graph and back.config is cfg
+        assert schedule_to_dict(back) == schedule_to_dict(sched)
+        with pytest.raises(GraphError, match="not the"):
+            schedule_body_from_dict(body, figure7_graph(), cfg)

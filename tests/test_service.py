@@ -37,6 +37,17 @@ from repro.service import (
     run_loadtest,
 )
 
+#: Workload overrides the registry rejects (a type or range its default
+#: does not allow); each must be a 400, never a 500.
+BAD_FIR_OVERRIDES = (
+    "fir(taps=0)",
+    "fir(taps=-1)",
+    "fir(taps=x)",
+    "fir(taps=1.5)",
+    "fir(taps=True)",
+    "fir(taps=[1])",
+)
+
 
 @pytest.fixture()
 def service(tmp_path):
@@ -78,6 +89,11 @@ class TestScheduleRequest:
     def test_unknown_kernel(self):
         with pytest.raises(RequestError, match="unknown kernel"):
             ScheduleRequest.from_payload({"kernel": "nope"})
+
+    @pytest.mark.parametrize("kernel", BAD_FIR_OVERRIDES)
+    def test_bad_workload_override_rejected(self, kernel):
+        with pytest.raises(RequestError, match="workload 'fir' parameter 'taps'"):
+            ScheduleRequest.from_payload({"kernel": kernel})
 
     def test_unknown_field_rejected(self):
         with pytest.raises(RequestError, match="unknown request field"):
@@ -275,6 +291,13 @@ class TestErrorMapping:
             client.schedule({"kernel": "nope"})
         assert err.value.status == 400
         assert "unknown kernel" in str(err.value)
+
+    @pytest.mark.parametrize("kernel", BAD_FIR_OVERRIDES)
+    def test_bad_workload_override_400(self, client, kernel):
+        with pytest.raises(ClientError) as err:
+            client.schedule({"kernel": kernel})
+        assert err.value.status == 400
+        assert "workload 'fir' parameter 'taps'" in str(err.value)
 
     def test_unknown_scheduler_400(self, client):
         with pytest.raises(ClientError) as err:
