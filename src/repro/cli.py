@@ -443,7 +443,13 @@ def cmd_worker(args: argparse.Namespace) -> None:
     print(stats.render())
 
 
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def cmd_serve(args: argparse.Namespace) -> None:
+    import signal
+
     from .service import SchedulingService, ServiceServer
 
     service = SchedulingService(cache=_cache(args), workers=args.workers)
@@ -457,18 +463,25 @@ def cmd_serve(args: argparse.Namespace) -> None:
     cache_line = (
         str(service.cache.root) if service.cache is not None else "disabled"
     )
-    print(
-        f"repro-vliw service listening on {server.url} "
-        f"(workers={service.workers}, cache={cache_line})",
-        flush=True,
-    )
+    # SIGTERM, and SIGINT even when a shell started the server in the
+    # background with SIGINT ignored, stop it the way Ctrl-C does.
+    previous = {
+        sig: signal.signal(sig, _interrupt) for sig in (signal.SIGINT, signal.SIGTERM)
+    }
     try:
+        print(
+            f"repro-vliw service listening on {server.url} "
+            f"(workers={service.workers}, cache={cache_line})",
+            flush=True,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
-        print("\nshutting down (finishing the batch in flight) ...")
+        print("\nshutting down (finishing the batch in flight) ...", flush=True)
     finally:
         server.server_close()
         service.close()
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
 
 
 def _service_client(args: argparse.Namespace):
@@ -537,6 +550,7 @@ def cmd_loadtest(args: argparse.Namespace) -> None:
             f"loadtest: no service answering at {client.base_url} "
             f"(start one with: repro-vliw serve --port {args.port})"
         )
+    client.close()  # the loadtest opens its own connections
     try:
         report = run_loadtest(
             args.host,

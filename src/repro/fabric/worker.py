@@ -155,47 +155,51 @@ class FabricWorker:
         shutdown (503/transport failure once healthy).  Raises
         :class:`WorkerDied` on injected death and :class:`ClientError`
         on fatal protocol errors (e.g. 409 code-version mismatch).
+        Either way the client's connection to the coordinator is closed.
         """
-        if not self.client.wait_until_healthy(timeout=self.wait_healthy_s):
-            raise ClientError(
-                0, f"coordinator {self.client.base_url} never became healthy"
-            )
-        self._say(f"worker {self.worker_id} pulling from {self.client.base_url}")
-        idle_since: float | None = None
-        while True:
-            if self.max_shards is not None and self.stats.shards >= self.max_shards:
-                self._say(f"reached --max-shards {self.max_shards}; exiting")
-                break
-            try:
-                doc = self.client.lease(
-                    {
-                        "protocol": PROTOCOL_VERSION,
-                        "worker": self.worker_id,
-                        "code_version": self.code_version,
-                    }
+        try:
+            if not self.client.wait_until_healthy(timeout=self.wait_healthy_s):
+                raise ClientError(
+                    0, f"coordinator {self.client.base_url} never became healthy"
                 )
-            except ClientError as exc:
-                if exc.status in (0, 503):
-                    # Coordinator shutting down (or gone): a clean stop.
-                    self._say(f"coordinator unavailable ({exc}); exiting")
+            self._say(f"worker {self.worker_id} pulling from {self.client.base_url}")
+            idle_since: float | None = None
+            while True:
+                if self.max_shards is not None and self.stats.shards >= self.max_shards:
+                    self._say(f"reached --max-shards {self.max_shards}; exiting")
                     break
-                raise
-            if doc.get("lease"):
-                idle_since = None
-                self._run_lease(doc)
-                continue
-            now = time.monotonic()
-            if idle_since is None:
-                idle_since = now
-            if (
-                self.idle_exit_s is not None
-                and now - idle_since >= self.idle_exit_s
-            ):
-                self._say(f"idle for {self.idle_exit_s:g}s; exiting")
-                break
-            self.stats.idle_polls += 1
-            time.sleep(float(doc.get("retry_s") or self.poll_s))
-        return self.stats
+                try:
+                    doc = self.client.lease(
+                        {
+                            "protocol": PROTOCOL_VERSION,
+                            "worker": self.worker_id,
+                            "code_version": self.code_version,
+                        }
+                    )
+                except ClientError as exc:
+                    if exc.status in (0, 503):
+                        # Coordinator shutting down (or gone): a clean stop.
+                        self._say(f"coordinator unavailable ({exc}); exiting")
+                        break
+                    raise
+                if doc.get("lease"):
+                    idle_since = None
+                    self._run_lease(doc)
+                    continue
+                now = time.monotonic()
+                if idle_since is None:
+                    idle_since = now
+                if (
+                    self.idle_exit_s is not None
+                    and now - idle_since >= self.idle_exit_s
+                ):
+                    self._say(f"idle for {self.idle_exit_s:g}s; exiting")
+                    break
+                self.stats.idle_polls += 1
+                time.sleep(float(doc.get("retry_s") or self.poll_s))
+            return self.stats
+        finally:
+            self.client.close()
 
     # ------------------------------------------------------------------
     def _run_lease(self, doc: dict[str, Any]) -> None:

@@ -15,7 +15,8 @@ JSON-over-HTTP API:
 * :mod:`repro.service.server` — the stdlib ``ThreadingHTTPServer``
   adapter (``POST /schedule``, ``POST /sweep``, ``GET /jobs/<id>``,
   ``GET /healthz``, ``GET /stats``);
-* :mod:`repro.service.client` — the ``urllib`` client and the
+* :mod:`repro.service.client` — the ``http.client`` client (one
+  persistent connection per calling thread) and the
   ``repro-vliw loadtest`` driver (p50/p95 latency, cache-hit rate,
   byte-identity verification against the direct execution path).
 

@@ -1,8 +1,9 @@
 """Thin HTTP client for the scheduling service, plus the loadtest driver.
 
-:class:`ServiceClient` wraps the JSON API with stdlib ``urllib`` (no new
-dependencies) and raises :class:`ClientError` carrying the HTTP status
-and the server's ``error`` message.
+:class:`ServiceClient` wraps the JSON API with stdlib ``http.client``
+(no new dependencies): one persistent connection per calling thread,
+reused across calls.  It raises :class:`ClientError` carrying the HTTP
+status and the server's ``error`` message.
 
 :func:`run_loadtest` is the synthetic-traffic harness behind
 ``repro-vliw loadtest``: N concurrent clients replay a deterministic mix
@@ -18,10 +19,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import select
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -51,7 +51,15 @@ class ClientError(ServiceError):
 
 
 class ServiceClient:
-    """JSON-over-HTTP client for one ``repro-vliw serve`` instance."""
+    """JSON-over-HTTP client for one ``repro-vliw serve`` instance.
+
+    Each thread that calls it gets one persistent connection, reused
+    across calls.  A connection the server closed while it sat idle is
+    reopened before the next request; a request is never sent twice, so
+    a transport failure once it may have reached the server is a
+    :class:`ClientError` with status 0.  :meth:`close` ends every
+    connection this client opened.
+    """
 
     def __init__(
         self,
@@ -60,8 +68,36 @@ class ServiceClient:
         *,
         timeout: float = 120.0,
     ):
+        self.host = host
+        self.port = port
         self.base_url = f"http://{host}:{port}"
         self.timeout = timeout
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        """Close every connection this client opened (a later call reopens)."""
+        with self._lock:
+            connections = list(self._connections)
+        for conn in connections:
+            conn.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, ready to carry one request."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+            self._local.conn = conn
+            with self._lock:
+                self._connections.append(conn)
+        elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            # An idle connection has nothing to read unless the server
+            # closed it (EOF): reopen before sending.
+            conn.close()
+        return conn
 
     # ------------------------------------------------------------------
     def _call(
@@ -76,33 +112,27 @@ class ServiceClient:
         request_headers = {"Content-Type": "application/json"}
         if headers:
             request_headers.update(headers)
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers=request_headers,
-        )
+        conn = self._connection()
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return json.loads(resp.read() or b"{}")
-        except urllib.error.HTTPError as exc:
-            body = exc.read()
-            try:
-                message = json.loads(body)["error"]
-            except (ValueError, KeyError, TypeError):
-                message = body.decode(errors="replace") or exc.reason
-            raise ClientError(exc.code, f"HTTP {exc.code}: {message}") from None
-        except urllib.error.URLError as exc:
-            raise ClientError(0, f"{self.base_url}: {exc.reason}") from None
+            conn.request(method, path, body=data, headers=request_headers)
+            resp = conn.getresponse()
+            body = resp.read()
         except (OSError, http.client.HTTPException) as exc:
-            # urllib only wraps errors raised while *sending*; a server
-            # closing the connection mid-response (e.g. coordinator
-            # shutdown under a polling fabric worker) surfaces raw as
-            # ConnectionResetError / RemoteDisconnected.  Same contract:
-            # status 0 means the transport failed, not the request.
+            # Status 0 means the transport failed, not the request: the
+            # server is gone, refused the connection, or closed it
+            # mid-response (e.g. coordinator shutdown under a polling
+            # fabric worker).
+            conn.close()
             raise ClientError(
                 0, f"{self.base_url}: {type(exc).__name__}: {exc}"
             ) from None
+        if not 200 <= resp.status < 300:
+            try:
+                message = json.loads(body)["error"]
+            except (ValueError, KeyError, TypeError):
+                message = body.decode(errors="replace") or resp.reason
+            raise ClientError(resp.status, f"HTTP {resp.status}: {message}")
+        return json.loads(body or b"{}")
 
     # ------------------------------------------------------------------
     def healthz(self) -> dict[str, Any]:
@@ -415,6 +445,7 @@ def run_loadtest(
                 responses.setdefault(
                     json.dumps(payload, sort_keys=True), (result, trace_id)
                 )
+        client.close()
 
     threads = [
         threading.Thread(target=worker, args=(batch,), daemon=True)

@@ -273,13 +273,15 @@ class ScheduleRequest:
             return unified_config()
         return clustered_config(self.clusters, self.buses, self.latency)
 
-    def grid_item(self) -> GridItem:
+    def grid_item(self, loop: Loop | None = None) -> GridItem:
         """The ``(ScenarioPoint, Loop)`` work unit for this request.
 
         Inline programs parse here (already validated by
         :meth:`from_payload`) and embed their full loop payload in the
         point, so they cache, dedupe and distribute like any catalogue
-        kernel without ever entering a registry.
+        kernel without ever entering a registry.  A catalogue request
+        builds its loop unless the caller passes *loop*, one already
+        built for the same kernel and ``niter``.
         """
         if self.program is not None:
             parsed = parse_program(
@@ -288,7 +290,8 @@ class ScheduleRequest:
             loop = Loop(graph=parsed.graph, trip_count=self.niter)
             payload = program_payload(loop)
         else:
-            loop = kernel_loop(self.kernel, trip_count=self.niter)
+            if loop is None:
+                loop = kernel_loop(self.kernel, trip_count=self.niter)
             payload = ""
         point = scenario_for(
             loop,
@@ -436,8 +439,9 @@ class SchedulingService:
         the test default); the pool is created lazily on the first batch
         that can use it and reused for every batch after.
     memo_limit:
-        Bound on the in-process payload memo; when full, the memo is
-        reset (the on-disk cache still serves those points).
+        Bound on the in-process payload memo and on the memo of
+        catalogue loops; when one is full, it is reset (the on-disk
+        cache still serves those points).
     job_limit:
         Bound on retained jobs: when the registry exceeds it, the
         oldest *finished* jobs (and their result payloads) are evicted,
@@ -471,6 +475,7 @@ class SchedulingService:
         self._queue: queue.Queue[Job] = queue.Queue()
         self._jobs: dict[str, Job] = {}
         self._memo: dict[str, dict[str, Any]] = {}
+        self._loops: dict[tuple[str, int], tuple[Any, Loop]] = {}
         self._pool = None
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -863,6 +868,30 @@ class SchedulingService:
             self._memo.clear()
         self._memo[key] = payload
 
+    def _catalogue_loop(self, request: ScheduleRequest) -> Loop | None:
+        """The loop a catalogue request names, built once per (kernel, niter).
+
+        An entry serves only while the name still resolves to the same
+        registered factory and arguments, so a workload unregistered and
+        registered again is built afresh.  Inline programs get ``None``:
+        :meth:`ScheduleRequest.grid_item` parses them per request.
+        """
+        if request.kernel is None:
+            return None
+        _, factory = resolve_kernel(request.kernel)
+        if isinstance(factory, partial):  # a parametrised instance
+            source = (factory.func, factory.args, factory.keywords)
+        else:
+            source = factory
+        key = (request.kernel, request.niter)
+        entry = self._loops.get(key)
+        if entry is None or entry[0] != source:
+            if len(self._loops) >= self.memo_limit:
+                self._loops.clear()
+            loop = Loop(graph=factory(), trip_count=request.niter)
+            entry = self._loops[key] = (source, loop)
+        return entry[1]
+
     def _run_point_jobs(self, jobs: list[Job]) -> None:
         """Execute one coalesced batch of schedule/sweep jobs."""
         batch_t0 = time.perf_counter()
@@ -878,7 +907,7 @@ class SchedulingService:
         for job in jobs:
             keys = []
             for request in job.requests:
-                point, loop = request.grid_item()
+                point, loop = request.grid_item(self._catalogue_loop(request))
                 key = point.canonical()
                 unique.setdefault(key, (point, loop))
                 keys.append(key)

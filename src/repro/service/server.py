@@ -1,11 +1,20 @@
 """JSON-over-HTTP front end for the scheduling service.
 
 A deliberately dependency-free layer: stdlib
-:class:`~http.server.ThreadingHTTPServer` (one handler thread per
+:class:`~http.server.ThreadingHTTPServer` (one handler thread per client
 connection) over one shared :class:`~repro.service.core.SchedulingService`.
 Handler threads only validate, enqueue and wait — all scheduling work
 happens on the service's dispatcher/pool, so slow requests never block
 health checks.
+
+Connections are persistent (HTTP/1.1 keep-alive) and every response
+leaves at once (``TCP_NODELAY``: no response waits for the client's
+delayed ACK).  :meth:`ServiceServer.server_close` ends the connections
+that sit idle between requests; a request already read still gets its
+answer, with ``Connection: close``.  A request whose body cannot be
+framed (a malformed ``Content-Length``) or is too large gets a 400 and
+the connection closes, since the next request would be read from the
+middle of this one.
 
 Routes::
 
@@ -42,6 +51,8 @@ loadtest request can name the exact server-side job it spawned.
 from __future__ import annotations
 
 import json
+import socket
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
@@ -92,7 +103,47 @@ class ServiceServer(ThreadingHTTPServer):
             "HTTP request handling latency, by route",
             ("route",),
         )
+        self._idle: set[socket.socket] = set()
+        self._idle_lock = threading.Lock()
+        self._closing = False
         super().__init__((host, port), _Handler)
+
+    def _await_request(self, conn: socket.socket) -> bool:
+        """Mark *conn* idle until its next request line; False once closing."""
+        with self._idle_lock:
+            if self._closing:
+                return False
+            self._idle.add(conn)
+            return True
+
+    def _take_idle(self, conn: socket.socket) -> bool:
+        """Take *conn* out of the idle set, so :meth:`server_close` leaves
+        it alone; False when :meth:`server_close` has already ended it."""
+        with self._idle_lock:
+            if conn not in self._idle:
+                return False
+            self._idle.remove(conn)
+            return True
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        self._take_idle(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listening socket and every idle connection.
+
+        A client holding an idle connection sees it end at once instead
+        of reaching a handler thread that outlives the server.
+        """
+        with self._idle_lock:
+            self._closing = True
+            idle, self._idle = self._idle, set()
+        for conn in idle:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the client closed it first
+        super().server_close()
 
     @property
     def port(self) -> int:
@@ -108,6 +159,21 @@ class ServiceServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = f"repro-vliw-service/{__version__}"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def handle(self) -> None:
+        """Serve requests on this connection until either side closes it."""
+        self.close_connection = False
+        while not self.close_connection and self.server._await_request(self.connection):
+            self.handle_one_request()
+
+    def parse_request(self) -> bool:
+        if not self.server._take_idle(self.connection):
+            # server_close() ended the connection as this request came
+            # in: no answer can be sent, so the request is not run.
+            self.close_connection = True
+            return False
+        return super().parse_request()
 
     # ------------------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -135,39 +201,44 @@ class _Handler(BaseHTTPRequestHandler):
             return path
         return "other"
 
-    def _send_json(self, code: int, payload: dict[str, Any]) -> None:
-        body = json.dumps(payload).encode()
+    def _send(self, code: int, body: bytes, content_type: str) -> None:
         self.send_response(code)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id:
-            self.send_header("X-Trace-Id", trace_id)
+        if self._trace_id:
+            self.send_header("X-Trace-Id", self._trace_id)
+        if self.close_connection or self.server._closing:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
         self._status_code = code
 
-    def _send_text(self, code: int, body: str, content_type: str) -> None:
-        data = body.encode()
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-        self._status_code = code
+    def _send_json(self, code: int, payload: dict[str, Any]) -> None:
+        self._send(code, json.dumps(payload).encode(), "application/json")
 
-    def _read_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise RequestError("a JSON request body is required")
+    def _read_raw_body(self) -> bytes:
+        """The request body as declared by ``Content-Length``.
+
+        A malformed or oversized length raises :class:`RequestError` and
+        closes the connection after the response: the body is left
+        unread, so the next request would be read from inside it.
+        """
+        text = (self.headers.get("Content-Length") or "0").strip()
+        if not (text.isascii() and text.isdigit()):
+            self.close_connection = True
+            raise RequestError(f"malformed Content-Length {text!r}")
+        length = int(text)
         if length > MAX_BODY_BYTES:
-            # The unread body would corrupt keep-alive framing for the
-            # next request on this connection; drop the connection.
             self.close_connection = True
             raise RequestError(
                 f"request body too large ({length} > {MAX_BODY_BYTES} bytes)"
             )
-        raw = self.rfile.read(length)
+        return self.rfile.read(length)
+
+    def _read_body(self) -> dict[str, Any]:
+        raw = self._read_raw_body()
+        if not raw:
+            raise RequestError("a JSON request body is required")
         try:
             data = json.loads(raw)
         except ValueError:
@@ -206,8 +277,8 @@ class _Handler(BaseHTTPRequestHandler):
         elif path == "/stats":
             self._send_json(200, self.service.stats())
         elif path == "/metrics":
-            self._send_text(
-                200, render_metrics(self.service.metrics), PROM_CONTENT_TYPE
+            self._send(
+                200, render_metrics(self.service.metrics).encode(), PROM_CONTENT_TYPE
             )
         elif path.startswith("/jobs/"):
             job_id = path[len("/jobs/"):]
@@ -224,7 +295,11 @@ class _Handler(BaseHTTPRequestHandler):
         if path not in ("/schedule", "/sweep", "/leases", "/results"):
             # Unknown routes are 404 regardless of body validity (and
             # the body must still be drained for HTTP/1.1 keep-alive).
-            self.rfile.read(int(self.headers.get("Content-Length") or 0))
+            try:
+                self._read_raw_body()
+            except RequestError as exc:
+                self._send_json(400, {"error": str(exc)})
+                return
             self._send_json(404, {"error": f"unknown path {self.path!r}"})
             return
         self._trace_id = self._request_trace_id()

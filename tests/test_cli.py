@@ -218,3 +218,37 @@ class TestCliGap:
         main(["report", str(report), "--by", "scheduler"])
         out = capsys.readouterr().out
         assert "exact" in out
+
+
+class TestServeSignals:
+    @pytest.mark.parametrize("sig", ["SIGINT", "SIGTERM"])
+    def test_signal_stops_serve_gracefully(self, sig):
+        """Both signals take the Ctrl-C path, even with SIGINT ignored the
+        way a non-interactive shell starts a background job."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        argv = ["serve", "--port", "0", "--workers", "0", "--no-cache"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            assert "listening on" in proc.stdout.readline()
+            proc.send_signal(getattr(signal, sig))
+            out, err = proc.communicate(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "shutting down" in out

@@ -154,10 +154,14 @@ def service_client(tmp_path):
     )
     server = ServiceServer(service, port=0)
     threading.Thread(target=server.serve_forever, daemon=True).start()
+    client = ServiceClient(port=server.port, timeout=60.0)
     try:
-        yield ServiceClient(port=server.port, timeout=60.0)
+        yield client
     finally:
+        client.close()
         server.shutdown()
+        server.server_close()
+        service.close()
 
 
 class TestServicePath:

@@ -71,7 +71,9 @@ def server(service):
 
 @pytest.fixture()
 def client(server):
-    return ServiceClient(port=server.port, timeout=60.0)
+    client = ServiceClient(port=server.port, timeout=60.0)
+    yield client
+    client.close()
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +288,19 @@ class TestErrorMapping:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 400
 
+    @pytest.mark.parametrize("path", ["/schedule", "/nope"])
+    def test_malformed_content_length_400_closes_connection(self, client, server, path):
+        with pytest.raises(ClientError) as err:
+            client._call(
+                "POST", path, {"kernel": "dot"}, headers={"Content-Length": "abc"}
+            )
+        assert err.value.status == 400
+        assert "malformed Content-Length 'abc'" in str(err.value)
+        assert client.schedule({"kernel": "dot"})["status"] == "done"
+        route = "/schedule" if path == "/schedule" else "other"
+        assert server.http_requests.value_of(route=route, code="400") == 1
+        assert server.http_requests.value_of(route=route, code="500") == 0
+
     def test_unknown_kernel_400(self, client):
         with pytest.raises(ClientError) as err:
             client.schedule({"kernel": "nope"})
@@ -347,6 +362,7 @@ class TestConcurrentClients:
                 except Exception as exc:  # noqa: BLE001 - collected below
                     with lock:
                         errors.append(exc)
+            client.close()
 
         threads = [
             threading.Thread(target=hammer, args=(n,)) for n in range(8)
@@ -673,6 +689,254 @@ class TestShutdown:
         for t in closers:
             t.join(15.0)
         assert not any(t.is_alive() for t in closers)
+
+
+class TestConnections:
+    """One persistent connection per client thread, on both sides."""
+
+    @staticmethod
+    def _count_connections(server) -> list:
+        accepted = []
+        process_request = server.process_request
+
+        def counting(request, client_address):
+            accepted.append(client_address)
+            process_request(request, client_address)
+
+        server.process_request = counting
+        return accepted
+
+    def test_keepalive_requests_do_not_wait_for_a_delayed_ack(self, server):
+        import http.client
+        import statistics
+        import time
+
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        body = json.dumps({"kernel": "daxpy", "clusters": 2}).encode()
+        elapsed = []
+        try:
+            for _ in range(30):
+                t0 = time.perf_counter()
+                conn.request("POST", "/schedule", body=body)
+                resp = conn.getresponse()
+                assert resp.status == 200 and not resp.will_close
+                resp.read()
+                elapsed.append(time.perf_counter() - t0)
+        finally:
+            conn.close()
+        assert statistics.median(elapsed) < 0.020
+
+    def test_client_calls_share_one_connection(self, server):
+        accepted = self._count_connections(server)
+        client = ServiceClient(port=server.port, timeout=60.0)
+        for _ in range(5):
+            client.schedule({"kernel": "vadd"})
+        client.healthz()
+        assert len(accepted) == 1
+        client.close()
+        client.healthz()  # a closed client reconnects
+        assert len(accepted) == 2
+        client.close()
+
+    def test_loadtest_opens_one_connection_per_client(self, server):
+        accepted = self._count_connections(server)
+        report = run_loadtest(port=server.port, clients=4, requests=16, verify=False)
+        assert report.ok
+        assert len(accepted) == 4
+
+    def test_closed_server_ends_idle_connections(self, tmp_path):
+        import time
+
+        from repro.fabric.worker import FabricWorker
+
+        svc = SchedulingService(cache=None, workers=0)
+        srv = ServiceServer(svc, port=0)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        client = ServiceClient(port=srv.port, timeout=30.0)
+        worker = FabricWorker(
+            ServiceClient(port=srv.port, timeout=30.0), worker_id="idle-w"
+        )
+        outcome = {}
+
+        def pull():
+            try:
+                outcome["stats"] = worker.run()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                outcome["error"] = exc
+
+        puller = threading.Thread(target=pull, daemon=True)
+        try:
+            assert client.healthz()["status"] == "ok"  # connection now idle
+            puller.start()
+            deadline = time.monotonic() + 30
+            while "idle-w" not in svc.fabric.stats()["workers"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            srv.shutdown()
+            srv.server_close()
+            t0 = time.monotonic()
+            with pytest.raises(ClientError) as err:
+                client.healthz()
+            assert err.value.status == 0
+            assert time.monotonic() - t0 < 1.0
+            puller.join(10.0)
+            assert not puller.is_alive()
+            assert "error" not in outcome and outcome["stats"].idle_polls >= 1
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            svc.close()
+
+    def test_request_racing_server_close_is_dropped(self):
+        """A request read just as server_close() ends its connection is
+        not run, and nothing is written to the closed connection."""
+        svc = SchedulingService(cache=None, workers=0)
+        srv = ServiceServer(svc, port=0)
+        arrived, release = threading.Event(), threading.Event()
+        take_idle = srv._take_idle
+        paused = []
+
+        def take_idle_late(conn):
+            if not paused:  # the first request line, before it is claimed
+                paused.append(conn)
+                arrived.set()
+                release.wait(10.0)
+            return take_idle(conn)
+
+        errors = []
+        finished = threading.Event()
+        shutdown_request = srv.shutdown_request
+
+        def shutdown_and_flag(request):
+            shutdown_request(request)
+            finished.set()  # the handler thread is done
+
+        srv._take_idle = take_idle_late
+        srv.handle_error = lambda request, address: errors.append(address)
+        srv.shutdown_request = shutdown_and_flag
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        client = ServiceClient(port=srv.port, timeout=10.0)
+        outcome = {}
+
+        def call():
+            try:
+                outcome["doc"] = client.schedule({"kernel": "dot"})
+            except ClientError as exc:
+                outcome["error"] = exc
+
+        caller = threading.Thread(target=call, daemon=True)
+        try:
+            caller.start()
+            assert arrived.wait(10.0)
+            srv.shutdown()
+            srv.server_close()
+            release.set()
+            caller.join(10.0)
+            assert not caller.is_alive() and finished.wait(10.0)
+            assert outcome["error"].status == 0
+            assert svc.stats()["requests_total"] == 0
+            assert errors == []
+        finally:
+            release.set()
+            srv.shutdown()
+            srv.server_close()
+            svc.close()
+
+    def test_closed_connection_is_reopened_without_resending(self, server, service):
+        from repro.service.server import MAX_BODY_BYTES
+
+        client = ServiceClient(port=server.port, timeout=60.0)
+        with pytest.raises(ClientError) as err:
+            client._call(
+                "POST",
+                "/schedule",
+                {"kernel": "dot"},
+                headers={"Content-Length": "abc"},
+            )
+        assert err.value.status == 400
+        assert client.schedule({"kernel": "dot"})["status"] == "done"
+        # Too large to read: a 400 and a closed connection, which the
+        # client may see as either while it is still sending.
+        with pytest.raises(ClientError) as err:
+            client._call("POST", "/schedule", {"kernel": "x" * MAX_BODY_BYTES})
+        assert err.value.status in (0, 400)
+        assert client.schedule({"kernel": "dot"})["status"] == "done"
+        assert server.http_requests.value_of(route="/schedule", code="400") == 2
+        assert service.stats()["requests_total"] == 2
+        client.close()
+
+
+class TestCatalogueLoops:
+    """The dispatcher builds each catalogue loop once per (kernel, niter)."""
+
+    @pytest.fixture()
+    def counted(self):
+        from repro.workloads import register_workload, unregister_workload
+        from repro.workloads.kernels import daxpy, fir_filter
+
+        calls = []
+
+        def plain():
+            calls.append("plain")
+            return daxpy()
+
+        def tapped(taps: int = 4):
+            calls.append(taps)
+            return fir_filter(taps)
+
+        register_workload("zz-svc-plain")(plain)
+        register_workload(
+            "zz-svc-fir", params={"taps": 4}, ranges={"taps": (1, 16)}
+        )(tapped)
+        yield calls
+        unregister_workload("zz-svc-plain")
+        unregister_workload("zz-svc-fir")
+
+    def test_repeat_requests_build_each_loop_once(self, counted):
+        payloads = [
+            {"kernel": kernel, "clusters": clusters, **extra}
+            for kernel in ("zz-svc-plain", "zz-svc-fir(taps=6)")
+            for clusters in (2, 4)
+            for extra in ({}, {"simulate": True, "niter": 50})
+        ]
+        requests = [ScheduleRequest.from_payload(p) for p in payloads]
+        svc = SchedulingService(cache=None, workers=0)
+        try:
+            for _ in range(3):
+                for request in requests:
+                    job = svc.submit_schedule(request)
+                    assert job.wait(60.0) and job.status == "done", job.error
+            assert sorted(counted, key=str) == [6, 6, "plain", "plain"]
+            results = [svc.submit_schedule(r) for r in requests]
+            for request, job in zip(requests, results):
+                assert job.wait(60.0)
+                served = dict(job.results[0])
+                del served["cached"]
+                assert served == reference_payload(request)
+        finally:
+            svc.close()
+
+    def test_reregistered_name_serves_the_new_graph(self):
+        from repro.workloads import register_workload, unregister_workload
+        from repro.workloads.kernels import daxpy, dot_product
+
+        svc = SchedulingService(cache=None, workers=0)
+        register_workload("zz-svc-swap")(daxpy)
+        try:
+            request = ScheduleRequest.from_payload({"kernel": "zz-svc-swap"})
+            before = svc.submit_schedule(request)
+            assert before.wait(60.0) and before.results[0]["kernel"] == "daxpy"
+            unregister_workload("zz-svc-swap")
+            register_workload("zz-svc-swap")(dot_product)
+            after = svc.submit_schedule(request)
+            assert after.wait(60.0) and after.results[0]["kernel"] == "dot"
+            expected = reference_payload(request)["rendered"]
+            assert after.results[0]["rendered"] == expected
+        finally:
+            unregister_workload("zz-svc-swap")
+            svc.close()
 
 
 class TestFailureIsolation:
