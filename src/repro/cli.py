@@ -355,9 +355,9 @@ def _distributed_sweep(args: argparse.Namespace, spec) -> str:
             client = client_from_url(args.coordinator, timeout=args.timeout)
         except ValueError as exc:
             sys.exit(f"sweep: {exc}")
-        if not client.wait_until_healthy(timeout=10.0):
-            sys.exit(f"sweep: no service answering at {client.base_url}")
         try:
+            if not client.wait_until_healthy(timeout=10.0):
+                sys.exit(f"sweep: no service answering at {client.base_url}")
             doc = client.sweep(
                 grid=spec.name,
                 quick=args.quick,
@@ -368,6 +368,8 @@ def _distributed_sweep(args: argparse.Namespace, spec) -> str:
                 doc = client.poll_job(doc["job"], timeout=args.timeout)
         except ServiceError as exc:
             sys.exit(f"sweep: {exc}")
+        finally:
+            client.close()
         if doc["status"] != "done":
             sys.exit(
                 f"sweep: job {doc.get('job')} ended {doc['status']!r}: "
@@ -520,6 +522,8 @@ def cmd_submit(args: argparse.Namespace) -> None:
         doc = client.schedule(payload)
     except ServiceError as exc:
         sys.exit(f"submit: {exc}")
+    finally:
+        client.close()
     if doc["status"] != "done":
         sys.exit(f"submit: job {doc.get('job')} ended {doc['status']!r}: "
                  f"{doc.get('error')}")

@@ -17,7 +17,8 @@ Lease state machine, per shard::
 plus one escape hatch: when a sweep has no pending shards left but an
 idle worker is asking, the slowest still-leased shard is **re-issued**
 (straggler mitigation) once its oldest lease has outlived
-``straggler_factor`` x the median shard turnaround.  Multiple live
+``straggler_factor`` x the median shard turnaround — never to a worker
+that holds a live lease on it.  Multiple live
 leases on one shard are resolved by **first write wins**: the first
 ``POST /results`` to commit a point owns it, later copies count as
 duplicates, and every point is stored into the shared
@@ -296,7 +297,7 @@ class FabricCoordinator:
                     f"cache keys"
                 )
             self._expire_locked(now)
-            shard = self._next_shard_locked(now)
+            shard = self._next_shard_locked(now, worker)
             if shard is None:
                 return {
                     "protocol": PROTOCOL_VERSION,
@@ -546,22 +547,26 @@ class FabricCoordinator:
                 # lease should not also wait behind fresh work.
                 shard.sweep.pending.appendleft(shard)
 
-    def _next_shard_locked(self, now: float) -> _Shard | None:
+    def _next_shard_locked(self, now: float, worker: str) -> _Shard | None:
         for sweep in self._sweeps.values():
             while sweep.pending:
                 shard = sweep.pending.popleft()
                 if not shard.done:
                     return shard
-            shard = self._straggler_locked(sweep, now)
+            shard = self._straggler_locked(sweep, now, worker)
             if shard is not None:
                 return shard
         return None
 
-    def _straggler_locked(self, sweep: _Sweep, now: float) -> _Shard | None:
-        """The slowest re-issuable leased shard, or ``None``.
+    def _straggler_locked(
+        self, sweep: _Sweep, now: float, worker: str
+    ) -> _Shard | None:
+        """The slowest shard re-issuable to *worker*, or ``None``.
 
         Only reached when the sweep has no pending shards (so a worker
-        is idle near completion) — the classic straggler window.
+        is idle near completion) — the classic straggler window.  A
+        shard is never re-issued to a worker holding a live lease on it:
+        a worker claims its next shard before it posts its last one.
         """
         threshold = self.straggler_after_s
         if threshold is None:
@@ -574,6 +579,8 @@ class FabricCoordinator:
                 continue
             live = [lease for lease in shard.leases if lease.active(now)]
             if not live or len(live) >= self.max_leases_per_shard:
+                continue
+            if any(lease.worker == worker for lease in live):
                 continue
             age = now - min(lease.issued_unix for lease in live)
             if age >= threshold:

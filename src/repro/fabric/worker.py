@@ -4,20 +4,35 @@ A :class:`FabricWorker` is the whole client side of the fabric protocol
 in one loop: claim a lease (``POST /leases``), execute the shard's
 points one at a time through the exact same batch core the local
 ``--jobs`` path uses (:func:`~repro.runner.engine._run_batch`, with one
-schedule memo per family across the lease's points), renew
-the lease between points when a heartbeat is due, then post the shard's
-results (``POST /results``) and go claim the next one.  Because the
-worker runs the same code version as the coordinator (enforced at claim
-time) and the same deterministic per-point scheduler, whatever it
-computes is byte-identical to what any other worker — or the local path
-— would have computed for the same points.
+schedule memo per family across the lease's points), renewing the lease
+between points when a heartbeat is due, and post the shard's results
+(``POST /results``).  Because the worker runs the same code version as
+the coordinator (enforced at claim time) and the same deterministic
+per-point scheduler, whatever it computes is byte-identical to what any
+other worker — or the local path — would have computed for the same
+points.
+
+The loop is software-pipelined, the way a modulo schedule starts
+iteration i+1 before iteration i ends.  Once shard k has run, the
+worker reads the verdict (the coordinator's reply) on shard k-1's post,
+claims shard k+1, sends shard k's post without waiting, and runs shard
+k+1 while the coordinator decodes, verifies and commits shard k::
+
+    run k | verdict k-1 | claim k+1 | send k | run k+1 | verdict k | ...
+
+Every verdict is read before the worker's next request of any kind
+(claim, renewal or post) and before it exits or dies, so its one
+connection never carries more than one outstanding request, and no
+thread is started.
 
 Failure handling is deliberately boring: a lost or expired lease
 (HTTP 410) just drops the shard on the floor, because the coordinator
 has already re-issued it; a duplicate-post conflict (409) is counted
 and ignored, because first-write-wins upstream means someone else's
 identical bytes already landed.  :class:`ChaosWorker` in the test tree
-subclasses this to inject every one of those failures on purpose.
+overrides the post's two halves (:meth:`FabricWorker._send_results` and
+:meth:`FabricWorker._read_verdict`) to inject every one of those
+failures on purpose.
 
 ``repro-vliw worker --coordinator URL`` wraps this class; ``--fail-after
 N`` makes it die (raise :class:`WorkerDied`) after executing N points,
@@ -36,7 +51,7 @@ from urllib.parse import urlsplit
 from ..errors import ServiceError
 from ..runner.cache import default_code_version
 from ..runner.engine import _run_batch
-from ..service.client import ClientError, ServiceClient
+from ..service.client import ClientError, PendingReply, ServiceClient
 from ..service.server import DEFAULT_HOST, DEFAULT_PORT
 from .protocol import PROTOCOL_VERSION
 
@@ -146,6 +161,8 @@ class FabricWorker:
         self.progress = progress
         self.stats = WorkerStats(worker=self.worker_id)
         self._executed = 0
+        #: ``(lease doc, reply)`` of the post whose verdict is unread.
+        self._pending: tuple[dict[str, Any], PendingReply] | None = None
 
     # ------------------------------------------------------------------
     def run(self) -> WorkerStats:
@@ -154,8 +171,10 @@ class FabricWorker:
         Stops cleanly on ``max_shards``, ``idle_exit_s`` or coordinator
         shutdown (503/transport failure once healthy).  Raises
         :class:`WorkerDied` on injected death and :class:`ClientError`
-        on fatal protocol errors (e.g. 409 code-version mismatch).
-        Either way the client's connection to the coordinator is closed.
+        on fatal protocol errors (e.g. 409 code-version mismatch, or an
+        error verdict other than 409/410 on a post).  The verdict on the
+        last post is read before it returns or dies, and either way the
+        client's connection to the coordinator is closed.
         """
         try:
             if not self.client.wait_until_healthy(timeout=self.wait_healthy_s):
@@ -163,55 +182,71 @@ class FabricWorker:
                     0, f"coordinator {self.client.base_url} never became healthy"
                 )
             self._say(f"worker {self.worker_id} pulling from {self.client.base_url}")
-            idle_since: float | None = None
-            while True:
-                if self.max_shards is not None and self.stats.shards >= self.max_shards:
-                    self._say(f"reached --max-shards {self.max_shards}; exiting")
-                    break
-                try:
-                    doc = self.client.lease(
-                        {
-                            "protocol": PROTOCOL_VERSION,
-                            "worker": self.worker_id,
-                            "code_version": self.code_version,
-                        }
-                    )
-                except ClientError as exc:
-                    if exc.status in (0, 503):
-                        # Coordinator shutting down (or gone): a clean stop.
-                        self._say(f"coordinator unavailable ({exc}); exiting")
-                        break
-                    raise
-                if doc.get("lease"):
-                    idle_since = None
-                    self._run_lease(doc)
-                    continue
-                now = time.monotonic()
-                if idle_since is None:
-                    idle_since = now
-                if (
-                    self.idle_exit_s is not None
-                    and now - idle_since >= self.idle_exit_s
-                ):
-                    self._say(f"idle for {self.idle_exit_s:g}s; exiting")
-                    break
-                self.stats.idle_polls += 1
-                time.sleep(float(doc.get("retry_s") or self.poll_s))
+            self._pull()
             return self.stats
         finally:
             self.client.close()
 
-    # ------------------------------------------------------------------
-    def _run_lease(self, doc: dict[str, Any]) -> None:
+    def _pull(self) -> None:
+        idle_since: float | None = None
+        doc = self._claim()
+        while doc is not None:
+            if doc.get("lease"):
+                idle_since = None
+                doc = self._run_lease(doc)
+                continue
+            # Nothing to run before the next poll: read the verdict now.
+            self._settle()
+            now = time.monotonic()
+            if idle_since is None:
+                idle_since = now
+            if self.idle_exit_s is not None and now - idle_since >= self.idle_exit_s:
+                self._say(f"idle for {self.idle_exit_s:g}s; exiting")
+                break
+            self.stats.idle_polls += 1
+            time.sleep(float(doc.get("retry_s") or self.poll_s))
+            doc = self._claim()
+        self._settle()
+
+    def _run_lease(self, doc: dict[str, Any]) -> dict[str, Any] | None:
+        """Run shard k and hand over its post; returns the next claim's reply.
+
+        Shard k+1 is claimed *before* shard k's results are sent, so
+        the worker executes k+1 while the coordinator decodes, verifies
+        and commits k; the verdict on k is read before the next request.
+        """
         results = self._execute_shard(doc)
         if results is None:
-            return  # lease lost mid-shard; the coordinator re-issues
-        self._post(doc, results)
+            return self._claim()  # lease lost mid-shard; the coordinator re-issues
         self.stats.shards += 1
+        following = self._claim()
+        self._pending = (doc, self._send_results(doc, results))
         self._say(
             f"lease {doc['lease']}: {len(results)} point(s) done "
             f"({self.stats.shards} shard(s) total)"
         )
+        return following
+
+    def _claim(self) -> dict[str, Any] | None:
+        """``POST /leases`` for the next shard; ``None`` means stop."""
+        self._settle()
+        if self.max_shards is not None and self.stats.shards >= self.max_shards:
+            self._say(f"reached --max-shards {self.max_shards}; exiting")
+            return None
+        try:
+            return self.client.lease(
+                {
+                    "protocol": PROTOCOL_VERSION,
+                    "worker": self.worker_id,
+                    "code_version": self.code_version,
+                }
+            )
+        except ClientError as exc:
+            if exc.status in (0, 503):
+                # Coordinator shutting down (or gone): a clean stop.
+                self._say(f"coordinator unavailable ({exc}); exiting")
+                return None
+            raise
 
     def _execute_shard(
         self, doc: dict[str, Any]
@@ -223,6 +258,7 @@ class FabricWorker:
         memos: dict = {}  # a family's policy points share their schedules
         for item in doc["shard"]:
             if self.fail_after is not None and self._executed >= self.fail_after:
+                self._settle()  # the last post's verdict is read first
                 raise WorkerDied(
                     f"worker {self.worker_id}: injected failure after "
                     f"{self._executed} point(s) (--fail-after)"
@@ -244,6 +280,7 @@ class FabricWorker:
         return results
 
     def _renew(self, doc: dict[str, Any]) -> bool:
+        self._settle()
         try:
             self.client.lease(
                 {
@@ -261,27 +298,50 @@ class FabricWorker:
         self.stats.renewals += 1
         return True
 
-    def _post(self, doc: dict[str, Any], results: list[dict[str, Any]]) -> None:
+    # ------------------------------------------------------------------
+    # The post of a shard's results: sent, then its verdict read later.
+    # ------------------------------------------------------------------
+    def _send_results(
+        self, doc: dict[str, Any], results: list[dict[str, Any]]
+    ) -> PendingReply:
+        """Send ``POST /results`` for a shard without waiting for the verdict."""
+        return self.client.results(
+            {
+                "protocol": PROTOCOL_VERSION,
+                "worker": self.worker_id,
+                "lease": doc["lease"],
+                "code_version": self.code_version,
+                "results": results,
+            },
+            wait=False,
+        )
+
+    def _read_verdict(self, doc: dict[str, Any], reply: PendingReply) -> int | None:
+        """Read and count a post's verdict.
+
+        Returns ``None`` when the post was accepted and the status of a
+        409/410 rejection otherwise; any other error verdict raises.
+        """
         try:
-            reply = self.client.results(
-                {
-                    "protocol": PROTOCOL_VERSION,
-                    "worker": self.worker_id,
-                    "lease": doc["lease"],
-                    "code_version": self.code_version,
-                    "results": results,
-                }
-            )
+            verdict = reply.read()
         except ClientError as exc:
-            if exc.status in (409, 410):
-                # Someone else's identical bytes won, or we outlived the
-                # lease: either way the sweep is fine without this post.
-                self.stats.rejected_posts += 1
-                self._say(f"post for lease {doc['lease']} rejected ({exc})")
-                return
-            raise
-        self.stats.posted += int(reply.get("accepted", 0))
-        self.stats.duplicates += int(reply.get("duplicates", 0))
+            if exc.status not in (409, 410):
+                raise
+            # Someone else's identical bytes won, or we outlived the
+            # lease: either way the sweep is fine without this post.
+            self.stats.rejected_posts += 1
+            self._say(f"post for lease {doc['lease']} rejected ({exc})")
+            return exc.status
+        self.stats.posted += int(verdict.get("accepted", 0))
+        self.stats.duplicates += int(verdict.get("duplicates", 0))
+        return None
+
+    def _settle(self) -> None:
+        """Read the verdict on the last post if it is still unread."""
+        if self._pending is not None:
+            doc, reply = self._pending
+            self._pending = None
+            self._read_verdict(doc, reply)
 
     def _say(self, message: str) -> None:
         if self.progress is not None:

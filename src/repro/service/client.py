@@ -3,7 +3,10 @@
 :class:`ServiceClient` wraps the JSON API with stdlib ``http.client``
 (no new dependencies): one persistent connection per calling thread,
 reused across calls.  It raises :class:`ClientError` carrying the HTTP
-status and the server's ``error`` message.
+status and the server's ``error`` message.  Every call sends its request
+and then reads the reply; ``results(payload, wait=False)`` returns the
+unread reply as a :class:`PendingReply`, so a fabric worker can compute
+while the coordinator handles its post.
 
 :func:`run_loadtest` is the synthetic-traffic harness behind
 ``repro-vliw loadtest``: N concurrent clients replay a deterministic mix
@@ -35,6 +38,7 @@ from .server import DEFAULT_HOST, DEFAULT_PORT
 __all__ = [
     "ClientError",
     "LoadtestReport",
+    "PendingReply",
     "ServiceClient",
     "default_mix",
     "run_loadtest",
@@ -50,6 +54,24 @@ class ClientError(ServiceError):
         self.status = status
 
 
+class PendingReply:
+    """The unread reply to a request sent without waiting.
+
+    :meth:`read` it on the thread that sent the request, before that
+    thread's next request: a connection carries at most one outstanding
+    request, and the client refuses to send another until this one's
+    reply is read.
+    """
+
+    def __init__(self, client: "ServiceClient", conn: http.client.HTTPConnection):
+        self._client = client
+        self._conn = conn
+
+    def read(self) -> dict[str, Any]:
+        """The reply's JSON body; raises :class:`ClientError` as a call would."""
+        return self._client._read(self._conn)
+
+
 class ServiceClient:
     """JSON-over-HTTP client for one ``repro-vliw serve`` instance.
 
@@ -58,7 +80,8 @@ class ServiceClient:
     reopened before the next request; a request is never sent twice, so
     a transport failure once it may have reached the server is a
     :class:`ClientError` with status 0.  :meth:`close` ends every
-    connection this client opened.
+    connection this client opened.  A thread with an unread
+    :class:`PendingReply` sends nothing until it reads it.
     """
 
     def __init__(
@@ -77,14 +100,23 @@ class ServiceClient:
         self._connections: list[http.client.HTTPConnection] = []
 
     def close(self) -> None:
-        """Close every connection this client opened (a later call reopens)."""
+        """Close every connection this client opened (a later call reopens).
+
+        A reply this thread left unread is dropped with its connection.
+        """
         with self._lock:
             connections = list(self._connections)
         for conn in connections:
             conn.close()
+        self._local.unread = False
 
     def _connection(self) -> http.client.HTTPConnection:
         """This thread's connection, ready to carry one request."""
+        if getattr(self._local, "unread", False):
+            # The readiness check below would take the reply for EOF.
+            raise RuntimeError(
+                f"{self.base_url}: read the pending reply before the next request"
+            )
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = http.client.HTTPConnection(
@@ -108,6 +140,17 @@ class ServiceClient:
         *,
         headers: dict[str, str] | None = None,
     ) -> dict[str, Any]:
+        return self._send(method, path, payload, headers=headers).read()
+
+    def _send(
+        self,
+        method: str,
+        path: str,
+        payload: dict[str, Any] | None = None,
+        *,
+        headers: dict[str, str] | None = None,
+    ) -> PendingReply:
+        """Send one request on this thread's connection; its reply is unread."""
         data = json.dumps(payload).encode() if payload is not None else None
         request_headers = {"Content-Type": "application/json"}
         if headers:
@@ -115,17 +158,19 @@ class ServiceClient:
         conn = self._connection()
         try:
             conn.request(method, path, body=data, headers=request_headers)
+        except (OSError, http.client.HTTPException) as exc:
+            raise self._transport_error(conn, exc) from None
+        self._local.unread = True
+        return PendingReply(self, conn)
+
+    def _read(self, conn: http.client.HTTPConnection) -> dict[str, Any]:
+        """Read the reply to the request this thread sent on *conn*."""
+        self._local.unread = False
+        try:
             resp = conn.getresponse()
             body = resp.read()
         except (OSError, http.client.HTTPException) as exc:
-            # Status 0 means the transport failed, not the request: the
-            # server is gone, refused the connection, or closed it
-            # mid-response (e.g. coordinator shutdown under a polling
-            # fabric worker).
-            conn.close()
-            raise ClientError(
-                0, f"{self.base_url}: {type(exc).__name__}: {exc}"
-            ) from None
+            raise self._transport_error(conn, exc) from None
         if not 200 <= resp.status < 300:
             try:
                 message = json.loads(body)["error"]
@@ -133,6 +178,16 @@ class ServiceClient:
                 message = body.decode(errors="replace") or resp.reason
             raise ClientError(resp.status, f"HTTP {resp.status}: {message}")
         return json.loads(body or b"{}")
+
+    def _transport_error(
+        self, conn: http.client.HTTPConnection, exc: Exception
+    ) -> ClientError:
+        # Status 0 means the transport failed, not the request: the
+        # server is gone, refused the connection, or closed it
+        # mid-response (e.g. coordinator shutdown under a polling
+        # fabric worker).
+        conn.close()
+        return ClientError(0, f"{self.base_url}: {type(exc).__name__}: {exc}")
 
     # ------------------------------------------------------------------
     def healthz(self) -> dict[str, Any]:
@@ -145,9 +200,16 @@ class ServiceClient:
         """``POST /leases`` — fabric worker claim/renew (raw protocol body)."""
         return self._call("POST", "/leases", payload)
 
-    def results(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """``POST /results`` — fabric worker result post (raw protocol body)."""
-        return self._call("POST", "/results", payload)
+    def results(
+        self, payload: dict[str, Any], *, wait: bool = True
+    ) -> dict[str, Any] | PendingReply:
+        """``POST /results`` — fabric worker result post (raw protocol body).
+
+        With ``wait=False`` the post is sent and its verdict returned
+        unread, as a :class:`PendingReply`.
+        """
+        reply = self._send("POST", "/results", payload)
+        return reply.read() if wait else reply
 
     def job(self, job_id: str) -> dict[str, Any]:
         return self._call("GET", f"/jobs/{job_id}")

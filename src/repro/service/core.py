@@ -156,6 +156,10 @@ class ScheduleRequest:
     #: Inline textual loop-IR source (the workload front door): exactly
     #: one of ``kernel`` / ``program`` must be set.
     program: str | None = None
+    #: The loop :meth:`from_payload` parsed from ``program``, handed over
+    #: to the first :meth:`grid_item` call: a finished job keeps its
+    #: requests, but not the scheduled graph with them.
+    _parsed: list[Loop] | None = field(default=None, compare=False, repr=False)
 
     #: Payload keys accepted by :meth:`from_payload` (anything else is a
     #: typo worth rejecting loudly rather than silently ignoring).
@@ -195,7 +199,7 @@ class ScheduleRequest:
             "exactly one of 'kernel' (a registered name) or 'program' "
             "(inline .loop source) is required",
         )
-        canonical_kernel = None
+        canonical_kernel = graph = None
         if kernel is not None:
             _require(
                 isinstance(kernel, str) and bool(kernel),
@@ -213,7 +217,9 @@ class ScheduleRequest:
                 "'program' must be non-empty .loop source text",
             )
             try:
-                parse_program(program, name="program", source="<request>")
+                graph = parse_program(
+                    program, name="program", source="<request>"
+                ).graph
             except ParseError as exc:
                 raise RequestError(str(exc)) from None
 
@@ -253,6 +259,7 @@ class ScheduleRequest:
         return cls(
             kernel=canonical_kernel,
             program=program,
+            _parsed=None if graph is None else [Loop(graph=graph, trip_count=niter)],
             clusters=clusters,
             buses=buses,
             latency=latency,
@@ -276,18 +283,21 @@ class ScheduleRequest:
     def grid_item(self, loop: Loop | None = None) -> GridItem:
         """The ``(ScenarioPoint, Loop)`` work unit for this request.
 
-        Inline programs parse here (already validated by
-        :meth:`from_payload`) and embed their full loop payload in the
+        Inline programs take the loop :meth:`from_payload` parsed (a
+        later call parses again) and embed their full loop payload in the
         point, so they cache, dedupe and distribute like any catalogue
         kernel without ever entering a registry.  A catalogue request
         builds its loop unless the caller passes *loop*, one already
         built for the same kernel and ``niter``.
         """
         if self.program is not None:
-            parsed = parse_program(
-                self.program, name="program", source="<request>"
-            )
-            loop = Loop(graph=parsed.graph, trip_count=self.niter)
+            if self._parsed:
+                loop = self._parsed.pop()
+            else:
+                parsed = parse_program(
+                    self.program, name="program", source="<request>"
+                )
+                loop = Loop(graph=parsed.graph, trip_count=self.niter)
             payload = program_payload(loop)
         else:
             if loop is None:

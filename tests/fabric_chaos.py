@@ -16,10 +16,14 @@ that misbehaves on purpose, one failure mode per knob:
   the sweep still completes through this worker.  ``corrupt=swap_cycles``
   is the lying worker: a well-formed post whose schedules are wrong.
 
-Every injected failure and every server rejection is counted in
-:attr:`ChaosWorker.chaos`, so property tests can assert both sides: the
-fault actually happened, *and* the coordinator converged to the
-complete, byte-identical result set anyway.
+The injections sit on the worker's two post hooks: the send
+(:meth:`~repro.fabric.worker.FabricWorker._send_results`) and the
+verdict (:meth:`~repro.fabric.worker.FabricWorker._read_verdict`), so a
+chaos worker pipelines like an honest one, reading each verdict before
+its next request.  Every injected failure and every server rejection is
+counted in :attr:`ChaosWorker.chaos`, so property tests can assert both
+sides: the fault actually happened, *and* the coordinator converged to
+the complete, byte-identical result set anyway.
 
 :func:`spawn` runs workers on daemon threads with captured outcomes;
 :func:`drain` finishes a sweep through the coordinator's direct API
@@ -39,7 +43,7 @@ from repro.fabric.coordinator import FabricCoordinator
 from repro.fabric.protocol import PROTOCOL_VERSION, FabricGone
 from repro.fabric.worker import FabricWorker, WorkerStats
 from repro.runner.engine import _run_batch
-from repro.service.client import ClientError
+from repro.service.client import ClientError, PendingReply
 
 
 def swap_cycles(results: list[dict[str, Any]]) -> list[dict[str, Any]]:
@@ -86,54 +90,41 @@ class ChaosWorker(FabricWorker):
         self.corrupt_recover = corrupt_recover
         self.chaos = ChaosStats()
 
-    def _post(self, doc: dict[str, Any], results: list[dict[str, Any]]) -> None:
+    def _send_results(
+        self, doc: dict[str, Any], results: list[dict[str, Any]]
+    ) -> PendingReply:
         if self.stall_before_post_s is not None:
             self.chaos.stalls += 1
             time.sleep(self.stall_before_post_s)
-            # Post raw so the expected rejection status is recorded in
-            # :attr:`chaos` (the base class would swallow the 410).
-            self._raw_post(doc, results)
-            return
         if self.corrupt is not None:
             self.chaos.corrupt_posts += 1
-            if not self._raw_post(doc, self.corrupt(list(results))):
+            corrupt = super()._send_results(doc, self.corrupt(list(results)))
+            if not self.corrupt_recover:
+                return corrupt
+            if self._read_verdict(doc, corrupt) is None:
                 # The corrupt payload got through?  Then the harness is
                 # not corrupting hard enough — fail loudly in the test.
                 raise AssertionError("corrupt post was accepted")
-            if not self.corrupt_recover:
-                return
-        super()._post(doc, results)
+        reply = super()._send_results(doc, results)
         if self.double_post:
+            # One request in flight at a time: the first verdict is read
+            # before the copy goes out.
+            self._read_verdict(doc, reply)
             self.chaos.double_posts += 1
-            self._raw_post(doc, results)
+            reply = super()._send_results(doc, results)
+        return reply
 
-    def _raw_post(
-        self, doc: dict[str, Any], results: list[dict[str, Any]]
-    ) -> int | None:
-        """Post without the base class's error handling; returns the
-        rejection status (recorded), or ``None`` if accepted.
-
-        Mirrors the base class's stats accounting so a ChaosWorker's
-        :class:`~repro.fabric.worker.WorkerStats` stay meaningful.
-        """
+    def _read_verdict(self, doc: dict[str, Any], reply: PendingReply) -> int | None:
+        """The base class's verdict accounting, plus every rejection's
+        status recorded in :attr:`chaos`; a chaos post's 400 is expected,
+        so no verdict raises."""
         try:
-            reply = self.client.results(
-                {
-                    "protocol": PROTOCOL_VERSION,
-                    "worker": self.worker_id,
-                    "lease": doc["lease"],
-                    "code_version": self.code_version,
-                    "results": results,
-                }
-            )
+            status = super()._read_verdict(doc, reply)
         except ClientError as exc:
-            self.chaos.rejections.append(exc.status)
-            if exc.status in (409, 410):
-                self.stats.rejected_posts += 1
-            return exc.status
-        self.stats.posted += int(reply.get("accepted", 0))
-        self.stats.duplicates += int(reply.get("duplicates", 0))
-        return None
+            status = exc.status
+        if status is not None:
+            self.chaos.rejections.append(status)
+        return status
 
 
 @dataclass

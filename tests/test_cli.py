@@ -252,3 +252,62 @@ class TestServeSignals:
                 proc.communicate()
         assert proc.returncode == 0, err
         assert "shutting down" in out
+
+
+class TestOneShotClients:
+    """``submit`` and ``sweep --coordinator`` close the client they open."""
+
+    @pytest.fixture()
+    def server(self, tmp_path):
+        import threading
+
+        from repro.runner import ResultCache
+        from repro.service import SchedulingService, ServiceServer
+
+        # No worker ever pulls, so a distributed sweep fails fast.
+        svc = SchedulingService(
+            cache=ResultCache(tmp_path / "cache"),
+            workers=0,
+            fabric_opts={"sweep_timeout_s": 0.3},
+        )
+        srv = ServiceServer(svc, port=0)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        yield srv
+        srv.shutdown()
+        srv.server_close()
+        svc.close()
+        thread.join(10.0)
+
+    @pytest.fixture()
+    def opened(self, monkeypatch):
+        """Every ``ServiceClient`` created, mapped to whether it was closed."""
+        from repro.service import ServiceClient
+
+        clients = {}
+        init, close = ServiceClient.__init__, ServiceClient.close
+
+        def tracking_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            clients[self] = False
+
+        def tracking_close(self):
+            close(self)
+            clients[self] = True
+
+        monkeypatch.setattr(ServiceClient, "__init__", tracking_init)
+        monkeypatch.setattr(ServiceClient, "close", tracking_close)
+        return clients
+
+    def test_submit_closes_its_client(self, server, opened, capsys):
+        main(["submit", "dot", "--port", str(server.port)])
+        assert "II=" in capsys.readouterr().out
+        assert list(opened.values()) == [True]
+
+    def test_coordinator_sweep_closes_its_client(self, server, opened):
+        with pytest.raises(SystemExit, match="timed out"):
+            main(
+                ["sweep", "smoke", "--quick", "--distributed",
+                 "--coordinator", server.url, "--timeout", "30"]
+            )
+        assert list(opened.values()) == [True]

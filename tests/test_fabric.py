@@ -49,7 +49,7 @@ from repro.fabric.protocol import MAX_ID_LEN, validate_claim, validate_results
 from repro.fabric.worker import FabricWorker, WorkerDied, client_from_url
 from repro.obs.prom import parse as parse_metrics
 from repro.runner import ResultCache, execute_points, scenario_for
-from repro.runner.engine import _run_batch
+from repro.runner.engine import _run_batch, run_sweep
 from repro.runner.grids import GRIDS
 from repro.runner.scenario import ScenarioPoint
 from repro.service import (
@@ -196,11 +196,13 @@ def fabric_env(tmp_path):
         )
         srv = ServiceServer(svc, port=0)
         threading.Thread(target=srv.serve_forever, daemon=True).start()
-        created.append((svc, srv))
-        return svc, srv, ServiceClient(port=srv.port, timeout=60.0)
+        client = ServiceClient(port=srv.port, timeout=60.0)
+        created.append((svc, srv, client))
+        return svc, srv, client
 
     yield make
-    for svc, srv in reversed(created):
+    for svc, srv, client in reversed(created):
+        client.close()
         srv.shutdown()
         srv.server_close()
         svc.close()
@@ -611,6 +613,30 @@ class TestStraggler:
         assert box["finished"] and "error" not in box
         assert coordinator.stats()["counters"]["shards_reissued"] == 0
 
+    def test_reissue_skips_the_lease_holder(self, tmp_path):
+        coordinator = make_coordinator(
+            tmp_path, shard_size=99, straggler_after_s=0.05
+        )
+        misses = make_misses(kernels=("daxpy",))
+        with fabric_sweep(coordinator, misses) as box:
+            doc = coordinator.claim(claim_body("w1", CODE_VERSION))
+            time.sleep(0.15)  # past the straggler threshold
+            # A pipelined worker claims again before it posts: it must
+            # not be handed a copy of the shard it is about to post.
+            own = coordinator.claim(claim_body("w1", CODE_VERSION))
+            assert own["lease"] is None and own["idle"] is True
+            helper = coordinator.claim(claim_body("w2", CODE_VERSION))
+            assert [item_key(i) for i in helper["shard"]] == [
+                item_key(i) for i in doc["shard"]
+            ]
+            coordinator.submit_results(
+                results_body(
+                    "w1", doc["lease"], CODE_VERSION, execute_items(doc["shard"])
+                )
+            )
+        assert box["finished"] and "error" not in box
+        assert coordinator.stats()["counters"]["shards_reissued"] == 1
+
     def test_live_lease_cap_blocks_reissue(self, tmp_path):
         coordinator = make_coordinator(
             tmp_path,
@@ -770,6 +796,42 @@ class TestChaosE2E:
         assert counters["leases_expired"] >= 1
         assert counters["shards_reissued"] >= 1
         assert svc.cache.writes == len(misses)
+
+    def test_death_with_a_verdict_unread_commits_the_posted_shard(
+        self, fabric_env
+    ):
+        # A heartbeat (ttl/3) never falls due in the failer's few
+        # milliseconds of work, so its first shard's verdict is still
+        # unread when it dies executing the second; the mop-up gets
+        # that shard as a straggler copy.
+        svc, srv, _client = fabric_env(
+            shard_size=2, lease_ttl_s=3.0, straggler_after_s=0.1
+        )
+        misses = make_misses()  # 6 points -> 3 shards
+        with fabric_sweep(svc.fabric, misses) as box:
+            failer = spawn(
+                FabricWorker(
+                    srv.url,
+                    worker_id="failer",
+                    code_version=svc.fabric.code_version,
+                    fail_after=3,  # dies inside its second shard
+                    poll_s=0.02,
+                )
+            )
+            failer.join()
+            drain(svc.fabric)
+        assert box["finished"] and "error" not in box
+        assert isinstance(failer.error, WorkerDied)
+        # The verdict on the posted shard was read before the death.
+        assert failer.worker.stats.posted == 2
+        assert failer.worker.stats.renewals == 0
+        stats = svc.fabric.stats()
+        assert stats["workers"]["failer"]["points"] == 2
+        assert stats["counters"]["points_completed"] == len(misses)
+        assert stats["counters"]["results_duplicate"] == 0
+        assert svc.cache.writes == len(misses)
+        local, _stats = run_sweep([item for _key, item in misses], cache=None)
+        assert as_docs(box["results"]) == as_docs(local)
 
     def test_stall_past_deadline_loses_to_the_reissue(self, fabric_env):
         # Straggler re-issue is out of reach: the stalled shard can only
@@ -993,6 +1055,12 @@ class TestWorker:
                 poll_s=0.02,
             ).run()
             assert stats.shards == 1 and stats.points == 2
+            # Exactly one lease claimed, and its results committed (and
+            # their verdict read) before run() returned.
+            counters = svc.fabric.stats()["counters"]
+            assert counters["leases_issued"] == 1
+            assert counters["points_completed"] == 2
+            assert stats.posted == 2
             drain(svc.fabric)
         assert box["finished"] and "error" not in box
         assert as_docs(box["results"]) == reference_docs(misses)
@@ -1028,6 +1096,146 @@ class TestWorker:
         assert box["finished"] and "error" not in box
         assert as_docs(box["results"]) == expected
         assert calls == {"ladder": 1, "ladder@x2": 1}
+
+    @staticmethod
+    def _count_points(monkeypatch, on_point):
+        """Call ``on_point(n)`` as the worker starts its n-th point."""
+        started = []
+
+        def counting(items, *args):
+            started.append(item_key(items[0]))
+            on_point(len(started))
+            return _run_batch(items, *args)
+
+        monkeypatch.setattr("repro.fabric.worker._run_batch", counting)
+
+    def test_next_shard_runs_while_the_post_is_handled(
+        self, fabric_env, monkeypatch
+    ):
+        svc, srv, _client = fabric_env(shard_size=2)
+        misses = make_misses()  # 3 shards
+        expected = reference_docs(misses)
+        second_shard = threading.Event()
+        self._count_points(
+            monkeypatch, lambda n: n == 3 and second_shard.set()
+        )
+        submit = svc.fabric.submit_results
+        overlapped = []
+
+        def held(data):
+            # The first post is held until the worker has begun its
+            # second shard; a worker that waits for the verdict never does.
+            if not overlapped:
+                overlapped.append(second_shard.wait(5.0))
+            return submit(data)
+
+        monkeypatch.setattr(svc.fabric, "submit_results", held)
+        with fabric_sweep(svc.fabric, misses) as box:
+            stats = FabricWorker(
+                srv.url,
+                code_version=svc.fabric.code_version,
+                idle_exit_s=0.3,
+                poll_s=0.02,
+            ).run()
+        assert box["finished"] and "error" not in box
+        assert overlapped == [True]
+        assert stats.shards == 3 and stats.posted == len(misses)
+        assert as_docs(box["results"]) == expected
+
+    def test_heartbeat_with_a_verdict_unread_reads_it_first(
+        self, fabric_env, monkeypatch
+    ):
+        svc, srv, _client = fabric_env(shard_size=2)
+        svc.fabric.heartbeat_s = 0.05  # a heartbeat is due at every point
+        misses = make_misses(kernels=("daxpy", "dot"))  # 2 shards
+        events = []
+        second_shard = threading.Event()
+
+        def on_point(n):
+            events.append(("point", n))
+            if n == 3:
+                second_shard.set()
+            time.sleep(0.1)
+
+        self._count_points(monkeypatch, on_point)
+        submit, claim = svc.fabric.submit_results, svc.fabric.claim
+
+        def slow_submit(data):
+            if second_shard.wait(5.0):
+                time.sleep(0.2)  # the verdict stays unread past a heartbeat
+            reply = submit(data)
+            events.append(("verdict", data["lease"]))
+            return reply
+
+        def recording_claim(data):
+            doc = claim(data)
+            if "renew" in data:
+                events.append(("renew", data["renew"]))
+            elif doc.get("lease"):
+                events.append(("lease", doc["lease"]))
+            return doc
+
+        monkeypatch.setattr(svc.fabric, "submit_results", slow_submit)
+        monkeypatch.setattr(svc.fabric, "claim", recording_claim)
+        with fabric_sweep(svc.fabric, misses) as box:
+            stats = FabricWorker(
+                srv.url,
+                code_version=svc.fabric.code_version,
+                idle_exit_s=0.3,
+                poll_s=0.02,
+            ).run()
+        assert box["finished"] and "error" not in box
+        assert stats.lost_leases == 0 and stats.posted == len(misses)
+        first, second = [lease for kind, lease in events if kind == "lease"]
+        # Shard 2 began with shard 1's verdict unread; the heartbeat
+        # that fell due read that verdict, then renewed shard 2's lease.
+        assert events.index(("verdict", first)) > events.index(("point", 3))
+        renewal = events.index(("renew", second))
+        assert events.index(("verdict", first)) < renewal
+        assert renewal < events.index(("point", 4))
+
+    @pytest.mark.parametrize(
+        "error", [FabricConflict, FabricGone, FabricBadRequest],
+        ids=["409", "410", "400"],
+    )
+    def test_error_verdicts(self, fabric_env, monkeypatch, error):
+        # No heartbeat falls due (ttl/3); a mop-up gets a dead worker's
+        # shard as a straggler copy.
+        svc, srv, _client = fabric_env(
+            shard_size=2, lease_ttl_s=3.0, straggler_after_s=0.1
+        )
+        misses = make_misses()  # 3 shards
+        submit = svc.fabric.submit_results
+        posts = []
+
+        def rejecting_first(data):
+            posts.append(data["lease"])
+            reply = submit(data)  # committed, but the verdict says no
+            if len(posts) == 1:
+                raise error("injected verdict")
+            return reply
+
+        monkeypatch.setattr(svc.fabric, "submit_results", rejecting_first)
+        worker = FabricWorker(
+            srv.url,
+            code_version=svc.fabric.code_version,
+            idle_exit_s=0.3,
+            poll_s=0.02,
+        )
+        with fabric_sweep(svc.fabric, misses) as box:
+            if error is FabricBadRequest:
+                with pytest.raises(ClientError) as err:
+                    worker.run()
+                assert err.value.status == 400
+                # Read (and raised) after shard 2 ran, before the next claim.
+                assert worker.stats.points == 4 and worker.stats.shards == 2
+                drain(svc.fabric)
+            else:
+                stats = worker.run()
+                assert stats.rejected_posts == 1
+                assert stats.posted == len(misses) - 2
+        assert box["finished"] and "error" not in box
+        assert as_docs(box["results"]) == reference_docs(misses)
 
     def test_idle_exit(self, fabric_env):
         svc, srv, _client = fabric_env()

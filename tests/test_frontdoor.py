@@ -29,6 +29,7 @@ from repro.runner import ResultCache, make_scheduler
 from repro.runner.engine import _run_batch
 from repro.service import (
     ClientError,
+    ScheduleRequest,
     SchedulingService,
     ServiceClient,
     ServiceServer,
@@ -195,6 +196,27 @@ class TestServicePath:
         first = service_client.schedule({"program": USER_PROGRAM}, wait=True)
         second = service_client.schedule({"program": USER_PROGRAM}, wait=True)
         assert first["result"]["rendered"] == second["result"]["rendered"]
+
+    def test_inline_program_is_parsed_once_per_request(self, monkeypatch):
+        import repro.service.core as core
+
+        calls = []
+        parse = core.parse_program
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(core, "parse_program", counting)
+        service = SchedulingService(cache=None, workers=0)
+        try:
+            request = ScheduleRequest.from_payload({"program": USER_PROGRAM})
+            job = service.submit_schedule(request)
+            assert job.wait(60.0) and job.status == "done", job.error
+        finally:
+            service.close()
+        assert len(calls) == 1
+        assert "mine" in job.results[0]["rendered"]
 
 
 # ---------------------------------------------------------------------------

@@ -385,8 +385,8 @@ class TestConcurrentClients:
         srv = ServiceServer(svc, port=0)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
+        client = ServiceClient(port=srv.port, timeout=120.0)
         try:
-            client = ServiceClient(port=srv.port, timeout=120.0)
             doc = client.sweep([{"kernel": k} for k in ("dot", "daxpy", "vadd")])
             assert doc["status"] == "done"
             assert [r["cached"] for r in doc["results"]] == [False] * 3
@@ -397,6 +397,7 @@ class TestConcurrentClients:
                 assert result["rendered"] == reference_payload(request)["rendered"]
             assert client.stats()["pool_live"] is True
         finally:
+            client.close()
             srv.shutdown()
             srv.server_close()
             svc.close()
@@ -736,6 +737,26 @@ class TestConnections:
         client.close()
         client.healthz()  # a closed client reconnects
         assert len(accepted) == 2
+        client.close()
+
+    def test_unread_reply_holds_back_the_next_request(self, server, service):
+        accepted = self._count_connections(server)
+        client = ServiceClient(port=server.port, timeout=60.0)
+        body = {
+            "protocol": 1,
+            "worker": "w1",
+            "lease": "l99999",
+            "code_version": service.fabric.code_version,
+            "results": [{"point": {}, "result": {}}],
+        }
+        pending = client.results(body, wait=False)
+        with pytest.raises(RuntimeError, match="pending reply"):
+            client.healthz()
+        with pytest.raises(ClientError) as err:
+            pending.read()
+        assert err.value.status == 410  # the verdict, not a transport error
+        assert client.healthz()["status"] == "ok"
+        assert len(accepted) == 1
         client.close()
 
     def test_loadtest_opens_one_connection_per_client(self, server):
