@@ -10,7 +10,7 @@ from conftest import save_result
 
 from repro.experiments import run_pipelining_gain, run_register_sweep
 from repro.perf import format_table
-from repro.workloads.specfp import build_program
+from repro.workloads import resolve_workload
 
 #: A7 uses a 4-program sub-suite: the sweep re-schedules everything per
 #: register size, and four programs capture the pressure spectrum.
@@ -18,7 +18,7 @@ SWEEP_PROGRAMS = ("tomcatv", "swim", "applu", "fpppp")
 
 
 def test_ablation_register_sweep(benchmark, results_dir):
-    suite = [build_program(name) for name in SWEEP_PROGRAMS]
+    suite = [resolve_workload(name, kind="program")[1]() for name in SWEEP_PROGRAMS]
     points = benchmark.pedantic(
         run_register_sweep, args=(suite,), rounds=1, iterations=1
     )

@@ -13,13 +13,13 @@ from conftest import save_result
 
 from repro.experiments import ExperimentContext, fig8_rows, run_fig8
 from repro.runner import ResultCache
-from repro.workloads.specfp import build_program
+from repro.workloads import resolve_workload
 
 DIMS = dict(cluster_counts=(4,), bus_counts=(1,), latencies=(1, 4))
 
 
 def _suite():
-    return [build_program("swim"), build_program("applu")]
+    return [resolve_workload(name, kind="program")[1]() for name in ("swim", "applu")]
 
 
 def test_runner_cache_replay(benchmark, results_dir, tmp_path):

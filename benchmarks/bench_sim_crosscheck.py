@@ -20,7 +20,7 @@ from repro.core.bsa import BsaScheduler
 from repro.core.unified import UnifiedScheduler
 from repro.perf import format_table
 from repro.sim import crosscheck_schedule, simulate_schedule
-from repro.workloads.kernels import ALL_KERNELS
+from repro.workloads import workload
 
 #: (kernel, config label, niter) — enough dynamic cycles to time reliably.
 SCENARIOS = (
@@ -46,7 +46,8 @@ def _schedules():
             if config.n_clusters == 1
             else BsaScheduler(config)
         )
-        out.append((kernel, label, scheduler.schedule(ALL_KERNELS[kernel]()), niter))
+        graph = workload(kernel).factory()
+        out.append((kernel, label, scheduler.schedule(graph), niter))
     return out
 
 

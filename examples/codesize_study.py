@@ -11,17 +11,18 @@ Run:  python examples/codesize_study.py [program]
 
 import sys
 
-from repro import UnrollPolicy
+from repro import UnrollPolicy, clustered_config
 from repro.codegen import schedule_code_size
-from repro.experiments import ExperimentContext, paper_machine
+from repro.experiments import ExperimentContext
 from repro.perf import format_table
-from repro.workloads import build_program
+from repro.workloads import resolve_workload
 
 
 def main(program_name: str = "applu"):
-    program = build_program(program_name)
+    _, build = resolve_workload(program_name, kind="program")
+    program = build()
     ctx = ExperimentContext(suite=[program])
-    config = paper_machine(4, 1, 1)
+    config = clustered_config(4, 1, 1)
 
     rows = []
     unrolled_loops = {}

@@ -12,14 +12,15 @@ Run:  python examples/design_space.py [program]
 
 import sys
 
-from repro import UnrollPolicy, cycle_time_ps, unified_config
-from repro.experiments import ExperimentContext, paper_machine
+from repro import UnrollPolicy, clustered_config, cycle_time_ps, unified_config
+from repro.experiments import ExperimentContext
 from repro.perf import format_table
-from repro.workloads import build_program
+from repro.workloads import resolve_workload
 
 
 def main(program_name: str = "hydro2d"):
-    program = build_program(program_name)
+    _, build = resolve_workload(program_name, kind="program")
+    program = build()
     ctx = ExperimentContext(suite=[program])
     unified = unified_config()
     unified_ipc = ctx.program_ipc(program, unified, "bsa", UnrollPolicy.NONE).ipc
@@ -33,7 +34,7 @@ def main(program_name: str = "hydro2d"):
     for n_clusters in (2, 4):
         for n_buses in (1, 2):
             for latency in (1, 2, 4):
-                config = paper_machine(n_clusters, n_buses, latency)
+                config = clustered_config(n_clusters, n_buses, latency)
                 cycle = cycle_time_ps(config)
                 for policy in (UnrollPolicy.NONE, UnrollPolicy.SELECTIVE):
                     ipc = ctx.program_ipc(program, config, "bsa", policy).ipc

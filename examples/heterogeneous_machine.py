@@ -14,7 +14,7 @@ Run:  python examples/heterogeneous_machine.py
 from repro import BsaScheduler, verify_schedule
 from repro.arch import BusSpec, FuSet, MachineConfig, heterogeneous_config
 from repro.perf import format_table, schedule_stats
-from repro.workloads.kernels import ALL_KERNELS
+from repro.workloads import workload
 
 
 def machines():
@@ -42,7 +42,7 @@ def main():
 
     rows = []
     for name in ("daxpy", "stencil5", "cmul", "gather", "fir4", "hydro"):
-        graph = ALL_KERNELS[name]()
+        graph = workload(name).factory()
         row = {"kernel": name, "ops": len(graph)}
         for config in (hetero, homo):
             sched = BsaScheduler(config).schedule(graph)

@@ -21,6 +21,8 @@ from .resources import BusSpec, FuSet
 PAPER_BUS_COUNTS = (1, 2)
 #: Bus latencies shown in the IPC figures (Figure 8).
 PAPER_BUS_LATENCIES = (1, 2, 4)
+#: Cluster counts :func:`clustered_config` builds (1 is the unified machine).
+CLUSTER_COUNTS = (1, 2, 4)
 
 
 def unified_config() -> MachineConfig:
@@ -59,14 +61,17 @@ def four_cluster_config(n_buses: int = 1, bus_latency: int = 1) -> MachineConfig
 def clustered_config(
     n_clusters: int, n_buses: int = 1, bus_latency: int = 1
 ) -> MachineConfig:
-    """The paper-style machine with *n_clusters* clusters (2 or 4)."""
+    """The paper's machine with *n_clusters* clusters (one of
+    :data:`CLUSTER_COUNTS`; the fabric is ignored for the unified one)."""
+    if n_clusters not in CLUSTER_COUNTS:
+        raise ValueError(
+            f"paper configurations have 1, 2 or 4 clusters, not {n_clusters}"
+        )
     if n_clusters == 1:
         return unified_config()
     if n_clusters == 2:
         return two_cluster_config(n_buses, bus_latency)
-    if n_clusters == 4:
-        return four_cluster_config(n_buses, bus_latency)
-    raise ValueError(f"paper configurations have 1, 2 or 4 clusters, not {n_clusters}")
+    return four_cluster_config(n_buses, bus_latency)
 
 
 def paper_configs() -> dict[str, MachineConfig]:

@@ -55,14 +55,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .arch.configs import clustered_config, unified_config
+from .arch.configs import clustered_config
 from .codegen.vliw import render_schedule
 from .core.verify import verify_schedule
 from .errors import ParseError, ReproError, WorkloadError
 from .experiments import (
     ExperimentContext,
     fig7_rows,
-    make_scheduler,
     render_gap,
     run_fig7,
     run_fig7_ladder,
@@ -74,9 +73,9 @@ from .codegen.rename import rename_kernel
 from .ir.frontend import LOOP_SUFFIX, parse_file
 from .ir.unroll import unroll_graph
 from .perf.report import format_table
-from .runner import GRIDS, SCHEDULERS, ResultCache, scheduler_table
+from .runner import GRIDS, SCHEDULERS, ResultCache, make_scheduler, scheduler_table
 from .sim import PerfectMemory, RandomMissMemory, crosscheck_schedule
-from .workloads.kernels import kernel_table, resolve_kernel
+from .workloads.kernels import resolve_kernel
 from .workloads.registry import workload_table
 
 
@@ -215,12 +214,11 @@ def _loop_file_or_none(name: str, command: str):
 
 def _schedule_kernel(args: argparse.Namespace, graph):
     name = getattr(args, "scheduler", "bsa")
-    if args.clusters == 1:
-        config = unified_config()
-    else:
-        config = clustered_config(args.clusters, args.buses, args.latency)
     try:
+        config = clustered_config(args.clusters, args.buses, args.latency)
         scheduler = make_scheduler(name, config)
+    except ValueError as exc:
+        sys.exit(f"{args.command}: {exc}")
     except KeyError:
         sys.exit(
             f"schedule: unknown scheduler {name!r}; known: {sorted(SCHEDULERS)}"
@@ -232,11 +230,7 @@ def _schedule_kernel(args: argparse.Namespace, graph):
 
 def cmd_schedule(args: argparse.Namespace) -> None:
     if args.list:
-        print(
-            format_table(
-                kernel_table(), title="Kernels (canonical name and alias)"
-            )
-        )
+        print(format_table(workload_table("kernel"), title="Kernels (tag=kernel)"))
         print()
         print(
             format_table(

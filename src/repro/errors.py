@@ -18,10 +18,9 @@ class GraphError(ReproError):
 class WorkloadError(ReproError, KeyError):
     """A workload name, alias or parametrisation cannot be resolved.
 
-    Also subclasses :class:`KeyError` so callers of the historical
-    ``resolve_kernel`` / ``build_program`` APIs (which raised bare
-    ``KeyError``) keep working unchanged.  ``suggestion`` carries a
-    did-you-mean candidate when one is close enough to print.
+    Also subclasses :class:`KeyError`, so a failed lookup can be caught
+    like any missing mapping key.  ``suggestion`` carries a did-you-mean
+    candidate when one is close enough to print.
     """
 
     def __init__(self, message: str, *, suggestion: str | None = None):

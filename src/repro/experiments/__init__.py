@@ -21,9 +21,6 @@ from .common import (
     ExperimentContext,
     config_label,
     geometric_mean,
-    make_scheduler,
-    paper_machine,
-    sequential_fallback,
     suite_grid,
 )
 from .crossval import (
@@ -79,10 +76,8 @@ __all__ = [
     "gap_grid",
     "gap_rows",
     "geometric_mean",
-    "make_scheduler",
     "max_cycle_divergence",
     "max_ipc_divergence",
-    "paper_machine",
     "render_gap",
     "run_crossval",
     "run_gap",
@@ -102,6 +97,5 @@ __all__ = [
     "run_unroll_factor_sweep",
     "run_table1",
     "run_table2",
-    "sequential_fallback",
     "suite_grid",
 ]

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..arch.configs import unified_config
+from ..arch.configs import clustered_config, unified_config
 from ..codegen.codesize import ZERO_SIZE, schedule_code_size
 from ..core.bsa import BsaScheduler
 from ..core.selective import ScheduledLoopResult, SelectiveRule, UnrollPolicy
 from ..errors import SchedulingError
 from ..ir.unroll import unroll_graph
 from ..perf.model import StallModel, program_performance
-from .common import ExperimentContext, paper_machine, suite_grid
+from .common import ExperimentContext, suite_grid
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,13 @@ def run_singlepass_ablation(
     """EXP-A1: BSA vs two-phase as communication latency grows."""
     grid = suite_grid(ctx.suite, unified_config(), "bsa", UnrollPolicy.NONE)
     for latency in latencies:
-        cfg = paper_machine(n_clusters, n_buses, latency)
+        cfg = clustered_config(n_clusters, n_buses, latency)
         for algorithm in ("bsa", "two-phase"):
             grid.extend(suite_grid(ctx.suite, cfg, algorithm, UnrollPolicy.NONE))
     ctx.run_grid(grid)
     points = []
     for latency in latencies:
-        cfg = paper_machine(n_clusters, n_buses, latency)
+        cfg = clustered_config(n_clusters, n_buses, latency)
         for algorithm in ("bsa", "two-phase"):
             rel = ctx.average_relative_ipc(cfg, algorithm, UnrollPolicy.NONE)
             points.append(LatencyAblationPoint(latency, algorithm, rel))
@@ -83,7 +83,7 @@ def run_selective_rule_ablation(
     """EXP-A2: the two readings of the Figure 6 decision test."""
     grid = []
     for n_buses, latency in scenarios:
-        cfg = paper_machine(n_clusters, n_buses, latency)
+        cfg = clustered_config(n_clusters, n_buses, latency)
         for rule in SelectiveRule:
             grid.extend(
                 suite_grid(ctx.suite, cfg, "bsa", UnrollPolicy.SELECTIVE, rule)
@@ -91,7 +91,7 @@ def run_selective_rule_ablation(
     ctx.run_grid(grid)
     points = []
     for n_buses, latency in scenarios:
-        cfg = paper_machine(n_clusters, n_buses, latency)
+        cfg = clustered_config(n_clusters, n_buses, latency)
         for rule in SelectiveRule:
             perfs = ctx.suite_ipc(cfg, "bsa", UnrollPolicy.SELECTIVE, rule)
             unrolled = 0
@@ -136,7 +136,7 @@ def run_ordering_ablation(
     """EXP-A3: SMS ordering vs plain topological ordering inside BSA."""
     points = []
     for n_clusters in cluster_counts:
-        cfg = paper_machine(n_clusters, n_buses, latency)
+        cfg = clustered_config(n_clusters, n_buses, latency)
         for name, label in (("bsa", "sms"), ("bsa-topo", "topological")):
             rel = ctx.average_relative_ipc(cfg, name, UnrollPolicy.NONE)
             points.append(OrderingPoint(label, n_clusters, rel))
@@ -165,7 +165,7 @@ def run_default_cluster_ablation(
     """
     points = []
     for n_clusters in cluster_counts:
-        cfg = paper_machine(n_clusters, n_buses, latency)
+        cfg = clustered_config(n_clusters, n_buses, latency)
         for label in ("circular", "least-loaded"):
             scheduler_name = "bsa" if label == "circular" else "bsa-least-loaded"
             rel = ctx.average_relative_ipc(cfg, scheduler_name, UnrollPolicy.ALL)
@@ -194,7 +194,7 @@ def run_unroll_factor_sweep(
     Loops whose unrolled body cannot be scheduled fall back to the
     non-unrolled schedule (counted in ``failed_loops``).
     """
-    cfg = paper_machine(n_clusters, n_buses, latency)
+    cfg = clustered_config(n_clusters, n_buses, latency)
     points = []
     for factor in factors:
         failed = 0
@@ -302,7 +302,7 @@ def run_pipelining_gain(
     from ..core.list_schedule import list_schedule
     from ..perf.model import program_performance
 
-    cfg = paper_machine(n_clusters, n_buses, latency)
+    cfg = clustered_config(n_clusters, n_buses, latency)
     points = []
     for program in ctx.suite:
         list_results = {
@@ -354,7 +354,7 @@ def run_stall_sensitivity(
     """
     from ..arch.configs import unified_config
 
-    cfg = paper_machine(n_clusters, n_buses, latency)
+    cfg = clustered_config(n_clusters, n_buses, latency)
     unified = unified_config()
     points = []
     for miss_rate, penalty in scenarios:

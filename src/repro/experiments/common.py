@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..arch.cluster import MachineConfig
-from ..arch.configs import clustered_config, unified_config
+from ..arch.configs import unified_config
 from ..core.selective import (
     ScheduledLoopResult,
     SelectiveRule,
@@ -42,14 +42,7 @@ from ..ir.loop import Loop, Program
 from ..obs.report import RunRecorder
 from ..perf.model import ProgramPerformance, program_performance
 from ..runner.cache import ResultCache
-from ..runner.engine import (  # re-exported for backwards compatibility
-    SCHEDULERS,
-    SchedulerFactory,
-    SweepStats,
-    make_scheduler,
-    run_sweep,
-    sequential_fallback,
-)
+from ..runner.engine import SweepStats, run_sweep
 from ..runner.scenario import (
     GridItem,
     PointResult,
@@ -61,15 +54,10 @@ from ..sim.crosscheck import CrossCheck
 from ..workloads.specfp import specfp95_suite
 
 __all__ = [
-    "SCHEDULERS",
-    "SchedulerFactory",
     "ExperimentContext",
     "config_label",
     "geometric_mean",
-    "make_scheduler",
-    "paper_machine",
     "program_grid",
-    "sequential_fallback",
     "suite_grid",
 ]
 
@@ -388,8 +376,3 @@ def geometric_mean(values: list[float]) -> float:
     if not values:
         return 0.0
     return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def paper_machine(n_clusters: int, n_buses: int, latency: int) -> MachineConfig:
-    """Shorthand for the paper's clustered machines with a chosen fabric."""
-    return clustered_config(n_clusters, n_buses, latency)

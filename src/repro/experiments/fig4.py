@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..arch.configs import unified_config
+from ..arch.configs import clustered_config, unified_config
 from ..core.selective import UnrollPolicy
 from ..runner.scenario import GridItem
-from .common import ExperimentContext, paper_machine, suite_grid
+from .common import ExperimentContext, suite_grid
 
 #: Bus counts swept on the x axis (the paper's plots run to 12).
 BUS_SWEEP = (1, 2, 3, 4, 6, 8, 12)
@@ -37,7 +37,7 @@ def fig4_grid(
         for algorithm in ALGORITHMS:
             for latency in LATENCIES:
                 for n_buses in bus_sweep:
-                    cfg = paper_machine(n_clusters, n_buses, latency)
+                    cfg = clustered_config(n_clusters, n_buses, latency)
                     items.extend(
                         suite_grid(ctx.suite, cfg, algorithm, UnrollPolicy.NONE)
                     )
@@ -67,7 +67,7 @@ def run_fig4(
         for algorithm in ALGORITHMS:
             for latency in LATENCIES:
                 for n_buses in bus_sweep:
-                    cfg = paper_machine(n_clusters, n_buses, latency)
+                    cfg = clustered_config(n_clusters, n_buses, latency)
                     rel = ctx.average_relative_ipc(
                         cfg, algorithm, UnrollPolicy.NONE
                     )

@@ -21,11 +21,12 @@ from ..arch.cluster import MachineConfig
 from ..arch.configs import (
     PAPER_BUS_COUNTS,
     PAPER_BUS_LATENCIES,
+    clustered_config,
     unified_config,
 )
 from ..core.selective import UnrollPolicy
 from ..runner.scenario import GridItem
-from .common import ExperimentContext, paper_machine, suite_grid
+from .common import ExperimentContext, suite_grid
 
 POLICIES = (UnrollPolicy.NONE, UnrollPolicy.ALL, UnrollPolicy.SELECTIVE)
 
@@ -50,7 +51,7 @@ def fig8_scenarios(
         for policy in POLICIES:
             for n_buses in bus_counts:
                 for latency in latencies:
-                    machine = paper_machine(n_clusters, n_buses, latency)
+                    machine = clustered_config(n_clusters, n_buses, latency)
                     scenarios.append((n_clusters, n_buses, latency, policy, machine))
     return scenarios
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..arch.configs import unified_config
+from ..arch.configs import clustered_config, unified_config
 from ..core.selective import UnrollPolicy
 from ..perf.speedup import SpeedupReport, speedup_report
 from ..runner.scenario import GridItem
-from .common import ExperimentContext, geometric_mean, paper_machine, suite_grid
+from .common import ExperimentContext, geometric_mean, suite_grid
 
 SCENARIOS = (
     ("NU", UnrollPolicy.NONE),
@@ -36,7 +36,7 @@ def fig9_grid(
     items = suite_grid(ctx.suite, unified_config(), "bsa", UnrollPolicy.NONE)
     for n_clusters in cluster_counts:
         for n_buses in bus_counts:
-            cfg = paper_machine(n_clusters, n_buses, bus_latency)
+            cfg = clustered_config(n_clusters, n_buses, bus_latency)
             for _label, policy in SCENARIOS:
                 items.extend(suite_grid(ctx.suite, cfg, "bsa", policy))
     return items
@@ -74,7 +74,7 @@ def run_fig9(
     points = []
     for n_clusters in cluster_counts:
         for n_buses in bus_counts:
-            cfg = paper_machine(n_clusters, n_buses, bus_latency)
+            cfg = clustered_config(n_clusters, n_buses, bus_latency)
             for label, policy in SCENARIOS:
                 perfs = ctx.suite_ipc(cfg, "bsa", policy)
                 mean_ipc_c = geometric_mean([perf.ipc for perf in perfs.values()])

@@ -20,11 +20,13 @@ import json
 from dataclasses import dataclass
 
 from ..arch.cluster import MachineConfig
+from ..arch.configs import clustered_config
 from ..core.lifetimes import max_pressure
 from ..core.selective import UnrollPolicy
 from ..runner.scenario import GridItem, scenario_for
-from ..workloads.kernels import ALL_KERNELS, kernel_loop
-from .common import ExperimentContext, config_label, paper_machine
+from ..workloads.kernels import kernel_loop
+from ..workloads.registry import workloads
+from .common import ExperimentContext, config_label
 
 #: Heuristics measured against the oracle (registry names).
 GAP_HEURISTICS = ("bsa", "two-phase")
@@ -48,14 +50,14 @@ QUICK_KERNELS = (
 )
 #: The full set: the whole catalogue (the largest kernels may time the
 #: oracle out — reported as such, never silently dropped).
-FULL_KERNELS = tuple(ALL_KERNELS)
+FULL_KERNELS = tuple(spec.name for spec in workloads(tag="kernel", discover=False))
 
 
 def gap_configs(quick: bool) -> tuple[MachineConfig, ...]:
     """The machines of the gap table (paper fabrics, hardest last)."""
-    configs = (paper_machine(2, 1, 1), paper_machine(2, 1, 2))
+    configs = (clustered_config(2, 1, 1), clustered_config(2, 1, 2))
     if not quick:
-        configs = configs + (paper_machine(4, 1, 1),)
+        configs = configs + (clustered_config(4, 1, 1),)
     return configs
 
 

@@ -4,17 +4,18 @@ Three instrument kinds, mirroring the Prometheus types the exposition
 layer (:mod:`repro.obs.prom`) renders:
 
 * :class:`Counter` — monotonically increasing totals (requests served,
-  cache hits); names end in ``_total`` by convention.
-* :class:`Gauge` — point-in-time values (queue depth, live jobs).  A
-  gauge may be *callback-backed*: the value is sampled at collect time,
-  so state the service already tracks (queue sizes, pool liveness)
-  never needs double bookkeeping.
+  cache hits); names end in ``_total`` by convention.  A counter is
+  either labelled, counting through its children, or *callback-backed*:
+  its value is read at collect time from state the owner already
+  tracks, so ``/stats`` and ``/metrics`` never need double bookkeeping.
+* :class:`Gauge` — point-in-time values (queue depth, live jobs),
+  always callback-backed.
 * :class:`Histogram` — cumulative fixed-bucket distributions; the
   shared :data:`LATENCY_BUCKETS_S` ladder keeps every latency series
   comparable across the service, the loadtest and CI gates.
 
-All instruments are labelled: an instrument is created once per name on
-the registry, and :meth:`~_Instrument.labels` returns (and memoises) the
+An instrument is created once per name on the registry, and the
+:meth:`~_Instrument.labels` of a labelled one returns (and memoises) the
 child for one label-value combination.  Mutations take the registry
 lock, so handler threads, the dispatcher and the scrape path can share
 one registry safely.  Metric names are part of the public contract —
@@ -95,7 +96,6 @@ class _Instrument:
         help: str,
         labelnames: tuple[str, ...],
     ):
-        self._registry = registry
         self._lock = registry._lock
         self.name = name
         self.help = help
@@ -143,12 +143,13 @@ class _CounterChild:
 
 
 class Counter(_Instrument):
-    """A monotonically increasing total, optionally labelled.
+    """A monotonically increasing total: labelled, or callback-backed.
 
-    May instead be *callback-backed* (like a callback gauge): the value
-    is read from external monotonic state at collect time, so a total
-    the owner already tracks (cache hits, request counts) has exactly
-    one source of truth — ``/stats`` and ``/metrics`` cannot drift.
+    A labelled counter counts through its children
+    (``counter.labels(route=..., code=...).inc()``).  A callback-backed
+    one reads external monotonic state at collect time, so a total the
+    owner already tracks (cache hits, request counts) has exactly one
+    source of truth — ``/stats`` and ``/metrics`` cannot drift.
     """
 
     kind = "counter"
@@ -162,33 +163,14 @@ class Counter(_Instrument):
         callback: Callable[[], float] | None = None,
     ):
         super().__init__(registry, name, help, labelnames)
-        if callback is not None and labelnames:
-            raise ValueError(f"{name}: callback counters cannot be labelled")
+        if bool(labelnames) == (callback is not None):
+            raise ValueError(
+                f"{name}: a counter is either labelled or callback-backed"
+            )
         self._callback = callback
-        self._default = (
-            _CounterChild(self._lock)
-            if not labelnames and callback is None
-            else None
-        )
 
     def _new_child(self) -> _CounterChild:
         return _CounterChild(self._lock)
-
-    def inc(self, amount: float = 1.0) -> None:
-        if self._default is None:
-            raise ValueError(
-                f"{self.name} is labelled or callback-backed; cannot inc()"
-            )
-        self._default.inc(amount)
-
-    @property
-    def value(self) -> float:
-        """Unlabelled counter's current total (reads are atomic enough)."""
-        if self._callback is not None:
-            return float(self._callback())
-        if self._default is None:
-            raise ValueError(f"{self.name} is labelled; read via collect()")
-        return self._default.value
 
     def value_of(self, **labelvalues: str) -> float:
         """Current total of one labelled child (0.0 when never touched)."""
@@ -198,83 +180,31 @@ class Counter(_Instrument):
             return child.value if child is not None else 0.0
 
     def collect(self) -> MetricFamily:
-        fam = MetricFamily(self.name, self.kind, self.help)
         if self._callback is not None:
-            fam.samples.append(Sample(self.name, (), float(self._callback())))
-        elif self._default is not None:
-            fam.samples.append(Sample(self.name, (), self._default.value))
+            samples = [Sample(self.name, (), float(self._callback()))]
         else:
-            for labels, child in self._label_items():
-                fam.samples.append(Sample(self.name, labels, child.value))
-        return fam
+            samples = [
+                Sample(self.name, labels, child.value)
+                for labels, child in self._label_items()
+            ]
+        return MetricFamily(self.name, self.kind, self.help, samples)
 
 
-class _GaugeChild:
-    __slots__ = ("_lock", "value")
-
-    def __init__(self, lock: threading.Lock):
-        self._lock = lock
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-
-class Gauge(_Instrument):
-    """A point-in-time value; optionally callback-backed (sampled at scrape)."""
+class Gauge:
+    """A point-in-time value (queue depth, live jobs), read from
+    *callback* at collect time, so state the owner already tracks never
+    needs double bookkeeping."""
 
     kind = "gauge"
 
-    def __init__(
-        self,
-        registry,
-        name,
-        help,
-        labelnames=(),
-        callback: Callable[[], float] | None = None,
-    ):
-        super().__init__(registry, name, help, labelnames)
-        if callback is not None and labelnames:
-            raise ValueError(f"{name}: callback gauges cannot be labelled")
+    def __init__(self, name: str, help: str, callback: Callable[[], float]):
+        self.name = name
+        self.help = help
         self._callback = callback
-        self._default = (
-            _GaugeChild(self._lock) if not labelnames and callback is None else None
-        )
-
-    def _new_child(self) -> _GaugeChild:
-        return _GaugeChild(self._lock)
-
-    def set(self, value: float) -> None:
-        if self._default is None:
-            raise ValueError(f"{self.name}: not a settable unlabelled gauge")
-        self._default.set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        if self._default is None:
-            raise ValueError(f"{self.name}: not a settable unlabelled gauge")
-        self._default.inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     def collect(self) -> MetricFamily:
-        fam = MetricFamily(self.name, self.kind, self.help)
-        if self._callback is not None:
-            fam.samples.append(Sample(self.name, (), float(self._callback())))
-        elif self._default is not None:
-            fam.samples.append(Sample(self.name, (), self._default.value))
-        else:
-            for labels, child in self._label_items():
-                fam.samples.append(Sample(self.name, labels, child.value))
-        return fam
+        sample = Sample(self.name, (), float(self._callback()))
+        return MetricFamily(self.name, self.kind, self.help, [sample])
 
 
 class _HistogramChild:
@@ -408,16 +338,9 @@ class MetricsRegistry:
         )
 
     def gauge(
-        self,
-        name: str,
-        help: str,
-        labelnames: tuple[str, ...] = (),
-        callback: Callable[[], float] | None = None,
+        self, name: str, help: str, *, callback: Callable[[], float]
     ) -> Gauge:
-        _check_labels(labelnames)
-        return self._register(
-            lambda: Gauge(self, name, help, labelnames, callback), name, "gauge"
-        )
+        return self._register(lambda: Gauge(name, help, callback), name, "gauge")
 
     def histogram(
         self,

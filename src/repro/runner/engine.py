@@ -26,9 +26,9 @@ so each (graph, machine, scheduler, unroll factor) is scheduled once.
 Shards keep families whole.
 
 The scheduler registry (:data:`SCHEDULERS`, :func:`make_scheduler`) and
-the list-schedule fallback live here so both the engine's workers and
-the experiment harnesses dispatch through one table;
-:mod:`repro.experiments.common` re-exports them.
+the list-schedule fallback live here so the engine's workers, the
+service and the CLI dispatch through one table (import them from
+:mod:`repro.runner`).
 """
 
 from __future__ import annotations

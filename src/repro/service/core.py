@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
 
-from ..arch.configs import clustered_config, unified_config
+from ..arch.configs import CLUSTER_COUNTS, clustered_config
 from ..codegen.vliw import render_schedule
 from ..core.selective import SelectiveRule, UnrollPolicy
 from ..errors import ParseError, ServiceError, WorkloadError
@@ -187,7 +187,8 @@ class ScheduleRequest:
         ------
         RequestError
             On any unknown key, missing kernel, unknown scheduler /
-            policy / rule, or out-of-range numeric field.
+            policy / rule, out-of-range numeric field, or a cluster
+            count no paper machine has.
         """
         _require(isinstance(data, dict), "request must be a JSON object")
         unknown = sorted(set(data) - set(cls.FIELDS))
@@ -229,6 +230,10 @@ class ScheduleRequest:
         _require(clusters >= 1, f"'clusters' must be >= 1, got {clusters}")
         _require(buses >= 1, f"'buses' must be >= 1, got {buses}")
         _require(latency >= 1, f"'latency' must be >= 1, got {latency}")
+        _require(
+            clusters in CLUSTER_COUNTS,
+            f"paper configurations have 1, 2 or 4 clusters, not {clusters}",
+        )
 
         scheduler = data.get("scheduler", cls.scheduler)
         _require(
@@ -276,8 +281,6 @@ class ScheduleRequest:
     # ------------------------------------------------------------------
     def config(self):
         """The machine configuration this request targets."""
-        if self.clusters == 1:
-            return unified_config()
         return clustered_config(self.clusters, self.buses, self.latency)
 
     def grid_item(self, loop: Loop | None = None) -> GridItem:

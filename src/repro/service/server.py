@@ -162,10 +162,19 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     def handle(self) -> None:
-        """Serve requests on this connection until either side closes it."""
+        """Serve requests on this connection until either side closes it.
+
+        A client that goes away mid-exchange (a reset, or a pipe broken
+        under a response) ends only its own connection, with no traceback.
+        """
         self.close_connection = False
-        while not self.close_connection and self.server._await_request(self.connection):
-            self.handle_one_request()
+        try:
+            while not self.close_connection and self.server._await_request(
+                self.connection
+            ):
+                self.handle_one_request()
+        except ConnectionError:
+            pass
 
     def parse_request(self) -> bool:
         if not self.server._take_idle(self.connection):

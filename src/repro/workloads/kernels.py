@@ -5,9 +5,10 @@ tests (known MII values) and as building blocks of the synthetic suite.
 Each function returns a fresh :class:`~repro.ir.ddg.DependenceGraph`.
 
 All kernels register through :mod:`repro.workloads.registry` under the
-``"kernel"`` tag; ``ALL_KERNELS`` / ``kernel_table`` / ``resolve_kernel``
-are thin views over that registry kept for compatibility (and because
-"the classic catalogue" is still a useful subset to iterate).
+``"kernel"`` tag: iterate the classic catalogue with
+``workloads(tag="kernel")`` and build one kernel with
+``workload(name).factory()``.  ``resolve_kernel`` and ``kernel_loop``
+stay because the benchmark in ``perfbench/`` wraps both by name.
 """
 
 from __future__ import annotations
@@ -258,41 +259,16 @@ def ladder_graph() -> DependenceGraph:
     return g
 
 
-#: The classic catalogue: every workload registered above with the
-#: ``"kernel"`` tag, in registration order.  Kept as a plain dict because
-#: a lot of tests and experiments iterate it directly.
-ALL_KERNELS = {
-    spec.name: spec.factory for spec in workloads(tag="kernel", discover=False)
-}
-
-def kernel_table() -> list[dict]:
-    """The canonical-name -> alias catalogue as table rows.
-
-    One row per registered kernel: canonical name, the accepted alias
-    (the builder function's own name, when it differs), and the kernel's
-    one-line description from its docstring.  This single source feeds
-    ``repro-vliw schedule --list`` and the README table.
-    """
-    rows = []
-    for spec in workloads(tag="kernel", discover=False):
-        rows.append(
-            {
-                "kernel": spec.name,
-                "alias": spec.aliases[0] if spec.aliases else "",
-                "description": spec.description,
-            }
-        )
-    return rows
-
-
 def resolve_kernel(name: str) -> tuple[str, Callable[[], DependenceGraph]]:
     """Map a kernel name or alias to ``(canonical_name, graph_factory)``.
 
-    A thin shim over :func:`~repro.workloads.registry.resolve_workload`:
-    resolves anything graph-like in the registry (classic kernels,
-    Livermore loops, parametric instances like ``fir(taps=8)``, plugin
-    workloads) and raises :class:`~repro.errors.WorkloadError` — which is
-    also a ``KeyError`` — with a did-you-mean suggestion on failure.
+    :func:`~repro.workloads.registry.resolve_workload` with
+    ``kind="graph"``: resolves anything graph-like in the registry
+    (classic kernels, Livermore loops, parametric instances like
+    ``fir(taps=8)``, plugin workloads) and raises
+    :class:`~repro.errors.WorkloadError` — which is also a ``KeyError`` —
+    with a did-you-mean suggestion and the known graph names on failure.
+    The benchmark's tracer wraps it by name (``workloads.resolve``).
     """
     try:
         return resolve_workload(name, kind="graph")
@@ -315,7 +291,7 @@ def kernel_loop(name: str, trip_count: int = 100, times_executed: int = 1) -> Lo
 
     The simulator and its cross-checks work on loops (they need a trip
     count); this is the one-liner that turns any hand-written kernel into
-    one.
+    one.  The benchmark's tracer wraps it by name (``workloads.kernel_loop``).
     """
     _, factory = resolve_kernel(name)
     return Loop(

@@ -115,7 +115,7 @@ def ll12_first_difference() -> DependenceGraph:
 
 #: Registered Livermore kernels in registration order; tagged
 #: ``"livermore"`` in the workload registry (front-door resolvable but
-#: not part of the classic ``ALL_KERNELS`` catalogue).
+#: not part of the classic ``"kernel"`` catalogue).
 LIVERMORE_KERNELS = {
     spec.name: spec.factory
     for spec in workloads(tag="livermore", discover=False)

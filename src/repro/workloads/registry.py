@@ -1,8 +1,7 @@
 """First-class workload plugin registry.
 
-Historically every schedulable loop lived in the closed ``ALL_KERNELS``
-dict in :mod:`repro.workloads.kernels`.  This module replaces that with a
-registry new workloads plug into by name, without touching the engine:
+Every schedulable loop and program is registered here, and new
+workloads plug in by name, without touching the engine:
 
 * :func:`register_workload` — decorator that registers a graph factory
   (or, with ``kind="program"``, a whole-program factory) under a
@@ -22,8 +21,8 @@ registry new workloads plug into by name, without touching the engine:
 
 The shipped catalogues (:mod:`~repro.workloads.kernels`,
 :mod:`~repro.workloads.livermore`, :mod:`~repro.workloads.specfp`)
-re-register through here; ``resolve_kernel`` / ``kernel_table`` are thin
-shims over this module.
+register through here: ``workloads(tag="kernel")`` is the classic
+kernel catalogue and ``workloads(tag="specfp")`` the SPECfp95 suite.
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ class WorkloadSpec:
 
 
 #: Registration order is preserved — it is the catalogue display order
-#: and the order ``ALL_KERNELS`` iterates in.
+#: and the order :func:`workloads` iterates in.
 _REGISTRY: dict[str, WorkloadSpec] = {}
 _ALIASES: dict[str, str] = {}
 _PLUGINS_LOADED = False

@@ -30,7 +30,6 @@ Profiles, qualitatively:
 
 from __future__ import annotations
 
-from ..errors import WorkloadError
 from ..ir.ddg import DependenceGraph
 from ..ir.loop import Loop, Program
 from .generator import LoopShape, RecurrenceSpec, generate_loop
@@ -434,24 +433,6 @@ def build_wave5() -> Program:
     return p
 
 
-def build_program(name: str) -> Program:
-    """One synthetic SPECfp95 program by name.
-
-    A shim over the workload registry (the builders register with
-    ``kind="program"`` and the ``"specfp"`` tag); the historical error
-    message is preserved, now as a :class:`WorkloadError` (still a
-    ``KeyError``) with a did-you-mean suggestion.
-    """
-    try:
-        _, factory = resolve_workload(name, kind="program")
-    except WorkloadError as exc:
-        raise WorkloadError(
-            f"unknown program {name!r}; choose from {PROGRAM_NAMES}",
-            suggestion=exc.suggestion,
-        ) from None
-    return factory()
-
-
 def specfp95_suite() -> list[Program]:
     """All ten programs, in the paper's figure order."""
-    return [build_program(name) for name in PROGRAM_NAMES]
+    return [resolve_workload(name, kind="program")[1]() for name in PROGRAM_NAMES]

@@ -9,7 +9,7 @@ from repro.arch.configs import (
     two_cluster_config,
     unified_config,
 )
-from repro.workloads.kernels import ALL_KERNELS
+from repro.workloads.registry import workload, workloads
 
 
 @pytest.fixture(autouse=True)
@@ -37,7 +37,7 @@ def four_cluster():
     return four_cluster_config(n_buses=1, bus_latency=1)
 
 
-@pytest.fixture(params=sorted(ALL_KERNELS))
+@pytest.fixture(params=sorted(spec.name for spec in workloads(tag="kernel")))
 def kernel_graph(request):
     """Every hand-written kernel, one at a time."""
-    return ALL_KERNELS[request.param]()
+    return workload(request.param).factory()

@@ -172,6 +172,18 @@ class TestCliSchedule:
         assert "\n" not in message
         assert message.startswith("workload 'fir' parameter 'taps'")
 
+    @pytest.mark.parametrize("command", ["schedule", "simulate"])
+    @pytest.mark.parametrize("clusters", ["0", "3"])
+    def test_cluster_count_without_a_machine_is_a_one_line_error(
+        self, command, clusters
+    ):
+        with pytest.raises(SystemExit) as err:
+            main([command, "daxpy", "--clusters", clusters])
+        assert str(err.value) == (
+            f"{command}: paper configurations have 1, 2 or 4 clusters, "
+            f"not {clusters}"
+        )
+
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])

@@ -13,22 +13,21 @@ from repro.experiments import (
     ExperimentContext,
     config_label,
     geometric_mean,
-    make_scheduler,
     run_fig7,
     run_fig7_ladder,
     run_table1,
     run_table2,
-    sequential_fallback,
 )
 from repro.ir.loop import Loop, Program
+from repro.runner import make_scheduler, sequential_fallback
 from repro.workloads.kernels import daxpy
-from repro.workloads.specfp import build_program
+from repro.workloads.registry import workload
 
 
 @pytest.fixture(scope="module")
 def small_ctx():
     """A context over two small programs (fast)."""
-    suite = [build_program("applu"), build_program("swim")]
+    suite = [workload("applu").factory(), workload("swim").factory()]
     return ExperimentContext(suite=suite)
 
 

@@ -31,7 +31,7 @@ from repro.errors import GraphError
 from repro.ir.ddg import DepKind
 from repro.ir.unroll import unroll_graph
 from repro.workloads.generator import LoopShape, RecurrenceSpec, generate_loop
-from repro.workloads.kernels import ALL_KERNELS
+from repro.workloads.registry import workload, workloads
 
 
 def partition(components):
@@ -83,9 +83,11 @@ def test_generated_graphs_match_networkx(shape, extra):
 
 
 @pytest.mark.parametrize("factor", [1, 2, 4])
-@pytest.mark.parametrize("kernel", sorted(ALL_KERNELS))
+@pytest.mark.parametrize(
+    "kernel", sorted(spec.name for spec in workloads(tag="kernel"))
+)
 def test_catalogue_kernels_match_networkx(kernel, factor):
-    check_against_networkx(unroll_graph(ALL_KERNELS[kernel](), factor))
+    check_against_networkx(unroll_graph(workload(kernel).factory(), factor))
 
 
 def test_cli_import_leaves_networkx_out():

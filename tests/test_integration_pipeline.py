@@ -15,12 +15,12 @@ from repro.codegen import expand_software_pipeline, schedule_code_size
 from repro.core.selective import UnrollPolicy
 from repro.core.verify import verify_schedule
 from repro.experiments import ExperimentContext
-from repro.workloads.specfp import build_program
+from repro.workloads.registry import workload
 
 
 @pytest.fixture(scope="module")
 def mini():
-    ctx = ExperimentContext(suite=[build_program("swim"), build_program("applu")])
+    ctx = ExperimentContext(suite=[workload(n).factory() for n in ("swim", "applu")])
     return ctx
 
 

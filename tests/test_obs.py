@@ -30,14 +30,14 @@ from repro.obs import (
 from repro.obs import prom
 from repro.obs.trace import TRACER, TraceContext, new_trace_id
 from repro.runner import run_sweep
-from repro.workloads.specfp import build_program
+from repro.workloads.registry import workload
 
 
 def small_items():
     from repro.arch.configs import two_cluster_config
 
     return suite_grid(
-        [build_program("applu")],
+        [workload("applu").factory()],
         two_cluster_config(1, 1),
         "bsa",
         UnrollPolicy.NONE,
@@ -50,12 +50,13 @@ def small_items():
 class TestMetrics:
     def test_counter_monotonic(self):
         reg = MetricsRegistry()
-        c = reg.counter("repro_test_total", "help")
-        c.inc()
-        c.inc(2)
-        assert c.value == 3.0
+        c = reg.counter("repro_test_total", "help", ("route",))
+        child = c.labels(route="/jobs")
+        child.inc()
+        child.inc(2)
+        assert c.value_of(route="/jobs") == 3.0
         with pytest.raises(ValueError):
-            c.inc(-1)
+            child.inc(-1)
 
     def test_labelled_counter(self):
         reg = MetricsRegistry()
@@ -67,9 +68,9 @@ class TestMetrics:
         assert c.value_of(route="/stats", code="404") == 1.0
         assert c.value_of(route="/never", code="500") == 0.0
         with pytest.raises(ValueError):
-            c.inc()  # labelled: must go through .labels()
-        with pytest.raises(ValueError):
             c.labels(route="/jobs")  # missing label
+        with pytest.raises(ValueError):
+            reg.counter("repro_plain_total", "help")  # nothing would count it
 
     def test_callback_counter_single_source_of_truth(self):
         state = {"hits": 0}
@@ -78,19 +79,18 @@ class TestMetrics:
             "repro_hits_total", "help", callback=lambda: state["hits"]
         )
         state["hits"] = 7
-        assert c.value == 7.0
         assert c.collect().samples[0].value == 7.0
         with pytest.raises(ValueError):
-            c.inc()  # the external state is the only writer
+            # the external state is the only writer: no labelled children
+            reg.counter("repro_both_total", "help", ("route",), callback=lambda: 0)
 
     def test_gauge(self):
+        state = {"depth": 4}
         reg = MetricsRegistry()
-        g = reg.gauge("repro_depth", "help")
-        g.set(4)
-        g.dec()
-        assert g.collect().samples[0].value == 3.0
-        sampled = reg.gauge("repro_live", "help", callback=lambda: 1.0)
-        assert sampled.collect().samples[0].value == 1.0
+        g = reg.gauge("repro_depth", "help", callback=lambda: state["depth"])
+        assert g.collect().samples[0].value == 4.0
+        state["depth"] = 3
+        assert g.collect().samples[0].value == 3.0  # sampled at each collect
 
     def test_histogram_cumulative_buckets(self):
         reg = MetricsRegistry()
@@ -109,12 +109,12 @@ class TestMetrics:
 
     def test_registration_idempotent_and_conflicts(self):
         reg = MetricsRegistry()
-        a = reg.counter("repro_x_total", "help")
-        assert reg.counter("repro_x_total", "help") is a
+        a = reg.counter("repro_x_total", "help", callback=lambda: 0)
+        assert reg.counter("repro_x_total", "help", callback=lambda: 0) is a
         with pytest.raises(ValueError):
-            reg.gauge("repro_x_total", "help")
+            reg.gauge("repro_x_total", "help", callback=lambda: 0)
         with pytest.raises(ValueError):
-            reg.counter("0bad", "help")
+            reg.counter("0bad", "help", callback=lambda: 0)
         with pytest.raises(ValueError):
             reg.counter("repro_y_total", "help", ("__reserved",))
 
@@ -127,7 +127,7 @@ class TestProm:
         reg = MetricsRegistry()
         c = reg.counter("repro_req_total", "requests", ("route",))
         c.labels(route="/jobs").inc(3)
-        reg.gauge("repro_depth", "queue depth").set(2)
+        reg.gauge("repro_depth", "queue depth", callback=lambda: 2)
         h = reg.histogram("repro_lat_seconds", "latency", buckets=(0.1, 1.0))
         h.observe(0.05)
         h.observe(0.5)

@@ -13,7 +13,7 @@ from repro.core.bsa import BsaScheduler
 from repro.core.lifetimes import _intervals, cluster_pressures
 from repro.core.schedule import ModuloSchedule, ScheduledOp
 from repro.ir.ddg import DependenceGraph
-from repro.workloads.kernels import ALL_KERNELS
+from repro.workloads.registry import workloads
 
 
 def naive_pressures(schedule):
@@ -27,11 +27,11 @@ def naive_pressures(schedule):
 
 class TestAgainstSchedulerOutputs:
     def test_all_kernels_both_machines(self):
-        for name, build in ALL_KERNELS.items():
+        for spec in workloads(tag="kernel"):
             for cfg in (two_cluster_config(1, 1), four_cluster_config(1, 2)):
-                sched = BsaScheduler(cfg).schedule(build())
+                sched = BsaScheduler(cfg).schedule(spec.factory())
                 assert cluster_pressures(sched) == naive_pressures(sched), (
-                    name,
+                    spec.name,
                     cfg.name,
                 )
 

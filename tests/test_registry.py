@@ -20,7 +20,6 @@ from repro.ir.loop import Loop
 from repro.runner import ResultCache, execute_points, scenario_for
 from repro.workloads import (
     WORKLOAD_PATH_ENV,
-    kernel_table,
     load_plugins,
     register_workload,
     resolve_kernel,
@@ -29,7 +28,7 @@ from repro.workloads import (
     workload,
     workloads,
 )
-from repro.workloads.kernels import ALL_KERNELS, daxpy
+from repro.workloads.kernels import daxpy
 
 #: Overrides that must fail in ``resolve_workload``, before any factory
 #: runs, and the message each one gets.
@@ -87,13 +86,6 @@ class TestRegistrationSemantics:
             workload("zz-tmp")
         with pytest.raises(WorkloadError):
             workload("zz-tmp-alias")
-
-    def test_registry_iteration_matches_kernel_shims(self):
-        by_tag = {spec.name for spec in workloads(tag="kernel", discover=False)}
-        assert by_tag == set(ALL_KERNELS)
-        assert {row["kernel"] for row in kernel_table()} <= {
-            spec.name for spec in workloads(discover=False)
-        }
 
 
 class TestErrorErgonomics:

@@ -25,7 +25,8 @@ from repro.codegen.rename import _lifetimes
 from repro.core.verify import verify_schedule
 from repro.errors import VerificationError
 from repro.runner import make_scheduler
-from repro.workloads.kernels import ALL_KERNELS, resolve_kernel
+from repro.workloads.kernels import resolve_kernel
+from repro.workloads.registry import workloads
 
 KERNELS = ("daxpy", "dot", "sqrtnorm", "tridiag", "fib", "hydro")
 CONFIGS = {
@@ -118,8 +119,8 @@ class TestRenamingCorrectness:
         # rename_kernel raises VerificationError internally if any span
         # escapes its rotation period; sweeping the whole catalogue is
         # the cheap way to prove the arithmetic is airtight.
-        for name in ALL_KERNELS:
-            rename_kernel(schedule_for(name, "2c"))
+        for spec in workloads(tag="kernel"):
+            rename_kernel(schedule_for(spec.name, "2c"))
 
 
 class TestSelfCheck:

@@ -61,7 +61,7 @@ from repro.runner.scenario import (
     program_payload,
 )
 from repro.workloads.kernels import kernel_loop
-from repro.workloads.specfp import build_program
+from repro.workloads.registry import workload
 
 FIG8_DIMS = dict(cluster_counts=(2,), bus_counts=(1,), latencies=(1,))
 
@@ -72,7 +72,7 @@ def cache(tmp_path):
 
 
 def small_suite():
-    return [build_program("applu")]
+    return [workload("applu").factory()]
 
 
 def small_ctx(cache=None, jobs=1):

@@ -25,7 +25,8 @@ from repro.ir.serialize import (
     schedule_from_dict,
     schedule_to_dict,
 )
-from repro.workloads.kernels import ALL_KERNELS, daxpy, figure7_graph
+from repro.workloads.kernels import daxpy, figure7_graph
+from repro.workloads.registry import workloads
 
 
 def graph_signature(g: DependenceGraph):
@@ -38,10 +39,10 @@ def graph_signature(g: DependenceGraph):
 
 class TestGraphRoundTrip:
     def test_all_kernels(self):
-        for name, build in ALL_KERNELS.items():
-            g = build()
+        for spec in workloads(tag="kernel"):
+            g = spec.factory()
             g2 = graph_from_dict(loads(dumps(graph_to_dict(g))))
-            assert graph_signature(g) == graph_signature(g2), name
+            assert graph_signature(g) == graph_signature(g2), spec.name
 
     def test_wrong_kind_rejected(self):
         data = graph_to_dict(daxpy())

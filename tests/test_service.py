@@ -117,6 +117,14 @@ class TestScheduleRequest:
         with pytest.raises(RequestError, match="'miss_rate'"):
             ScheduleRequest.from_payload({"kernel": "dot", "miss_rate": 1.5})
 
+    def test_cluster_count_without_a_machine_rejected(self):
+        for clusters in (1, 2, 4):
+            ScheduleRequest.from_payload({"kernel": "dot", "clusters": clusters})
+        with pytest.raises(
+            RequestError, match="paper configurations have 1, 2 or 4 clusters, not 3"
+        ):
+            ScheduleRequest.from_payload({"kernel": "dot", "clusters": 3})
+
     @pytest.mark.parametrize("key", ["scheduler", "policy", "rule"])
     @pytest.mark.parametrize("value", [["bsa"], {"name": "bsa"}])
     def test_non_string_choice_rejected(self, key, value):
@@ -220,10 +228,10 @@ class TestSweepEndpoint:
         def run_tiny(ctx, quick):
             from repro.core.selective import UnrollPolicy
             from repro.experiments import suite_grid
-            from repro.workloads.specfp import build_program
+            from repro.workloads.registry import workload
 
             items = suite_grid(
-                [build_program("applu")],
+                [workload("applu").factory()],
                 ScheduleRequest(kernel="dot", clusters=2).config(),
                 "bsa",
                 UnrollPolicy.NONE,
@@ -268,6 +276,7 @@ class TestErrorMapping:
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10)
+        err.value.close()
         assert err.value.code == 404
 
     def test_unknown_job_404(self, client):
@@ -286,6 +295,7 @@ class TestErrorMapping:
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10)
+        err.value.close()
         assert err.value.code == 400
 
     @pytest.mark.parametrize("path", ["/schedule", "/nope"])
@@ -313,6 +323,16 @@ class TestErrorMapping:
             client.schedule({"kernel": kernel})
         assert err.value.status == 400
         assert "workload 'fir' parameter 'taps'" in str(err.value)
+
+    def test_cluster_count_without_a_machine_400(self, client):
+        """Refused before it is queued, so it fails no request batched
+        with it."""
+        queued = client.schedule({"kernel": "daxpy", "clusters": 2}, wait=False)
+        with pytest.raises(ClientError) as err:
+            client.schedule({"kernel": "daxpy", "clusters": 3})
+        assert err.value.status == 400
+        assert "paper configurations have 1, 2 or 4 clusters, not 3" in str(err.value)
+        assert client.poll_job(queued["job"])["status"] == "done"
 
     def test_unknown_scheduler_400(self, client):
         with pytest.raises(ClientError) as err:
@@ -764,6 +784,49 @@ class TestConnections:
         report = run_loadtest(port=server.port, clients=4, requests=16, verify=False)
         assert report.ok
         assert len(accepted) == 4
+
+    def test_client_reset_mid_request_is_quiet(self, server, capsys):
+        """A client that resets its connection before its answer ends
+        only that connection: no traceback, and the next client is
+        served."""
+        import socket
+        import struct
+
+        ended = threading.Semaphore(0)
+        errors = []
+        shutdown_request = server.shutdown_request
+        handle_error = server.handle_error
+
+        def ending(request):
+            shutdown_request(request)
+            ended.release()
+
+        def recording(request, client_address):
+            errors.append(client_address)
+            handle_error(request, client_address)
+
+        server.shutdown_request = ending
+        server.handle_error = recording
+        body = json.dumps({"kernel": "daxpy", "clusters": 2, "simulate": True})
+        request = (
+            "POST /schedule HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n{body}"
+        ).encode()
+        reset_on_close = struct.pack("ii", 1, 0)  # linger 0: RST, not FIN
+        for _ in range(3):
+            sock = socket.create_connection(("127.0.0.1", server.port))
+            sock.sendall(request)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, reset_on_close)
+            sock.close()
+        for _ in range(3):
+            assert ended.acquire(timeout=30)
+        client = ServiceClient(port=server.port, timeout=60.0)
+        try:
+            assert client.schedule({"kernel": "daxpy"})["status"] == "done"
+        finally:
+            client.close()
+        assert errors == []
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_closed_server_ends_idle_connections(self, tmp_path):
         import time

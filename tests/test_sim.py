@@ -34,9 +34,11 @@ from repro.sim import (
     simulate_result,
     simulate_schedule,
 )
-from repro.workloads.kernels import ALL_KERNELS, kernel_loop, resolve_kernel
+from repro.workloads.kernels import kernel_loop, resolve_kernel
+from repro.workloads.registry import workload, workloads
 
 NITER = 100
+KERNELS = sorted(spec.name for spec in workloads(tag="kernel"))
 
 
 def _schedule(graph, config):
@@ -57,9 +59,9 @@ class TestCrossCheckAllKernels:
             return unified_config()
         return four_cluster_config(n_buses=1, bus_latency=1)
 
-    @pytest.mark.parametrize("name", sorted(ALL_KERNELS))
+    @pytest.mark.parametrize("name", KERNELS)
     def test_exact_match(self, name, config):
-        graph = ALL_KERNELS[name]()
+        graph = workload(name).factory()
         sched = _schedule(graph, config)
         report = simulate_schedule(sched, NITER)
 
@@ -69,9 +71,9 @@ class TestCrossCheckAllKernels:
         assert report.ipc == len(graph) * NITER / expected
         assert report.issued_ops == len(graph) * NITER
 
-    @pytest.mark.parametrize("name", sorted(ALL_KERNELS))
+    @pytest.mark.parametrize("name", KERNELS)
     def test_crosscheck_schedule_is_exact(self, name, config):
-        sched = _schedule(ALL_KERNELS[name](), config)
+        sched = _schedule(workload(name).factory(), config)
         check = crosscheck_schedule(sched, NITER)
         assert check.exact
         assert check.cycle_divergence == 0
@@ -81,7 +83,7 @@ class TestCrossCheckAllKernels:
     def test_short_trip_counts_match_too(self, name, config):
         """Trip counts shorter than the pipeline depth still agree (the
         simulator predicates the ramp; the model charges the same ramp)."""
-        sched = _schedule(ALL_KERNELS[name](), config)
+        sched = _schedule(workload(name).factory(), config)
         for niter in (1, 2, 3, sched.stage_count, 7):
             assert crosscheck_schedule(sched, niter).exact
 
@@ -91,7 +93,7 @@ class TestUnrolledSimulation:
     @pytest.mark.parametrize("niter", [96, 103])  # multiple and remainder
     def test_unrolled_matches_model(self, name, niter):
         config = two_cluster_config(n_buses=2, bus_latency=1)
-        graph = ALL_KERNELS[name]()
+        graph = workload(name).factory()
         source_ops = len(graph)
         sched = _schedule(unroll_graph(graph, 2), config)
         report = simulate_schedule(
@@ -120,7 +122,7 @@ class TestDataflowTokenCheck:
     def test_moved_op_trips_the_check(self):
         """A corrupted schedule (consumer moved onto its producer's cycle)
         is a hard simulation error, caught while executing the code."""
-        sched = _schedule(ALL_KERNELS["daxpy"](), four_cluster_config())
+        sched = _schedule(workload("daxpy").factory(), four_cluster_config())
         dep = next(
             d
             for d in sched.graph.edges
@@ -135,7 +137,7 @@ class TestDataflowTokenCheck:
             simulate_schedule(sched, 10)
 
     def test_comm_before_production_is_an_error(self):
-        sched = _schedule(ALL_KERNELS["stencil3"](), four_cluster_config())
+        sched = _schedule(workload("stencil3").factory(), four_cluster_config())
         assert sched.comms, "kernel expected to communicate on 4 clusters"
         comm = sched.comms[0]
         sched.comms[0] = replace(comm, start_cycle=0)
@@ -145,7 +147,7 @@ class TestDataflowTokenCheck:
                 simulate_schedule(sched, 10)
 
     def test_double_booked_bus_is_contention(self):
-        sched = _schedule(ALL_KERNELS["stencil3"](), four_cluster_config())
+        sched = _schedule(workload("stencil3").factory(), four_cluster_config())
         assert sched.comms
         comm = sched.comms[0]
         # a second transfer of the same value on the same bus, same cycle
@@ -163,7 +165,7 @@ class TestDataflowTokenCheck:
 
     def test_value_never_delivered_is_an_error(self):
         """Dropping a communication strands the remote consumer."""
-        sched = _schedule(ALL_KERNELS["stencil3"](), four_cluster_config())
+        sched = _schedule(workload("stencil3").factory(), four_cluster_config())
         assert sched.comms
         sched.comms.pop(0)
         with pytest.raises(SimulationError, match="never reached"):
@@ -172,7 +174,7 @@ class TestDataflowTokenCheck:
 
 class TestMemoryModel:
     def test_certain_miss_is_deterministic(self):
-        sched = _schedule(ALL_KERNELS["daxpy"](), four_cluster_config())
+        sched = _schedule(workload("daxpy").factory(), four_cluster_config())
         report = simulate_schedule(
             sched, 50, memory=RandomMissMemory(1.0, 7, seed=1)
         )
@@ -184,7 +186,7 @@ class TestMemoryModel:
         assert report.ipc < len(sched.graph) * 50 / base
 
     def test_seeded_runs_reproduce(self):
-        sched = _schedule(ALL_KERNELS["daxpy"](), four_cluster_config())
+        sched = _schedule(workload("daxpy").factory(), four_cluster_config())
         runs = [
             simulate_schedule(sched, 200, memory=RandomMissMemory(0.3, 9, seed=42))
             for _ in range(2)
@@ -196,7 +198,7 @@ class TestMemoryModel:
         assert other.load_misses != runs[0].load_misses or other.cycles != runs[0].cycles
 
     def test_miss_rate_zero_is_perfect(self):
-        sched = _schedule(ALL_KERNELS["gather"](), unified_config())
+        sched = _schedule(workload("gather").factory(), unified_config())
         a = simulate_schedule(sched, 64, memory=PerfectMemory())
         b = simulate_schedule(sched, 64, memory=RandomMissMemory(0.0, 100, seed=5))
         assert a == b
@@ -209,7 +211,7 @@ class TestMemoryModel:
 
     def test_sampled_stalls_approach_the_closed_form(self):
         """The dynamic model's mean stall tracks the StallModel estimate."""
-        sched = _schedule(ALL_KERNELS["daxpy"](), unified_config())
+        sched = _schedule(workload("daxpy").factory(), unified_config())
         stall_model = StallModel(0.2, 10)
         niter = 400
         samples = [
@@ -226,7 +228,7 @@ class TestMemoryModel:
 class TestReportShape:
     def test_bus_occupancy_and_peak_live_are_sane(self):
         config = four_cluster_config(n_buses=1, bus_latency=1)
-        sched = _schedule(ALL_KERNELS["stencil3"](), config)
+        sched = _schedule(workload("stencil3").factory(), config)
         report = simulate_schedule(sched, NITER)
         assert len(report.bus_occupancy) == 1
         assert all(0.0 <= occ <= 1.0 for occ in report.bus_occupancy)
@@ -236,7 +238,7 @@ class TestReportShape:
         assert max(report.peak_live) > 0
 
     def test_render_mentions_the_headline_numbers(self):
-        sched = _schedule(ALL_KERNELS["dot"](), four_cluster_config())
+        sched = _schedule(workload("dot").factory(), four_cluster_config())
         report = simulate_schedule(sched, NITER)
         text = report.render()
         assert str(report.cycles) in text
@@ -247,7 +249,7 @@ class TestReportShape:
     def test_simulate_result_carries_unroll(self):
         from repro.core.selective import ScheduledLoopResult, UnrollPolicy
 
-        graph = ALL_KERNELS["daxpy"]()
+        graph = workload("daxpy").factory()
         sched = _schedule(unroll_graph(graph, 2), two_cluster_config())
         result = ScheduledLoopResult(sched, 2, UnrollPolicy.ALL)
         report = simulate_result(result, 60, ops_per_source_iteration=len(graph))
@@ -255,7 +257,7 @@ class TestReportShape:
         assert report.kernel_iterations == 30
 
     def test_bad_arguments_are_rejected(self):
-        sched = _schedule(ALL_KERNELS["daxpy"](), unified_config())
+        sched = _schedule(workload("daxpy").factory(), unified_config())
         with pytest.raises(SimulationError):
             simulate_schedule(sched, 0)
         with pytest.raises(SimulationError):
@@ -268,7 +270,7 @@ class TestKernelHelpers:
     def test_aliases_resolve(self):
         key, factory = resolve_kernel("dot_product")
         assert key == "dot"
-        assert factory is ALL_KERNELS["dot"]
+        assert factory is workload("dot").factory
         assert resolve_kernel("daxpy")[0] == "daxpy"
         with pytest.raises(KeyError):
             resolve_kernel("nonsense")
@@ -289,9 +291,9 @@ class TestCrossvalExperiment:
             max_ipc_divergence,
             run_crossval,
         )
-        from repro.workloads.specfp import build_program
+        from repro.workloads.registry import workload
 
-        ctx = ExperimentContext(suite=[build_program("swim")])
+        ctx = ExperimentContext(suite=[workload("swim").factory()])
         points = run_crossval(
             ctx, cluster_counts=(4,), bus_counts=(1,), latencies=(1,)
         )

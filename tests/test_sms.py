@@ -14,12 +14,12 @@ from repro.core.sms import (
 )
 from repro.ir.ddg import DependenceGraph
 from repro.workloads.kernels import (
-    ALL_KERNELS,
     daxpy,
     dot_product,
     figure7_graph,
     ladder_graph,
 )
+from repro.workloads.registry import workloads
 
 
 class TestTimings:
@@ -57,8 +57,8 @@ class TestTimings:
         assert t[c].mobility > 0
 
     def test_mobility_never_negative(self):
-        for build in ALL_KERNELS.values():
-            g = build()
+        for spec in workloads(tag="kernel"):
+            g = spec.factory()
             ii = rec_mii(g)
             for node, t in compute_timings(g, ii).items():
                 assert t.mobility >= 0, f"{g.name} node {node}"
@@ -112,8 +112,8 @@ class TestRecurrenceSets:
 
 class TestOrderingSets:
     def test_cover_all_nodes_exactly_once(self):
-        for build in ALL_KERNELS.values():
-            g = build()
+        for spec in workloads(tag="kernel"):
+            g = spec.factory()
             sets = ordering_sets(g)
             seen = set()
             for s in sets:
@@ -170,11 +170,11 @@ class TestSmsOrder:
         """The paper's property: a position has only predecessors or only
         successors before it.  Holds unconditionally on acyclic kernels
         (recurrences necessarily break it at the cycle-closing node)."""
-        for name, build in ALL_KERNELS.items():
-            g = build()
+        for spec in workloads(tag="kernel"):
+            g = spec.factory()
             if recurrence_sets(g):
                 continue
-            _assert_one_sided(g, sms_order(g), name)
+            _assert_one_sided(g, sms_order(g), spec.name)
 
 
 def _assert_one_sided(g, order, label):

@@ -8,13 +8,13 @@ from repro.core.verify import verify_schedule
 from repro.errors import ConfigError, SchedulingError
 from repro.ir.ddg import DependenceGraph
 from repro.workloads.kernels import (
-    ALL_KERNELS,
     daxpy,
     dot_product,
     figure7_graph,
     first_order_recurrence,
     stencil5,
 )
+from repro.workloads.registry import workloads
 
 
 class TestUnifiedScheduler:
@@ -83,15 +83,15 @@ class TestScheduleQuality:
     """Lifetime sensitivity: schedules should not scatter operations."""
 
     def test_span_close_to_critical_path(self, unified):
-        for name, build in ALL_KERNELS.items():
-            g = build()
+        for spec in workloads(tag="kernel"):
+            g = spec.factory()
             sched = UnifiedScheduler(unified).schedule(g)
             critical = sum(op.latency for op in g.operations())
-            assert sched.schedule_length <= critical + 2 * sched.ii, name
+            assert sched.schedule_length <= critical + 2 * sched.ii, spec.name
 
     def test_max_live_bounded(self, unified):
         from repro.core.lifetimes import max_pressure
 
-        for name, build in ALL_KERNELS.items():
-            sched = UnifiedScheduler(unified).schedule(build())
-            assert max_pressure(sched) <= 20, name
+        for spec in workloads(tag="kernel"):
+            sched = UnifiedScheduler(unified).schedule(spec.factory())
+            assert max_pressure(sched) <= 20, spec.name

@@ -9,20 +9,21 @@ from repro.errors import GraphError
 from repro.ir.loop import MIN_MODULO_TRIP_COUNT
 from repro.ir.operation import FuClass
 from repro.workloads.generator import LoopShape, RecurrenceSpec, generate_loop
-from repro.workloads.kernels import ALL_KERNELS, figure7_graph, ladder_graph
-from repro.workloads.specfp import PROGRAM_NAMES, build_program, specfp95_suite
+from repro.workloads.kernels import figure7_graph, ladder_graph
+from repro.workloads.registry import resolve_workload, workload, workloads
+from repro.workloads.specfp import PROGRAM_NAMES, specfp95_suite
 
 
 class TestKernels:
     def test_all_kernels_validate(self):
-        for name, build in ALL_KERNELS.items():
-            g = build()
+        for spec in workloads(tag="kernel"):
+            g = spec.factory()
             g.validate()
-            assert len(g) >= 2, name
+            assert len(g) >= 2, spec.name
 
     def test_kernels_are_fresh_instances(self):
-        g1 = ALL_KERNELS["daxpy"]()
-        g2 = ALL_KERNELS["daxpy"]()
+        g1 = workload("daxpy").factory()
+        g2 = workload("daxpy").factory()
         assert g1 is not g2
 
     def test_figure7_matches_paper_parameters(self):
@@ -151,7 +152,7 @@ class TestSpecfpSuite:
 
     def test_unknown_program_rejected(self):
         with pytest.raises(KeyError):
-            build_program("gcc")
+            resolve_workload("gcc", kind="program")
 
     def test_every_program_has_eligible_loops(self):
         for program in specfp95_suite():
@@ -173,11 +174,11 @@ class TestSpecfpSuite:
 
     def test_program_character(self):
         """Spot-check the documented profiles."""
-        fpppp = build_program("fpppp")
+        fpppp = workload("fpppp").factory()
         sizes = [len(lp.graph) for lp in fpppp.loops]
         assert max(sizes) >= 60  # famous big bodies
 
-        swim = build_program("swim")
+        swim = workload("swim").factory()
         from repro.core.sms import recurrence_sets
 
         rec_loops = sum(
@@ -185,12 +186,12 @@ class TestSpecfpSuite:
         )
         assert rec_loops == 0  # parallel stencils
 
-        applu = build_program("applu")
+        applu = workload("applu").factory()
         rec_loops = sum(1 for lp in applu.loops if recurrence_sets(lp.graph))
         assert rec_loops >= 4  # wavefront recurrences
 
     def test_dynamic_operation_weighting(self):
-        prog = build_program("swim")
+        prog = workload("swim").factory()
         assert prog.dynamic_operations > 0
         # weights count trip * runs * ops
         lp = prog.eligible_loops()[0]
