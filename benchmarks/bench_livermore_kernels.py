@@ -18,15 +18,16 @@ from repro.core.selective import UnrollPolicy, schedule_with_policy
 from repro.core.unified import UnifiedScheduler
 from repro.core.verify import verify_schedule
 from repro.perf import format_table
-from repro.workloads.livermore import LIVERMORE_KERNELS, RECURRENCE_BOUND
+from repro.workloads import workloads
+from repro.workloads.livermore import RECURRENCE_BOUND
 
 
 def run_livermore_study():
     unified = unified_config()
     machines = (two_cluster_config(1, 1), four_cluster_config(1, 1))
     rows = []
-    for name, build in sorted(LIVERMORE_KERNELS.items()):
-        graph = build()
+    for spec in sorted(workloads(tag="livermore"), key=lambda spec: spec.name):
+        name, graph = spec.name, spec.factory()
         u = UnifiedScheduler(unified).schedule(graph)
         verify_schedule(u)
         row = {"kernel": name, "ops": len(graph), "unified_ii": u.ii}

@@ -2,11 +2,12 @@
 
 :class:`ServiceClient` wraps the JSON API with stdlib ``http.client``
 (no new dependencies): one persistent connection per calling thread,
-reused across calls.  It raises :class:`ClientError` carrying the HTTP
-status and the server's ``error`` message.  Every call sends its request
-and then reads the reply; ``results(payload, wait=False)`` returns the
-unread reply as a :class:`PendingReply`, so a fabric worker can compute
-while the coordinator handles its post.
+reused across calls, each request sent in one write.  It raises
+:class:`ClientError` carrying the HTTP status and the server's ``error``
+message.  Every call sends its request and then reads the reply;
+``results(payload, wait=False)`` returns the unread reply as a
+:class:`PendingReply`, so a fabric worker can compute while the
+coordinator handles its post.
 
 :func:`run_loadtest` is the synthetic-traffic harness behind
 ``repro-vliw loadtest``: N concurrent clients replay a deterministic mix
@@ -52,6 +53,20 @@ class ClientError(ServiceError):
         super().__init__(message)
         #: HTTP status code; ``0`` for transport-level failures.
         self.status = status
+
+
+class _Connection(http.client.HTTPConnection):
+    """An ``HTTPConnection`` that sends a request's head and body in one
+    write.  The stock one sends them as two, and under ``TCP_NODELAY``
+    each write is a segment of its own and a wake-up of the server."""
+
+    def _send_output(self, message_body=None, encode_chunked=False):
+        if encode_chunked or not isinstance(message_body, bytes):
+            return super()._send_output(message_body, encode_chunked)
+        self._buffer.extend((b"", message_body))
+        message = b"\r\n".join(self._buffer)
+        del self._buffer[:]
+        self.send(message)
 
 
 class PendingReply:
@@ -119,9 +134,7 @@ class ServiceClient:
             )
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
+            conn = _Connection(self.host, self.port, timeout=self.timeout)
             self._local.conn = conn
             with self._lock:
                 self._connections.append(conn)

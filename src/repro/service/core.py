@@ -12,10 +12,13 @@ and it is equally usable embedded (tests, benchmarks, notebooks):
 * :class:`Job` — one queued unit of client work (a single request, a
   batch of requests, or a named experiment grid) with a lifecycle of
   ``queued -> running -> done | failed | cancelled``.
-* :class:`SchedulingService` — the long-lived engine.  A single
-  dispatcher thread drains the job queue, **coalesces every queued job
-  into one batch**, dedupes the batch's scenario points against an
-  in-process memo of rendered payloads, and resolves the rest through
+* :class:`SchedulingService` — the long-lived engine.  A submission
+  resolves each request to its scenario point and memo key on the
+  submitting thread; a job whose every point is in the in-process memo
+  of rendered payloads is answered there and then.  Any other job is
+  queued, and a single dispatcher thread drains the queue, **coalesces
+  every queued job into one batch**, dedupes the batch's points, takes
+  from the memo what was filled since, and resolves the rest through
   :func:`repro.runner.engine.run_sweep` — the content-addressed on-disk
   :class:`~repro.runner.cache.ResultCache`, then one shared
   spawn-context ``ProcessPoolExecutor`` via
@@ -23,10 +26,11 @@ and it is equally usable embedded (tests, benchmarks, notebooks):
   reuse warm workers and warm caches instead of paying pool start-up
   and re-scheduling per request.
 
-Dedupe layers, fastest first: in-batch (identical points across queued
-jobs execute once), in-process memo (bounded; serves repeat requests
-without touching disk), on-disk cache (shared with the CLI sweeps — a
-``repro-vliw fig8`` run pre-warms the service and vice versa).
+Dedupe layers, fastest first: in-process memo (bounded; serves repeat
+requests on the submitting thread, without touching the queue or the
+disk), in-batch (identical points across queued jobs execute once),
+on-disk cache (shared with the CLI sweeps — a ``repro-vliw fig8`` run
+pre-warms the service and vice versa).
 """
 
 from __future__ import annotations
@@ -395,6 +399,10 @@ class Job:
     output: str | None = None
     error: str | None = None
     _done: threading.Event = field(default_factory=threading.Event, repr=False)
+    #: Point jobs waiting for the dispatcher: each request's memo key and
+    #: ``(point, loop)``, resolved at submission and dropped on finishing,
+    #: so a finished job keeps no loop.
+    _items: list[tuple[str, GridItem]] | None = field(default=None, repr=False)
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the job leaves the queue/running states."""
@@ -432,6 +440,7 @@ class Job:
         self.status = status
         self.error = error
         self.finished_unix = time.time()
+        self._items = None
         self._done.set()
 
 
@@ -490,6 +499,8 @@ class SchedulingService:
         self._memo: dict[str, dict[str, Any]] = {}
         self._loops: dict[tuple[str, int], tuple[Any, Loop]] = {}
         self._pool = None
+        # Guards the job registry, both memos and the counters: every
+        # submitting thread reads and fills them, as does the dispatcher.
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._stopping = False
@@ -561,7 +572,7 @@ class SchedulingService:
         )
         self.metrics.counter(
             "repro_points_failed_total",
-            "Scenario points that raised during execution",
+            "Scenario points that raised, and requests with no buildable point",
             callback=lambda: self._points_failed,
         )
         self.metrics.counter(
@@ -619,8 +630,9 @@ class SchedulingService:
     def submit_schedule(
         self, request: ScheduleRequest, *, trace_id: str | None = None
     ) -> Job:
-        """Queue one scheduling request; returns the (pending) job."""
-        return self._enqueue(
+        """Submit one scheduling request; returns its job (see
+        :meth:`submit_sweep`)."""
+        return self._submit_points(
             Job(self._next_id(), "schedule", [request], trace_id=trace_id)
         )
 
@@ -630,10 +642,15 @@ class SchedulingService:
         *,
         trace_id: str | None = None,
     ) -> Job:
-        """Queue a batch of scheduling requests as one job."""
+        """Submit a batch of scheduling requests as one job.
+
+        The job comes back ``done`` when the memo holds every point it
+        asks for, ``failed`` when a request's point cannot be built (its
+        loop factory raised), and queued for the dispatcher otherwise.
+        """
         if not requests:
             raise RequestError("'requests' must be a non-empty list")
-        return self._enqueue(
+        return self._submit_points(
             Job(self._next_id(), "sweep", list(requests), trace_id=trace_id)
         )
 
@@ -657,17 +674,19 @@ class SchedulingService:
             raise RequestError(
                 f"unknown grid {grid!r}; known: {sorted(GRIDS)}"
             )
-        return self._enqueue(
-            Job(
-                self._next_id(),
-                "grid",
-                grid=grid,
-                quick=quick,
-                jobs=jobs,
-                distributed=distributed,
-                trace_id=trace_id,
-            )
+        job = Job(
+            self._next_id(),
+            "grid",
+            grid=grid,
+            quick=quick,
+            jobs=jobs,
+            distributed=distributed,
+            trace_id=trace_id,
         )
+        with self._lock:
+            self._admit(job)
+        self._queue.put(job)
+        return job
 
     def job(self, job_id: str) -> Job | None:
         """Look up a job by id (``None`` when unknown)."""
@@ -693,31 +712,54 @@ class SchedulingService:
     def _next_id(self) -> str:
         return f"j{next(self._ids):05d}"
 
-    def _enqueue(self, job: Job) -> Job:
+    def _submit_points(self, job: Job) -> Job:
+        """Resolve a point job's requests here, on the submitting thread.
+
+        A job whose every point the memo holds is finished on the spot;
+        one whose point cannot be built fails alone; any other is queued
+        with its resolved items for the dispatcher.
+        """
+        try:
+            items = [self._resolve(request) for request in job.requests]
+        except Exception as exc:  # noqa: BLE001 - fails this job alone
+            items, error = None, f"{type(exc).__name__}: {exc}"
         with self._lock:
-            if self._stopping:
-                raise ServiceClosed("service is shutting down")
-            self._jobs[job.id] = job
-            self._requests_total += len(job.requests) if job.kind != "grid" else 1
-            self._evict_finished_jobs()
+            self._admit(job)
+            if items is None:
+                self._points_failed += len(job.requests)
+                job._finish("failed", error=error)
+                return job
+            hits = [self._memo.get(key) for key, _ in items]
+            if all(hit is not None for hit in hits):
+                self._points_memo += len(hits)
+                job.started_unix = time.time()
+                job.results = [dict(hit, cached=True) for hit in hits]
+                job._finish("done")
+                return job
+            job._items = items
         self._queue.put(job)
         return job
+
+    def _admit(self, job: Job) -> None:
+        """Register and count a submitted job (locked)."""
+        if self._stopping:
+            raise ServiceClosed("service is shutting down")
+        self._jobs[job.id] = job
+        self._requests_total += len(job.requests) if job.kind != "grid" else 1
+        self._evict_finished_jobs()
 
     def _evict_finished_jobs(self) -> None:
         """Drop the oldest finished jobs once past ``job_limit`` (locked).
 
         Dicts iterate in insertion order, so the oldest submissions are
-        examined first; queued/running jobs are always retained.
+        examined first, and only until ``excess`` finished ones are
+        found; queued/running jobs are always retained.
         """
         excess = len(self._jobs) - self.job_limit
         if excess <= 0:
             return
-        stale = [
-            job_id
-            for job_id, job in self._jobs.items()
-            if job.finished
-        ][:excess]
-        for job_id in stale:
+        finished = (job_id for job_id, job in self._jobs.items() if job.finished)
+        for job_id in list(itertools.islice(finished, excess)):
             del self._jobs[job_id]
 
     # ------------------------------------------------------------------
@@ -877,9 +919,15 @@ class SchedulingService:
             pool.shutdown(wait=False)
 
     def _memo_put(self, key: str, payload: dict[str, Any]) -> None:
+        """Remember one rendered payload (locked)."""
         if len(self._memo) >= self.memo_limit:
             self._memo.clear()
         self._memo[key] = payload
+
+    def _resolve(self, request: ScheduleRequest) -> tuple[str, GridItem]:
+        """The memo key and ``(point, loop)`` work unit of *request*."""
+        point, loop = request.grid_item(self._catalogue_loop(request))
+        return point.canonical(), (point, loop)
 
     def _catalogue_loop(self, request: ScheduleRequest) -> Loop | None:
         """The loop a catalogue request names, built once per (kernel, niter).
@@ -887,7 +935,9 @@ class SchedulingService:
         An entry serves only while the name still resolves to the same
         registered factory and arguments, so a workload unregistered and
         registered again is built afresh.  Inline programs get ``None``:
-        :meth:`ScheduleRequest.grid_item` parses them per request.
+        :meth:`ScheduleRequest.grid_item` parses them per request.  The
+        loop memo shares the payload memo's lock, since every submitting
+        thread reads it.
         """
         if request.kernel is None:
             return None
@@ -897,46 +947,47 @@ class SchedulingService:
         else:
             source = factory
         key = (request.kernel, request.niter)
-        entry = self._loops.get(key)
-        if entry is None or entry[0] != source:
-            if len(self._loops) >= self.memo_limit:
-                self._loops.clear()
-            loop = Loop(graph=factory(), trip_count=request.niter)
-            entry = self._loops[key] = (source, loop)
+        with self._lock:
+            entry = self._loops.get(key)
+            if entry is None or entry[0] != source:
+                if len(self._loops) >= self.memo_limit:
+                    self._loops.clear()
+                loop = Loop(graph=factory(), trip_count=request.niter)
+                entry = self._loops[key] = (source, loop)
         return entry[1]
 
     def _run_point_jobs(self, jobs: list[Job]) -> None:
-        """Execute one coalesced batch of schedule/sweep jobs."""
+        """Execute one coalesced batch of schedule/sweep jobs.
+
+        Each job arrives with its requests resolved at submission; the
+        batch runs each distinct point once and takes from the memo
+        every point filled since its job was queued.
+        """
         batch_t0 = time.perf_counter()
         now = time.time()
-        for job in jobs:
-            job.status = "running"
-            job.started_unix = now
+        with self._lock:  # close() cancels queued jobs under this lock
+            jobs = [job for job in jobs if job.status == "queued"]
+            for job in jobs:
+                job.status = "running"
+                job.started_unix = now
+        if not jobs:
+            return
 
         # Dedupe the whole batch down to distinct scenario points.
         unique: dict[str, GridItem] = {}
         order: list[tuple[Job, list[str]]] = []
-        requested = 0
         for job in jobs:
-            keys = []
-            for request in job.requests:
-                point, loop = request.grid_item(self._catalogue_loop(request))
-                key = point.canonical()
-                unique.setdefault(key, (point, loop))
-                keys.append(key)
-                requested += 1
-            order.append((job, keys))
+            for key, item in job._items:
+                unique.setdefault(key, item)
+            order.append((job, [key for key, _ in job._items]))
+        requested = sum(len(keys) for _, keys in order)
 
-        # Serve what we can from the payload memo; run_sweep resolves
-        # the rest through the on-disk cache and the executor below.
-        payloads: dict[str, dict[str, Any]] = {}
-        pending: list[GridItem] = []
-        for key, item in unique.items():
-            hit = self._memo.get(key)
-            if hit is not None:
-                payloads[key] = hit
-            else:
-                pending.append(item)
+        # Points filled since their jobs were queued come from the memo;
+        # run_sweep resolves the rest through the on-disk cache and the
+        # executor below.
+        with self._lock:
+            payloads = {key: self._memo[key] for key in unique if key in self._memo}
+        pending = [item for key, item in unique.items() if key not in payloads]
 
         # A failure is isolated per point: one bad scenario must not
         # fail unrelated concurrent clients coalesced into the same batch.
@@ -961,11 +1012,15 @@ class SchedulingService:
             return done
 
         resolved, sweep = run_sweep(pending, cache=self.cache, execute=execute)
-        for key, result in resolved.items():
-            payloads[key] = result_payload(unique[key][0], result)
-            self._memo_put(key, payloads[key])
+        fresh = {
+            key: result_payload(unique[key][0], result)
+            for key, result in resolved.items()
+        }
+        payloads.update(fresh)
 
         with self._lock:
+            for key, payload in fresh.items():
+                self._memo_put(key, payload)
             self._batches += 1
             self._points_executed += sweep.executed
             self._points_memo += len(unique) - len(pending)

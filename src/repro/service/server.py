@@ -3,18 +3,20 @@
 A deliberately dependency-free layer: stdlib
 :class:`~http.server.ThreadingHTTPServer` (one handler thread per client
 connection) over one shared :class:`~repro.service.core.SchedulingService`.
-Handler threads only validate, enqueue and wait — all scheduling work
-happens on the service's dispatcher/pool, so slow requests never block
-health checks.
+A handler thread validates its request and submits it, which resolves
+the request to its scenario point there: a request the service's memo
+already answers is answered on the handler thread, and any other waits
+for the service's dispatcher.  All scheduling work happens on the
+dispatcher/pool, so slow requests never block health checks.
 
 Connections are persistent (HTTP/1.1 keep-alive) and every response
-leaves at once (``TCP_NODELAY``: no response waits for the client's
-delayed ACK).  :meth:`ServiceServer.server_close` ends the connections
-that sit idle between requests; a request already read still gets its
-answer, with ``Connection: close``.  A request whose body cannot be
-framed (a malformed ``Content-Length``) or is too large gets a 400 and
-the connection closes, since the next request would be read from the
-middle of this one.
+leaves at once, in one write (``TCP_NODELAY``: no response waits for
+the client's delayed ACK).  :meth:`ServiceServer.server_close` ends the
+connections that sit idle between requests; a request already read
+still gets its answer, with ``Connection: close``.  A request whose
+body cannot be framed (a malformed ``Content-Length``) or is too large
+gets a 400 and the connection closes, since the next request would be
+read from the middle of this one.
 
 Routes::
 
@@ -218,8 +220,14 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("X-Trace-Id", self._trace_id)
         if self.close_connection or self.server._closing:
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # an answer with no head
+            self.wfile.write(body)
+        else:
+            # end_headers() would write the head alone and leave the body
+            # to a second write (wfile is unbuffered): one write, one
+            # segment.
+            self._headers_buffer.extend((b"\r\n", body))
+            self.flush_headers()
         self._status_code = code
 
     def _send_json(self, code: int, payload: dict[str, Any]) -> None:
@@ -348,34 +356,32 @@ class _Handler(BaseHTTPRequestHandler):
         return wait, float(timeout)
 
     def _respond_job(self, job: Job, wait: bool, timeout: float) -> None:
-        if not wait:
-            self._send_json(202, job.snapshot(include_results=False))
-            return
-        job.wait(timeout)
-        doc = job.snapshot()
-        if job.status == "done":
-            self._send_json(200, doc)
-        elif job.status in ("queued", "running"):
-            self._send_json(202, doc)  # poll /jobs/<id>
+        """Answer with *job*'s snapshot, its status mapped to the code.
+
+        202 when the client does not wait (``wait: false``) or the job
+        is still queued or running after *timeout*; 200 once done; 500
+        when it failed or was cancelled.  A ``schedule`` job (``POST
+        /schedule``) carries its one result as ``result``.
+        """
+        if wait:
+            job.wait(timeout)
+        inline = job.kind == "schedule"
+        doc = job.snapshot(include_results=wait and not inline)
+        if not wait or doc["status"] in ("queued", "running"):
+            code = 202  # poll /jobs/<id>
+        elif doc["status"] == "done":
+            code = 200
+            if inline:
+                doc["result"] = job.results[0]
         else:  # failed / cancelled
-            self._send_json(500, doc)
+            code = 500
+        self._send_json(code, doc)
 
     def _post_schedule(self, data: dict[str, Any]) -> None:
         wait, timeout = self._wait_params(data)
         request = ScheduleRequest.from_payload(data)
         job = self.service.submit_schedule(request, trace_id=self._trace_id)
-        if not wait:
-            self._send_json(202, job.snapshot(include_results=False))
-            return
-        job.wait(timeout)
-        doc = job.snapshot(include_results=False)
-        if job.status == "done":
-            doc["result"] = job.results[0]
-            self._send_json(200, doc)
-        elif job.status in ("queued", "running"):
-            self._send_json(202, doc)
-        else:
-            self._send_json(500, doc)
+        self._respond_job(job, wait, timeout)
 
     def _post_sweep(self, data: dict[str, Any]) -> None:
         wait, timeout = self._wait_params(data)

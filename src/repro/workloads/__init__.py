@@ -6,7 +6,7 @@ importing this package registers the full built-in catalogue."""
 
 from .generator import LoopShape, RecurrenceSpec, generate_loop
 from .kernels import figure7_graph, kernel_loop, resolve_kernel
-from .livermore import LIVERMORE_KERNELS, RECURRENCE_BOUND, livermore_program
+from .livermore import RECURRENCE_BOUND, livermore_program
 from .registry import (
     WORKLOAD_PATH_ENV,
     WorkloadSpec,
@@ -21,7 +21,6 @@ from .registry import (
 from .specfp import PROGRAM_NAMES, specfp95_suite
 
 __all__ = [
-    "LIVERMORE_KERNELS",
     "RECURRENCE_BOUND",
     "WORKLOAD_PATH_ENV",
     "WorkloadSpec",

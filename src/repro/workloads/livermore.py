@@ -113,22 +113,15 @@ def ll12_first_difference() -> DependenceGraph:
     return b.build()
 
 
-#: Registered Livermore kernels in registration order; tagged
-#: ``"livermore"`` in the workload registry (front-door resolvable but
-#: not part of the classic ``"kernel"`` catalogue).
-LIVERMORE_KERNELS = {
-    spec.name: spec.factory
-    for spec in workloads(tag="livermore", discover=False)
-}
-
 #: Kernels whose iterations are serialised by a recurrence (unrolling
 #: cannot help them) — used by tests and the classic-kernels bench.
 RECURRENCE_BOUND = frozenset({"ll3", "ll5", "ll11"})
 
 
 def livermore_program(trip: int = 400, runs: int = 50) -> Program:
-    """All Livermore kernels bundled as one program."""
+    """All Livermore kernels (the registry's ``"livermore"`` tag, in
+    registration order) bundled as one program."""
     p = Program("livermore")
-    for name, build in LIVERMORE_KERNELS.items():
-        p.add(Loop(graph=build(), trip_count=trip, times_executed=runs))
+    for spec in workloads(tag="livermore", discover=False):
+        p.add(Loop(graph=spec.factory(), trip_count=trip, times_executed=runs))
     return p

@@ -8,16 +8,15 @@ from repro.core.mii import mii_report, rec_mii
 from repro.core.selective import UnrollPolicy, schedule_with_policy
 from repro.core.unified import UnifiedScheduler
 from repro.core.verify import verify_schedule
-from repro.workloads.livermore import (
-    LIVERMORE_KERNELS,
-    RECURRENCE_BOUND,
-    livermore_program,
-)
+from repro.workloads import workload, workloads
+from repro.workloads.livermore import RECURRENCE_BOUND, livermore_program
+
+LIVERMORE = [spec.name for spec in workloads(tag="livermore")]
 
 
-@pytest.fixture(params=sorted(LIVERMORE_KERNELS))
+@pytest.fixture(params=sorted(LIVERMORE))
 def ll_graph(request):
-    return LIVERMORE_KERNELS[request.param]()
+    return workload(request.param).factory()
 
 
 class TestStructure:
@@ -25,26 +24,26 @@ class TestStructure:
         ll_graph.validate()
 
     def test_recurrence_classification(self):
-        for name, build in LIVERMORE_KERNELS.items():
-            g = build()
+        for name in LIVERMORE:
+            g = workload(name).factory()
             if name in RECURRENCE_BOUND:
                 assert rec_mii(g) > 1, name
             else:
                 assert rec_mii(g) == 1, name
 
     def test_ll3_rec_mii_is_fadd_latency(self):
-        assert rec_mii(LIVERMORE_KERNELS["ll3"]()) == 3
+        assert rec_mii(workload("ll3").factory()) == 3
 
     def test_ll5_rec_mii(self):
         # fmul(4) + fsub(3) cycle at distance 1 -> 7
-        assert rec_mii(LIVERMORE_KERNELS["ll5"]()) == 7
+        assert rec_mii(workload("ll5").factory()) == 7
 
     def test_ll11_rec_mii(self):
         # fadd self-loop at distance 1 -> 3
-        assert rec_mii(LIVERMORE_KERNELS["ll11"]()) == 3
+        assert rec_mii(workload("ll11").factory()) == 3
 
     def test_ll7_is_wide_and_parallel(self):
-        g = LIVERMORE_KERNELS["ll7"]()
+        g = workload("ll7").factory()
         assert len(g) >= 20
         assert rec_mii(g) == 1
 
@@ -61,7 +60,7 @@ class TestScheduling:
 
     def test_selective_unrolling_declines_recurrences(self, four_cluster):
         for name in RECURRENCE_BOUND:
-            graph = LIVERMORE_KERNELS[name]()
+            graph = workload(name).factory()
             result = schedule_with_policy(
                 graph, BsaScheduler(four_cluster), UnrollPolicy.SELECTIVE
             )
@@ -69,7 +68,7 @@ class TestScheduling:
 
     def test_parallel_kernels_gain_from_unrolling(self, four_cluster):
         """ll12 (pure parallel) must reach unified-rate when unrolled."""
-        graph = LIVERMORE_KERNELS["ll12"]()
+        graph = workload("ll12").factory()
         unified = unified_config()
         u_ii = UnifiedScheduler(unified).schedule(graph).ii
         result = schedule_with_policy(
@@ -81,7 +80,7 @@ class TestScheduling:
 class TestProgram:
     def test_program_bundles_all(self):
         p = livermore_program()
-        assert len(p) == len(LIVERMORE_KERNELS)
+        assert [lp.name for lp in p] == LIVERMORE
         assert all(lp.eligible_for_modulo_scheduling for lp in p)
 
     def test_program_usable_in_harness(self):

@@ -358,6 +358,45 @@ class TestErrorMapping:
             client.sweep([])
         assert err.value.status == 400
 
+    def test_failed_schedule_and_sweep_jobs_share_the_500(self, client, monkeypatch):
+        """``/schedule`` and ``/sweep`` map a failed job to 500 through
+        one status mapping, ``/schedule`` still inlining its result."""
+        import repro.service.core as core
+        from repro.service.server import _Handler
+
+        def explode(misses, **kwargs):
+            raise RuntimeError("boom")
+
+        answered = []
+        respond_job = _Handler._respond_job
+
+        def recording(handler, job, wait, timeout):
+            send_json = handler._send_json
+
+            def send(code, doc):  # noted before the client can read it
+                answered.append((job.kind, doc["status"], code))
+                send_json(code, doc)
+
+            handler._send_json = send
+            try:
+                respond_job(handler, job, wait, timeout)
+            finally:
+                del handler._send_json
+
+        monkeypatch.setattr(core, "execute_points", explode)
+        monkeypatch.setattr(_Handler, "_respond_job", recording)
+        with pytest.raises(ClientError) as err:
+            client.schedule({"kernel": "daxpy"})
+        assert err.value.status == 500 and "RuntimeError: boom" in str(err.value)
+        with pytest.raises(ClientError) as err:
+            client.sweep([{"kernel": "vadd"}, {"kernel": "dot"}])
+        assert err.value.status == 500 and "RuntimeError: boom" in str(err.value)
+        assert answered == [("schedule", "failed", 500), ("sweep", "failed", 500)]
+        monkeypatch.undo()
+        doc = client.schedule({"kernel": "daxpy"})
+        assert doc["status"] == "done" and "results" not in doc
+        assert doc["result"]["kernel"] == "daxpy"
+
 
 # ---------------------------------------------------------------------------
 # Concurrency
@@ -676,6 +715,31 @@ class TestShutdown:
         finally:
             svc.close()
 
+    def test_eviction_stops_at_the_first_excess_finished_jobs(self):
+        """Past the limit, eviction looks at jobs only until it has found
+        ``excess`` finished ones, oldest first."""
+        svc = SchedulingService(cache=None, workers=0, job_limit=1000)
+        svc.close()
+        looked = []
+
+        class Recorded:
+            def __init__(self, finished):
+                self._finished = finished
+
+            @property
+            def finished(self):
+                looked.append(self)
+                return self._finished
+
+        running, done = Recorded(False), Recorded(True)
+        rest = [Recorded(True) for _ in range(999)]
+        svc._jobs = {
+            f"j{k}": job for k, job in enumerate([running, done, *rest])
+        }
+        svc._evict_finished_jobs()
+        assert looked == [running, done]
+        assert list(svc._jobs.values()) == [running, *rest]
+
     def test_workers0_grid_job_never_spawns_a_pool(self, monkeypatch):
         from repro.runner.grids import GRIDS as grids_registry
         from repro.runner.grids import GridSpec as Spec
@@ -827,6 +891,21 @@ class TestConnections:
             client.close()
         assert errors == []
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_http09_request_gets_a_bare_body(self, server):
+        """An HTTP/0.9 ``GET`` (no version, no headers) is answered with
+        the body alone, and the connection closes."""
+        import socket
+
+        errors = []
+        server.handle_error = lambda request, address: errors.append(address)
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            chunks = []
+            while chunk := sock.recv(4096):
+                chunks.append(chunk)
+        assert json.loads(b"".join(chunks))["status"] == "ok"
+        assert errors == []
 
     def test_closed_server_ends_idle_connections(self, tmp_path):
         import time
@@ -1021,6 +1100,139 @@ class TestCatalogueLoops:
         finally:
             unregister_workload("zz-svc-swap")
             svc.close()
+
+
+class TestSubmissionLookup:
+    """Each request is resolved on the submitting thread, and a memo hit
+    is answered there, without the dispatcher."""
+
+    def test_memo_hit_answered_while_the_dispatcher_is_busy(
+        self, client, service, monkeypatch
+    ):
+        import repro.service.core as core
+
+        client.schedule({"kernel": "dot"})  # now in the memo
+        running, release = threading.Event(), threading.Event()
+        original = core.execute_points
+
+        def held(misses, **kwargs):
+            running.set()
+            release.wait(30.0)
+            return original(misses, **kwargs)
+
+        monkeypatch.setattr(core, "execute_points", held)
+        try:
+            cold = client.schedule({"kernel": "daxpy"}, wait=False)
+            assert running.wait(10.0)  # the dispatcher is inside that job
+            doc = client.schedule({"kernel": "dot"}, timeout_s=2.0)
+            assert doc["status"] == "done" and doc["result"]["cached"] is True
+            assert not release.is_set()
+            assert service.job(cold["job"]).status == "running"
+        finally:
+            release.set()
+        assert client.poll_job(cold["job"])["status"] == "done"
+
+    def test_memo_hit_sent_without_waiting_is_202_done(self, client):
+        client.schedule({"kernel": "vadd"})
+        doc = client.schedule({"kernel": "vadd"}, wait=False)
+        assert doc["status"] == "done" and "results" not in doc
+        assert client.job(doc["job"])["results"][0]["cached"] is True
+
+    def test_concurrent_cold_posts_execute_once(self, server):
+        import sys
+
+        payload = {"kernel": "tridiag", "clusters": 2}
+        client = ServiceClient(port=server.port, timeout=60.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # many more thread switches
+
+        def post_all() -> list[dict]:
+            start = threading.Barrier(8)
+            docs: list = [None] * 8
+
+            def post(k: int) -> None:
+                start.wait(10.0)
+                docs[k] = client.schedule(payload)
+
+            threads = [threading.Thread(target=post, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+            return docs
+
+        try:
+            first = post_all()
+            assert all(doc["status"] == "done" for doc in first)
+            results = [doc["result"] for doc in first]
+            assert sorted(r["cached"] for r in results) == [False] + [True] * 7
+            answers = [{**r, "cached": None} for r in results]
+            assert all(answer == answers[0] for answer in answers)
+            stats = client.stats()
+            counters = stats["counters"]
+            assert counters["executed"] == 1
+            assert stats["requests_total"] == 8 == sum(counters.values())
+
+            repeats = post_all()
+            assert all(doc["result"]["cached"] is True for doc in repeats)
+            assert [{**doc["result"], "cached": None} for doc in repeats] == answers
+            again = client.stats()
+            assert again["counters"]["memo_hits"] == counters["memo_hits"] + 8
+            assert again["batches"] == stats["batches"]  # the dispatcher saw none
+            assert again["requests_total"] == 16 == sum(again["counters"].values())
+        finally:
+            sys.setswitchinterval(interval)
+            client.close()
+
+    def test_loop_factory_raising_at_submission_fails_alone(self, server, service):
+        from repro.workloads import register_workload, unregister_workload
+
+        def broken():
+            raise RuntimeError("factory broke")
+
+        register_workload("zz-svc-broken")(broken)
+        accepted = TestConnections._count_connections(server)
+        client = ServiceClient(port=server.port, timeout=60.0)
+        try:
+            queued = client.schedule({"kernel": "stencil5"}, wait=False)
+            with pytest.raises(ClientError) as err:
+                client.schedule({"kernel": "zz-svc-broken"})
+            assert err.value.status == 500
+            assert "RuntimeError: factory broke" in str(err.value)
+            assert client.poll_job(queued["job"])["status"] == "done"
+            assert client.schedule({"kernel": "dot"})["status"] == "done"
+            assert len(accepted) == 1  # the same connection throughout
+            assert service.stats()["counters"]["failed"] == 1
+        finally:
+            client.close()
+            unregister_workload("zz-svc-broken")
+
+    def test_one_write_per_message(self, server, monkeypatch):
+        """A request leaves the client in one write, and a ``POST
+        /schedule`` answer leaves the server in one, hit or miss."""
+        import socket
+
+        client = ServiceClient(port=server.port, timeout=60.0)
+        client.healthz()  # connected
+        writes = {"client": 0, "server": 0}
+        sendall = socket.socket.sendall
+
+        def counting(sock, data, *args):
+            side = "server" if sock.getsockname()[1] == server.port else "client"
+            writes[side] += 1
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counting)
+        try:
+            cached = [
+                client.schedule({"kernel": "fir4"})["result"]["cached"]
+                for _ in range(2)
+            ]
+        finally:
+            monkeypatch.undo()
+            client.close()
+        assert cached == [False, True]
+        assert writes == {"client": 2, "server": 2}
 
 
 class TestFailureIsolation:
