@@ -21,8 +21,9 @@ both readings (``MII_UNROLLED`` — the prose, our default — and
 
 Between them the three policies need at most two schedules of a loop on
 a machine: the loop as written and the loop unrolled by the cluster
-count.  A :class:`ScheduleMemo` shared by one loop's policy points
-builds each of them once.
+count (:func:`~repro.ir.unroll.unrolled`, built once per loop).  A
+:class:`ScheduleMemo` shared by one loop's policy points builds each
+schedule once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from ..arch.cluster import MachineConfig
 from ..errors import SchedulingError
 from ..ir.ddg import DependenceGraph
-from ..ir.unroll import count_cross_copy_deps, unroll_graph
+from ..ir.unroll import count_cross_copy_deps, unrolled
 from .base import SchedulerBase
 from .mii import mii as compute_mii
 from .schedule import ModuloSchedule
@@ -102,23 +103,12 @@ class ScheduleMemo:
     deterministic, so each factor is scheduled once: the memo maps it to
     its :class:`ModuloSchedule`, or to the :class:`SchedulingError` it
     raised, which is re-raised on reuse so every policy falls back
-    exactly as it would alone.  It also keeps each unrolled graph, so a
-    family unrolls once.  The caller must not share one memo between
-    different graphs, machines or schedulers.
+    exactly as it would alone.  The caller must not share one memo
+    between different graphs, machines or schedulers.
     """
 
     def __init__(self) -> None:
-        self._graphs: dict[int, DependenceGraph] = {}
         self._outcomes: dict[int, ModuloSchedule | SchedulingError] = {}
-
-    def graph(self, graph: DependenceGraph, factor: int) -> DependenceGraph:
-        """*graph* unrolled by *factor*; *graph* itself for factor 1."""
-        if factor == 1:
-            return graph
-        unrolled = self._graphs.get(factor)
-        if unrolled is None:
-            unrolled = self._graphs[factor] = unroll_graph(graph, factor)
-        return unrolled
 
     def schedule(
         self, scheduler: SchedulerBase, graph: DependenceGraph, factor: int
@@ -133,7 +123,7 @@ class ScheduleMemo:
         outcome = self._outcomes.get(factor)
         if outcome is None:
             try:
-                outcome = scheduler.schedule(self.graph(graph, factor))
+                outcome = scheduler.schedule(unrolled(graph, factor))
             except SchedulingError as exc:
                 outcome = exc
             self._outcomes[factor] = outcome
@@ -147,8 +137,6 @@ def selective_unroll_decision(
     config: MachineConfig,
     schedule: ModuloSchedule,
     rule: SelectiveRule = SelectiveRule.MII_UNROLLED,
-    *,
-    unrolled: DependenceGraph | None = None,
 ) -> bool:
     """The Figure 6 predicate: should this bus-limited loop be unrolled?
 
@@ -164,10 +152,8 @@ def selective_unroll_decision(
         The loop's non-unrolled schedule (supplies II for ``LITERAL``).
     rule:
         Which reading of the paper's test to apply (see
-        :class:`SelectiveRule`).
-    unrolled:
-        *graph* already unrolled by the cluster count, whose MII the
-        ``MII_UNROLLED`` rule reads; built here when not given.
+        :class:`SelectiveRule`); ``MII_UNROLLED`` reads the MII of
+        *graph* unrolled by the cluster count.
 
     Returns
     -------
@@ -182,9 +168,7 @@ def selective_unroll_decision(
     cycneeded = math.ceil(comneeded / config.buses.count) * config.buses.latency
     if rule is SelectiveRule.LITERAL:
         return cycneeded < schedule.ii
-    if unrolled is None:
-        unrolled = unroll_graph(graph, ufactor)
-    return cycneeded <= compute_mii(unrolled, config)
+    return cycneeded <= compute_mii(unrolled(graph, ufactor), config)
 
 
 def schedule_with_policy(
@@ -248,12 +232,10 @@ def schedule_with_policy(
     base = memo.schedule(scheduler, graph, 1)
     if not base.was_bus_limited:
         return ScheduledLoopResult(base, 1, policy, base_schedule=base)
-    if not selective_unroll_decision(
-        graph, config, base, rule, unrolled=memo.graph(graph, ufactor)
-    ):
+    if not selective_unroll_decision(graph, config, base, rule):
         return ScheduledLoopResult(base, 1, policy, base_schedule=base)
     try:
-        unrolled = memo.schedule(scheduler, graph, ufactor)
+        sched = memo.schedule(scheduler, graph, ufactor)
     except SchedulingError:
         return ScheduledLoopResult(base, 1, policy, base_schedule=base)
-    return ScheduledLoopResult(unrolled, ufactor, policy, base_schedule=base)
+    return ScheduledLoopResult(sched, ufactor, policy, base_schedule=base)

@@ -17,7 +17,7 @@ Lease state machine, per shard::
 plus one escape hatch: when a sweep has no pending shards left but an
 idle worker is asking, the slowest still-leased shard is **re-issued**
 (straggler mitigation) once its oldest lease has outlived
-``straggler_factor`` x the median shard turnaround — never to a worker
+:data:`STRAGGLER_FACTOR` x the median shard turnaround — never to a worker
 that holds a live lease on it.  Multiple live
 leases on one shard are resolved by **first write wins**: the first
 ``POST /results`` to commit a point owns it, later copies count as
@@ -47,13 +47,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TRACER
 from ..runner.cache import ResultCache, default_code_version
 from ..runner.engine import PriorFor, _shard, checked_result, store_result, work_item
-from ..runner.scenario import (
-    PAYLOAD_ERRORS,
-    DecodeMemo,
-    GridItem,
-    PointResult,
-    ScenarioPoint,
-)
+from ..runner.scenario import PAYLOAD_ERRORS, GridItem, PointResult, ScenarioPoint
 from .protocol import (
     PROTOCOL_VERSION,
     FabricBadRequest,
@@ -65,6 +59,13 @@ from .protocol import (
 )
 
 __all__ = ["FabricCoordinator"]
+
+#: Without ``straggler_after_s``, a still-leased shard is re-issued once
+#: its oldest live lease is this many times the sweep's median turnaround.
+STRAGGLER_FACTOR = 4.0
+
+#: Seconds an idle claim reply tells the worker to wait before claiming again.
+IDLE_RETRY_S = 0.05
 
 
 @dataclass
@@ -115,8 +116,6 @@ class _Sweep:
     meta: dict[str, dict[str, Any]] = field(default_factory=dict)
     #: Completed-lease turnarounds (drives the straggler threshold).
     turnarounds: list[float] = field(default_factory=list)
-    #: The graphs and machines posted results decode against.
-    decode: DecodeMemo = field(default_factory=DecodeMemo)
     event: threading.Event = field(default_factory=threading.Event)
 
 
@@ -146,13 +145,14 @@ class FabricCoordinator:
         byte-identity invariant.
     lease_ttl_s:
         Seconds a lease stays valid without a renewal; workers are told
-        to heartbeat at a third of this.
+        to heartbeat at a third of this, and ``execute`` checks for
+        expired leases every quarter of it (between 0.01 and 0.25 s).
     shard_size:
         Target points per shard (the unit of lease/re-issue).
-    straggler_factor / straggler_after_s:
+    straggler_after_s:
         Re-issue a still-leased shard to an idle worker once its oldest
-        live lease is older than ``straggler_after_s`` (when set) or
-        ``straggler_factor`` x the sweep's median shard turnaround.
+        live lease is older than this (when set) or
+        :data:`STRAGGLER_FACTOR` x the sweep's median shard turnaround.
     max_leases_per_shard:
         Live-lease cap per shard (bounds duplicated work).
     sweep_timeout_s:
@@ -167,12 +167,9 @@ class FabricCoordinator:
         code_version: str | None = None,
         lease_ttl_s: float = 30.0,
         shard_size: int = 8,
-        straggler_factor: float = 4.0,
         straggler_after_s: float | None = None,
         max_leases_per_shard: int = 2,
         sweep_timeout_s: float | None = None,
-        tick_s: float | None = None,
-        idle_retry_s: float = 0.05,
     ):
         self.cache = cache
         if code_version is None:
@@ -183,16 +180,10 @@ class FabricCoordinator:
         self.lease_ttl_s = float(lease_ttl_s)
         self.heartbeat_s = self.lease_ttl_s / 3.0
         self.shard_size = max(1, int(shard_size))
-        self.straggler_factor = float(straggler_factor)
         self.straggler_after_s = straggler_after_s
         self.max_leases_per_shard = max(1, int(max_leases_per_shard))
         self.sweep_timeout_s = sweep_timeout_s
-        self.tick_s = (
-            tick_s
-            if tick_s is not None
-            else min(max(self.lease_ttl_s / 4.0, 0.01), 0.25)
-        )
-        self.idle_retry_s = float(idle_retry_s)
+        self.tick_s = min(max(self.lease_ttl_s / 4.0, 0.01), 0.25)
 
         self._lock = threading.Lock()
         self._sweeps: dict[str, _Sweep] = {}
@@ -303,7 +294,7 @@ class FabricCoordinator:
                     "protocol": PROTOCOL_VERSION,
                     "lease": None,
                     "idle": True,
-                    "retry_s": self.idle_retry_s,
+                    "retry_s": IDLE_RETRY_S,
                 }
             lease = _Lease(
                 id=f"l{next(self._lease_ids):05d}",
@@ -492,7 +483,7 @@ class FabricCoordinator:
                 )
             point, loop = sweep.items[key]
             try:
-                result = checked_result(item["result"], point, loop, sweep.decode)
+                result = checked_result(item["result"], point, loop)
             except PAYLOAD_ERRORS as exc:
                 raise FabricBadRequest(
                     f"results[{i}]: corrupt result payload: "
@@ -572,7 +563,7 @@ class FabricCoordinator:
         if threshold is None:
             if not sweep.turnarounds:
                 return None
-            threshold = self.straggler_factor * _median(sweep.turnarounds)
+            threshold = STRAGGLER_FACTOR * _median(sweep.turnarounds)
         candidates = []
         for shard in sweep.shards:
             if shard.done:

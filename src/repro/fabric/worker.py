@@ -255,7 +255,7 @@ class FabricWorker:
         heartbeat = float(doc.get("heartbeat_s") or 1.0)
         last_beat = time.monotonic()
         results: list[dict[str, Any]] = []
-        memos: dict = {}  # a family's policy points share their schedules
+        memos: dict = {}  # a family's policy points share its loop and schedules
         for item in doc["shard"]:
             if self.fail_after is not None and self._executed >= self.fail_after:
                 self._settle()  # the last post's verdict is read first

@@ -64,6 +64,22 @@ def unroll_graph(graph: DependenceGraph, factor: int) -> DependenceGraph:
     return unrolled
 
 
+def unrolled(graph: DependenceGraph, factor: int) -> DependenceGraph:
+    """*graph* unrolled by *factor*, built once; *graph* itself for factor 1.
+
+    Memoised on *graph* (:meth:`DependenceGraph.derived`, dropped by any
+    mutation) and keyed by its name, which the unrolled graph carries,
+    for the same reason ``graph_content_hash`` is.  The result is shared
+    by every caller and must not be mutated; :func:`unroll_graph` builds
+    a fresh copy.
+    """
+    if factor == 1:
+        return graph
+    return graph.derived(
+        ("unrolled", factor, graph.name), lambda: unroll_graph(graph, factor)
+    )
+
+
 def copy_of(node_id: int, original_size: int) -> int:
     """Which unrolled copy a node id of an unrolled graph belongs to."""
     return node_id // original_size

@@ -8,8 +8,7 @@ modules layer as
   propagation (zero-cost when disabled);
 * :mod:`repro.obs.metrics` — a thread-safe registry of counters, gauges
   and fixed-bucket histograms;
-* :mod:`repro.obs.prom` — Prometheus text exposition (0.0.4) rendering
-  and a strict parser used by tests and the CI scrape gate;
+* :mod:`repro.obs.prom` — Prometheus text exposition (0.0.4) rendering;
 * :mod:`repro.obs.report` — structured per-sweep run reports
   (record → aggregate → render) behind ``--report-out`` and the
   ``repro-vliw report`` verb.
@@ -22,7 +21,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .prom import CONTENT_TYPE, PromParseError, parse, render
+from .prom import CONTENT_TYPE, render
 from .report import (
     PointRecord,
     RunRecorder,
@@ -41,7 +40,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "PointRecord",
-    "PromParseError",
     "RunRecorder",
     "RunReport",
     "Span",
@@ -49,7 +47,6 @@ __all__ = [
     "Tracer",
     "aggregate",
     "new_trace_id",
-    "parse",
     "render",
     "render_report",
 ]

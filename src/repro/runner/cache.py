@@ -47,13 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..ir.loop import Loop
-from .scenario import (
-    PAYLOAD_ERRORS,
-    RESULT_FORMAT,
-    DecodeMemo,
-    PointResult,
-    ScenarioPoint,
-)
+from .scenario import PAYLOAD_ERRORS, RESULT_FORMAT, PointResult, ScenarioPoint
 
 #: Environment variable overriding the default cache root.
 CACHE_ENV_VAR = "REPRO_VLIW_CACHE"
@@ -132,25 +126,6 @@ class CacheStats:
     misses: int
     writes: int
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits over probes for this instance (0.0 before any probe)."""
-        probes = self.hits + self.misses
-        return self.hits / probes if probes else 0.0
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready snapshot (the service's ``/stats`` cache block)."""
-        return {
-            "root": self.root,
-            "code_version": self.code_version,
-            "entries": self.entries,
-            "total_bytes": self.total_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "hit_rate": self.hit_rate,
-        }
-
     def render(self) -> str:
         """Human-readable stats block (the ``repro-vliw cache`` output)."""
         return "\n".join(
@@ -203,17 +178,14 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.json"
 
     # ------------------------------------------------------------------
-    def get(
-        self, point: ScenarioPoint, loop: Loop, memo: DecodeMemo | None = None
-    ) -> PointResult | None:
+    def get(self, point: ScenarioPoint, loop: Loop) -> PointResult | None:
         """The cached result for *point* run on *loop*, or ``None`` on a miss.
 
         The entry is decoded here against *loop* and the point's machine
-        (built by *memo*, see :meth:`PointResult.from_dict`), so corrupt,
-        truncated or version-mismatched entries, entries recorded under
-        another point or code version, and entries whose schedule does
-        not decode count as misses (and will be overwritten by the next
-        :meth:`put`).
+        (see :meth:`PointResult.from_dict`), so corrupt, truncated or
+        version-mismatched entries, entries recorded under another point
+        or code version, and entries whose schedule does not decode count
+        as misses (and will be overwritten by the next :meth:`put`).
         """
         path = self.path_for(point)
         try:
@@ -222,7 +194,7 @@ class ResultCache:
                 entry.get("point"), entry.get("code_version")
             ) != (point.canonical(), self.code_version):
                 raise ValueError("entry recorded under another point or version")
-            result = PointResult.from_dict(entry, point, loop, memo)
+            result = PointResult.from_dict(entry, point, loop)
         except (OSError, *PAYLOAD_ERRORS):
             self.misses += 1
             return None

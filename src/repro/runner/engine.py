@@ -64,7 +64,7 @@ from ..obs.trace import TRACER
 from ..sim.crosscheck import crosscheck_loop
 from ..sim.memory import MemoryModel, RandomMissMemory
 from .cache import ResultCache
-from .scenario import DecodeMemo, GridItem, PointResult, ScenarioPoint, SimOutcome
+from .scenario import GridItem, PointResult, ScenarioPoint, SimOutcome
 
 #: Scheduler factory signature: config -> scheduler.
 SchedulerFactory = Callable[[MachineConfig], SchedulerBase]
@@ -234,7 +234,7 @@ def store_result(
 
 
 def checked_result(
-    payload: dict[str, Any], point: ScenarioPoint, loop: Loop, memo: DecodeMemo
+    payload: dict[str, Any], point: ScenarioPoint, loop: Loop
 ) -> PointResult:
     """Decode a result that crossed a process boundary and verify it.
 
@@ -249,7 +249,7 @@ def checked_result(
         When the payload does not decode, or its schedule fails
         verification (:class:`~repro.errors.VerificationError`).
     """
-    result = PointResult.from_dict(payload, point, loop, memo)
+    result = PointResult.from_dict(payload, point, loop)
     verify_schedule(result.loop_result().schedule)
     return result
 
@@ -329,14 +329,16 @@ def _run_batch(
     cache_root: str | None,
     code_version: str | None,
     trace_carrier: dict[str, str] | None = None,
-    memos: dict[tuple[str, str, str], ScheduleMemo] | None = None,
+    memos: dict[tuple[str, str, str], tuple[ScheduleMemo, Loop]] | None = None,
 ) -> list[tuple[str, dict[str, Any], dict[str, Any]]]:
     """Execute one shard of :func:`work_item` items in a worker process.
 
     Items run one family at a time (see :func:`_families`), each family
-    sharing one :class:`~repro.core.selective.ScheduleMemo`: fresh, or
-    the one *memos* holds for the family (a fabric worker runs a lease
-    one point per call and passes one *memos* for the whole lease).
+    sharing one :class:`~repro.core.selective.ScheduleMemo` and one
+    decoded loop (a family has one graph hash, so its points also share
+    the unrolled graph): fresh, or the ones *memos* holds for the family
+    (a fabric worker runs a lease one point per call and passes one
+    *memos* for the whole lease).
     Results are written to the shared cache *as each point completes*
     (atomic, content-keyed), so a sweep killed mid-shard still resumes
     from every finished point.  Returns ``(canonical_key,
@@ -353,19 +355,18 @@ def _run_batch(
     points = [ScenarioPoint(**item["point"]) for item in batch]
     out: list[Any] = [None] * len(batch)
     memos = {} if memos is None else memos
-    priors = DecodeMemo()
     with TRACER.adopt(trace_carrier):
         for family in _families(points):
-            memo = memos.setdefault(_family(points[family[0]]), ScheduleMemo())
+            key = _family(points[family[0]])
+            if key not in memos:
+                memos[key] = ScheduleMemo(), loop_from_dict(batch[family[0]]["loop"])
+            memo, loop = memos[key]
             for i in family:
                 point, item = points[i], batch[i]
-                loop = loop_from_dict(item["loop"])
                 prior, prior_fallback = None, False
                 if item.get("prior") is not None:
                     # The twin shares the point's graph hash and machine.
-                    prior_result = PointResult.from_dict(
-                        item["prior"], point, loop, priors
-                    )
+                    prior_result = PointResult.from_dict(item["prior"], point, loop)
                     prior = prior_result.loop_result()
                     prior_fallback = prior_result.fallback
                 result, meta = _execute_and_store(
@@ -501,7 +502,6 @@ def execute_points(
         owned = make_worker_pool(len(shards)) if pool is None else nullcontext(pool)
         carrier = TRACER.carrier()
         items = dict(misses)
-        memo = DecodeMemo()
         with owned as executor:
             futures = [
                 executor.submit(_run_batch, batch, cache_root, code_version, carrier)
@@ -511,7 +511,7 @@ def execute_points(
                 for key, payload, meta in future.result():
                     for span in meta.pop("spans", []):
                         TRACER.record(span)
-                    done[key] = checked_result(payload, *items[key], memo), meta
+                    done[key] = checked_result(payload, *items[key]), meta
     for key, _item in misses:
         results[key], meta_out[key] = done[key]
     return results
@@ -582,8 +582,7 @@ def run_sweep(
     cache:
         Shared on-disk cache; ``None`` disables persistence.  The entries
         one call serves are decoded as they are probed, against their
-        grid item's loop and machine, each unrolled graph and machine
-        built once per call (one :class:`DecodeMemo`).
+        grid item's loop and machine.
     fresh:
         Ignore cached entries (results are still written back).
     prior_lookup:
@@ -623,16 +622,13 @@ def run_sweep(
 
     results: dict[str, PointResult] = {}
     stats = SweepStats(total=len(unique), jobs=max(1, jobs))
-    memo = DecodeMemo()
 
     ctx = TRACER.current_context()
     trace_id = ctx.trace_id if ctx is not None else None
 
     misses: list[tuple[str, GridItem]] = []
     for key, (point, loop) in unique.items():
-        cached = (
-            cache.get(point, loop, memo) if (cache is not None and not fresh) else None
-        )
+        cached = cache.get(point, loop) if (cache is not None and not fresh) else None
         if cached is not None:
             results[key] = cached
             stats.cached += 1
@@ -654,7 +650,7 @@ def run_sweep(
             if known is not None:
                 return known
         if cache is not None and not fresh:
-            cached_twin = cache.get(twin, unique[point.canonical()][1], memo)
+            cached_twin = cache.get(twin, unique[point.canonical()][1])
             if cached_twin is not None:
                 return cached_twin.loop_result(), cached_twin.fallback
         return None, False

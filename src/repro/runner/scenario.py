@@ -14,25 +14,20 @@ the transformation that produced it, and — for simulated points — the
 analytic-vs-simulated cycle and IPC comparison.  Its payload carries no
 graph and no machine: both follow from the point and the loop it was
 run on, so a payload decodes only against its ``(point, loop)``
-(:meth:`PointResult.from_dict`, with a :class:`DecodeMemo` shared by the
-results of one sweep).  Everything any figure reducer needs can be
-recovered from it, which is what lets repeated sweeps skip scheduling
-entirely.
+(:meth:`PointResult.from_dict`).  Everything any figure reducer needs
+can be recovered from it, which is what lets repeated sweeps skip
+scheduling entirely.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Any
 
-from ..core.selective import (
-    ScheduledLoopResult,
-    ScheduleMemo,
-    SelectiveRule,
-    UnrollPolicy,
-)
+from ..core.selective import ScheduledLoopResult, SelectiveRule, UnrollPolicy
 from ..errors import ReproError
 from ..ir.ddg import DependenceGraph
 from ..ir.loop import Loop
@@ -43,6 +38,7 @@ from ..ir.serialize import (
     schedule_body_from_dict,
     schedule_body_to_dict,
 )
+from ..ir.unroll import unrolled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..arch.cluster import MachineConfig
@@ -91,8 +87,14 @@ def machine_to_json(config: "MachineConfig") -> str:
     return _canonical_json(config_to_dict(config))
 
 
+@functools.lru_cache(maxsize=256)
 def machine_from_json(text: str) -> "MachineConfig":
-    """Rebuild a machine configuration from :func:`machine_to_json`."""
+    """Rebuild a machine configuration from :func:`machine_to_json`.
+
+    Memoised: a ``MachineConfig`` is frozen, so every point on one
+    machine shares one.  The bound is fixed because a service accepts
+    any bus count and latency.
+    """
     return config_from_dict(json.loads(text))
 
 
@@ -334,15 +336,13 @@ class PointResult:
         data: dict[str, Any],
         point: ScenarioPoint,
         loop: Loop,
-        memo: DecodeMemo | None = None,
     ) -> "PointResult":
         """Rebuild a :meth:`to_dict` payload of *point* run on *loop*.
 
         The schedule is decoded here, against ``loop.graph`` unrolled by
-        the payload's factor and the point's machine, both built by
-        *memo* (a private one when not given); only the point's graph
-        hash and machine are read, so a simulated point's schedule-only
-        twin decodes the same way.
+        the payload's factor (:func:`~repro.ir.unroll.unrolled`) and the
+        point's machine; only the point's machine is read, so a
+        simulated point's schedule-only twin decodes the same way.
 
         Raises
         ------
@@ -357,15 +357,14 @@ class PointResult:
             raise ValueError(
                 f"unsupported point-result format {data.get('format')!r}"
             )
-        memo = DecodeMemo() if memo is None else memo
-        config = memo.machine(point)
+        config = point.config()
         factor = data["unroll_factor"]
         if type(factor) is not int or factor not in (1, config.n_clusters):
             raise ValueError(
                 f"unroll factor {factor!r} on a {config.n_clusters}-cluster machine"
             )
         schedule = schedule_body_from_dict(
-            data["schedule"], memo.graph(point, loop, factor), config
+            data["schedule"], unrolled(loop.graph, factor), config
         )
         sim = data.get("sim")
         result = cls(
@@ -425,35 +424,3 @@ class PointResult:
 #: One entry of a declared grid: the work unit plus the live loop whose
 #: graph the worker will schedule.  Grids are lists of these.
 GridItem = tuple[ScenarioPoint, Loop]
-
-
-class DecodeMemo:
-    """The graphs and machines that stored results decode against.
-
-    Every unrolling policy emits a schedule of the loop as written or of
-    the loop unrolled by the cluster count, on the point's machine, so a
-    result needs nothing the ``(point, loop)`` pair of its grid item does
-    not already hold.  One memo builds each unrolled graph (keyed by the
-    point's graph hash, see :meth:`ScheduleMemo.graph`) and each machine
-    once, however many results read them; :func:`~repro.runner.engine.run_sweep`
-    and each fabric sweep keep one.
-    """
-
-    def __init__(self) -> None:
-        self._graphs: dict[str, ScheduleMemo] = {}
-        self._machines: dict[str, MachineConfig] = {}
-
-    def graph(self, point: ScenarioPoint, loop: Loop, factor: int) -> DependenceGraph:
-        """``loop.graph`` (whose hash is ``point.graph_hash``) unrolled by
-        *factor*; ``loop.graph`` itself for factor 1."""
-        memo = self._graphs.get(point.graph_hash)
-        if memo is None:
-            memo = self._graphs[point.graph_hash] = ScheduleMemo()
-        return memo.graph(loop.graph, factor)
-
-    def machine(self, point: ScenarioPoint) -> "MachineConfig":
-        """The machine configuration *point* targets."""
-        config = self._machines.get(point.machine)
-        if config is None:
-            config = self._machines[point.machine] = point.config()
-        return config

@@ -102,6 +102,11 @@ RULE_ALIASES = {
     "mii": SelectiveRule.MII_UNROLLED.value,
 }
 
+#: Bound on the service's memo of rendered payloads and on its memo of
+#: catalogue loops; a full memo is reset (the on-disk cache still serves
+#: those points).
+MEMO_LIMIT = 4096
+
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -460,10 +465,6 @@ class SchedulingService:
         in-process (no pool — the low-latency single-tenant setting and
         the test default); the pool is created lazily on the first batch
         that can use it and reused for every batch after.
-    memo_limit:
-        Bound on the in-process payload memo and on the memo of
-        catalogue loops; when one is full, it is reset (the on-disk
-        cache still serves those points).
     job_limit:
         Bound on retained jobs: when the registry exceeds it, the
         oldest *finished* jobs (and their result payloads) are evicted,
@@ -484,13 +485,11 @@ class SchedulingService:
         *,
         cache: ResultCache | None = None,
         workers: int = 2,
-        memo_limit: int = 4096,
         job_limit: int = 1024,
         fabric_opts: dict[str, Any] | None = None,
     ):
         self.cache = cache
         self.workers = max(0, workers)
-        self.memo_limit = memo_limit
         self.job_limit = max(1, job_limit)
         self.started_unix = time.time()
 
@@ -920,7 +919,7 @@ class SchedulingService:
 
     def _memo_put(self, key: str, payload: dict[str, Any]) -> None:
         """Remember one rendered payload (locked)."""
-        if len(self._memo) >= self.memo_limit:
+        if len(self._memo) >= MEMO_LIMIT:
             self._memo.clear()
         self._memo[key] = payload
 
@@ -950,7 +949,7 @@ class SchedulingService:
         with self._lock:
             entry = self._loops.get(key)
             if entry is None or entry[0] != source:
-                if len(self._loops) >= self.memo_limit:
+                if len(self._loops) >= MEMO_LIMIT:
                     self._loops.clear()
                 loop = Loop(graph=factory(), trip_count=request.niter)
                 entry = self._loops[key] = (source, loop)

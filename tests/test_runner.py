@@ -37,6 +37,7 @@ from repro.core.selective import SelectiveRule, UnrollPolicy
 from repro.core.unified import UnifiedScheduler
 from repro.errors import SchedulingError, VerificationError
 from repro.ir.ddg import DepKind
+from repro.ir.unroll import unrolled
 from repro.experiments import (
     ExperimentContext,
     fig8_grid,
@@ -433,8 +434,8 @@ class TestEntryIdentity:
 
 
 class TestGraphSharing:
-    """A warm sweep decodes every result against its point's own graph,
-    built once per sweep, and decodes no graph from the cache."""
+    """Every result is decoded against its point's own graph, unrolled
+    once per loop and factor, and no graph is decoded from the cache."""
 
     def items(self):
         loops = [kernel_loop(name) for name in ("daxpy", "dot")]
@@ -447,11 +448,10 @@ class TestGraphSharing:
 
     def count_builds(self, monkeypatch):
         """Record every graph decoded from a dict and every graph unrolled."""
-        from repro.core import selective
-        from repro.ir import serialize
+        from repro.ir import serialize, unroll as unroll_module
 
         calls = {"decoded": [], "unrolled": []}
-        decode, unroll = serialize.graph_from_dict, selective.unroll_graph
+        decode, unroll = serialize.graph_from_dict, unroll_module.unroll_graph
 
         def decoding(data, *args, **kwargs):
             calls["decoded"].append(data["name"])
@@ -462,29 +462,43 @@ class TestGraphSharing:
             return unroll(graph, factor)
 
         monkeypatch.setattr(serialize, "graph_from_dict", decoding)
-        monkeypatch.setattr(selective, "unroll_graph", unrolling)
+        monkeypatch.setattr(unroll_module, "unroll_graph", unrolling)
         return calls
 
     def test_warm_sweep_builds_each_graph_once(self, cache, monkeypatch):
         items = self.items()
-        run_sweep(items, cache=cache)
         calls = self.count_builds(monkeypatch)
+        run_sweep(items, cache=cache)
+        # The cold sweep unrolls each loop once per cluster count ...
+        assert sorted(calls["unrolled"]) == sorted(
+            {(point.loop, point.config().n_clusters) for point, _loop in items}
+        )
+        calls["unrolled"].clear()
+        # ... and the warm one neither unrolls nor decodes a graph.
         results, stats = run_sweep(items, cache=cache)
-        assert stats.executed == 0 and calls["decoded"] == []
-        unrolled = {
-            (point.loop, results[point.canonical()].unroll_factor)
-            for point, _loop in items
-            if results[point.canonical()].unroll_factor > 1
-        }
-        assert unrolled and sorted(calls["unrolled"]) == sorted(unrolled)
-        graphs = {}
+        assert stats.executed == 0
+        assert calls == {"decoded": [], "unrolled": []}
+        assert any(result.unroll_factor > 1 for result in results.values())
         for point, loop in items:
             result = results[point.canonical()]
             graph = result.loop_result().schedule.graph
-            if result.unroll_factor == 1:
-                assert graph is loop.graph
-            key = point.graph_hash, result.unroll_factor
-            assert graphs.setdefault(key, graph) is graph
+            assert graph is unrolled(loop.graph, result.unroll_factor)
+
+    def test_policies_and_machines_share_one_unrolled_graph(self, monkeypatch):
+        loop = kernel_loop("daxpy")
+        items = [
+            (scenario_for(loop, clustered_config(4, 1, latency), "bsa", policy), loop)
+            for latency in (1, 4)
+            for policy in (UnrollPolicy.ALL, UnrollPolicy.SELECTIVE)
+        ]
+        calls = self.count_builds(monkeypatch)
+        results, _stats = run_sweep(items)
+        assert calls["unrolled"] == [(loop.name, 4)]
+        shared = unrolled(loop.graph, 4)
+        for point, _loop in items:
+            result = results[point.canonical()]
+            assert result.unroll_factor == 4
+            assert result.loop_result().schedule.graph is shared
 
     def test_same_name_different_latency_gets_its_own_graph(self, cache):
         from repro.ir.loop import Loop

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import threading
 
+import prom_oracle
 import pytest
 
 from repro.cli import main
@@ -507,7 +508,7 @@ class TestObservability:
 
         with urllib.request.urlopen(f"{server.url}/metrics", timeout=10) as resp:
             assert resp.headers["Content-Type"] == prom.CONTENT_TYPE
-            return prom.parse(resp.read().decode())
+            return prom_oracle.parse(resp.read().decode())
 
     def test_metrics_scrape_is_valid_and_matches_stats(self, client, server):
         client.schedule({"kernel": "daxpy"})

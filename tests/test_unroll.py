@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.ir.ddg import DependenceGraph
+from repro.ir.serialize import graph_to_dict
 from repro.ir.unroll import (
     copy_of,
     count_cross_copy_deps,
     original_node,
     unroll_graph,
+    unrolled,
 )
 from repro.workloads.kernels import daxpy, dot_product, figure7_graph
 
@@ -52,6 +54,29 @@ class TestUnrollBasics:
         for node in u.node_ids:
             orig = g.operation(original_node(node, n))
             assert u.operation(node).opcode == orig.opcode
+
+
+class TestUnrolledMemo:
+    def test_factor_one_is_the_graph_itself(self):
+        g = daxpy()
+        assert unrolled(g, 1) is g
+
+    def test_built_once_per_graph_state(self):
+        g = daxpy()
+        u = unrolled(g, 2)
+        assert unrolled(g, 2) is u
+        assert graph_to_dict(u) == graph_to_dict(unroll_graph(g, 2))
+        assert len(unrolled(g, 4)) == 4 * len(g)
+        g.add_operation("fadd")
+        assert unrolled(g, 2) is not u
+        assert len(unrolled(g, 2)) == 2 * len(g)
+
+    def test_renamed_graph_unrolls_under_its_new_name(self):
+        g = daxpy()
+        before = unrolled(g, 2)
+        assert before.name == f"{g.name}@x2"
+        g.name = "renamed"
+        assert unrolled(g, 2).name == "renamed@x2"
 
 
 class TestEdgeMapping:
