@@ -120,11 +120,8 @@ class BsaScheduler(SchedulerBase):
         default_cluster = n_clusters - 1  # first advance lands on cluster 0
 
         for node in self._order_fn(graph):
-            has_scheduled_neighbor = any(
-                engine.schedule.is_scheduled(other)
-                for other in graph.neighbors(node)
-            )
-            if not has_scheduled_neighbor:
+            preds, succs = engine.scheduled_neighbors(node)
+            if not preds and not succs:
                 if self._default_policy == "circular":
                     default_cluster = (default_cluster + 1) % n_clusters
                 else:  # least-loaded
@@ -153,9 +150,7 @@ class BsaScheduler(SchedulerBase):
             if not feasible:
                 return False  # II++ and reinitialise (paper step (5))
 
-            chosen = self._choose_cluster(
-                engine, graph, node, feasible, default_cluster
-            )
+            chosen = self._choose_cluster(engine, node, feasible, default_cluster)
             engine.commit(feasible[chosen])
             assignment[node] = chosen
         return True
@@ -170,7 +165,6 @@ class BsaScheduler(SchedulerBase):
     def _choose_cluster(
         self,
         engine: PlacementEngine,
-        graph: DependenceGraph,
         node: int,
         candidates: dict[int, Placement],
         default_cluster: int,
@@ -180,11 +174,12 @@ class BsaScheduler(SchedulerBase):
             return next(iter(candidates))
 
         # Step (7): a candidate already holding a scheduled pred/succ.
+        preds, succs = engine.scheduled_neighbors(node)
+        scheduled = {dep.src for dep in preds} | {dep.dst for dep in succs}
         neighbor_clusters: dict[int, int] = {}
-        for other in graph.neighbors(node):
-            if engine.schedule.is_scheduled(other):
-                c = engine.schedule.cluster_of(other)
-                neighbor_clusters[c] = neighbor_clusters.get(c, 0) + 1
+        for other in scheduled:
+            c = engine.schedule.cluster_of(other)
+            neighbor_clusters[c] = neighbor_clusters.get(c, 0) + 1
         with_neighbors = [c for c in candidates if c in neighbor_clusters]
         if with_neighbors:
             return max(

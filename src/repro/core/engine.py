@@ -28,7 +28,7 @@ from ..errors import SchedulingError
 from ..ir.ddg import DependenceGraph
 from .comm import AddReader, CommPlan, NewTransfer, empty_plan
 from .mrt import ReservationTable
-from .pressure import PressureTracker
+from .pressure import PressureDelta, PressureTracker
 from .schedule import Communication, FailureLog, ModuloSchedule, ScheduledOp
 from .sms import compute_timings
 
@@ -56,12 +56,18 @@ _NO_FU, _REG_PRESSURE, _NO_BUS = 1, 2, 3
 
 @dataclass
 class Placement:
-    """A feasible (node, cluster, cycle) choice plus its bus actions."""
+    """A feasible (node, cluster, cycle) choice plus its bus actions.
+
+    ``delta`` is the register-pressure change the fit check computed;
+    committing folds it in, so a placement is valid only until the
+    engine's next commit.
+    """
 
     node: int
     cluster: int
     cycle: int
     comm_plan: CommPlan
+    delta: PressureDelta
 
 
 class PlacementEngine:
@@ -83,6 +89,13 @@ class PlacementEngine:
         self._timings = compute_timings(graph, ii)
         self._bus_latency = config.buses.latency
         self._pressure = PressureTracker(self.schedule)
+        #: Nodes whose self-dependence this II breaks (lat > II*dist):
+        #: RecMII rules that out, but custom latencies may not.
+        self._self_blocked = {
+            dep.src
+            for dep in graph.edges
+            if dep.src == dep.dst and dep.latency > ii * dep.distance
+        }
         #: node -> (scheduled preds, scheduled succs), the dependence
         #: window inputs; entries are dropped for a committed node's
         #: neighbourhood (a commit is the only event that changes them).
@@ -91,7 +104,7 @@ class PlacementEngine:
     # ------------------------------------------------------------------
     # Dependence windows
     # ------------------------------------------------------------------
-    def _scheduled_neighbors(self, node: int) -> tuple[list, list]:
+    def scheduled_neighbors(self, node: int) -> tuple[list, list]:
         """Cached (scheduled predecessor deps, scheduled successor deps).
 
         The window and communication plans of a node only depend on its
@@ -127,7 +140,7 @@ class PlacementEngine:
         sched = self.schedule
         early: int | None = None
         late: int | None = None
-        preds, succs = self._scheduled_neighbors(node)
+        preds, succs = self.scheduled_neighbors(node)
         for dep in preds:
             placed = sched.ops[dep.src]
             bound = placed.cycle + dep.latency - self.ii * dep.distance
@@ -257,7 +270,7 @@ class PlacementEngine:
         """All bus actions needed to place *node* at (*cluster*, *cycle*)."""
         sched = self.schedule
         plan = empty_plan()
-        preds, succs = self._scheduled_neighbors(node)
+        preds, succs = self.scheduled_neighbors(node)
         for dep in preds:
             if not dep.moves_value:
                 continue
@@ -293,20 +306,17 @@ class PlacementEngine:
         On failure returns the dominant :class:`FailReason` (also recorded
         into the attempt's :class:`FailureLog`).
         """
+        if node in self._self_blocked:
+            self.fail.dependence_window += 1
+            return FailReason.WINDOW
         op = self.graph.operation(node)
-        # Self-dependences only constrain II (lat <= II*dist); RecMII
-        # guarantees them, but custom latencies may not — check explicitly.
-        for dep in self.graph.predecessors(node):
-            if dep.src == node and dep.latency > self.ii * dep.distance:
-                self.fail.dependence_window += 1
-                return FailReason.WINDOW
-
         candidates = self._candidate_cycles(node, cluster)
         if not candidates:
             self.fail.dependence_window += 1
             return FailReason.WINDOW
 
         worst = 0  # rank into _FAIL_RANKS
+        pressure = self._pressure
         grid = self.mrt.fu_grid(cluster, op.fu_class)
         masks, full, ii = grid.masks, grid.full, self.ii
         for cycle in candidates:
@@ -320,25 +330,29 @@ class PlacementEngine:
                 self.fail.no_bus += 1
                 worst = _NO_BUS
                 continue
-            if not self._pressure.placement_fits(node, cluster, cycle, plan):
+            delta = pressure.delta(node, cluster, cycle, plan)
+            if not pressure.fits(delta):
                 self.fail.register_pressure += 1
                 if worst < _REG_PRESSURE:
                     worst = _REG_PRESSURE
                 continue
-            return Placement(node=node, cluster=cluster, cycle=cycle, comm_plan=plan)
+            return Placement(node, cluster, cycle, plan, delta)
         return _FAIL_RANKS[worst]
 
     def placement_pressure(self, placement: Placement) -> int:
         """MaxLive of the placement's cluster if it were committed."""
-        return self._pressure.placement_pressure(
-            placement.node, placement.cluster, placement.cycle, placement.comm_plan
-        )
+        return self._pressure.pressure_after(placement.delta, placement.cluster)
 
     # ------------------------------------------------------------------
     # Commit
     # ------------------------------------------------------------------
     def commit(self, placement: Placement) -> None:
-        """Claim the FU and all planned bus slots; record the placement."""
+        """Claim the FU and all planned bus slots; record the placement.
+
+        Raises :class:`SchedulingError`, before changing anything, for a
+        placement found before the last commit.
+        """
+        self._pressure.commit(placement.delta)
         op = self.graph.operation(placement.node)
         fu = self.mrt.occupy_fu(
             placement.cluster, op.fu_class, placement.cycle, placement.node
@@ -352,16 +366,15 @@ class PlacementEngine:
         for a in placement.comm_plan.added_readers:
             target = self._find_comm(a.existing)
             self.schedule.replace_comm(target, target.with_reader(a.reader))
-        self._pressure.commit(
-            placement.node, placement.cluster, placement.comm_plan
-        )
         # The committed node is a newly *scheduled* neighbour of its
         # adjacency — exactly the entries whose cached window inputs
         # changed.  (Comms do not invalidate: windows read them live.)
         cache = self._nbr_cache
         cache.pop(placement.node, None)
-        for other in self.graph.neighbors(placement.node):
-            cache.pop(other, None)
+        for dep in self.graph.successors(placement.node):
+            cache.pop(dep.dst, None)
+        for dep in self.graph.predecessors(placement.node):
+            cache.pop(dep.src, None)
 
     def _find_comm(self, like: Communication) -> Communication:
         for comm in self.schedule.comms_for(like.producer):

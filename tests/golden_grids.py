@@ -12,13 +12,19 @@ scheduling, and the schedule's ``was_bus_limited`` (the paper's
 LimitedByBus, which no table prints for an unrolled schedule).  A check
 that fails names every point whose row moved.  The tier-1 suite
 (``test_golden.py``) recomputes a fast slice; the full set is a CI
-step::
+step.  It also re-runs EXP-A7, the register-file sweep, the one
+golden run below the 16 registers per cluster of every quick grid
+(where placement fit checks most often need the exact pressure
+histogram), and compares each point's
+``repr(mean_ipc)`` and fallback count with
+``tests/golden/register_sweep.json``::
 
-    PYTHONPATH=src python tests/golden_grids.py --check     # all grids
+    PYTHONPATH=src python tests/golden_grids.py --check     # all grids + A7
     PYTHONPATH=src python tests/golden_grids.py --check fig8
+    PYTHONPATH=src python tests/golden_grids.py --check register-sweep
     PYTHONPATH=src python tests/golden_grids.py --write     # regenerate
 
-A change that alters figure output on purpose regenerates both files
+A change that alters figure output on purpose regenerates the files
 with ``--write`` and says why in its description.
 """
 
@@ -32,6 +38,12 @@ from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "quick_grids.json"
 FINGERPRINTS = GOLDEN.parent / "quick_fingerprints.json"
+REGISTER_SWEEP = GOLDEN.parent / "register_sweep.json"
+
+#: The register sweep's name on the command line, beside the grid names.
+SWEEP = "register-sweep"
+#: EXP-A7's sub-suite (as in benchmarks/bench_ablations_substrate.py).
+SWEEP_PROGRAMS = ("tomcatv", "swim", "applu", "fpppp")
 
 
 def record(name: str) -> tuple[dict[str, str], dict[str, str]]:
@@ -78,6 +90,20 @@ def fingerprints(ctx) -> dict[str, str]:
     return dict(sorted(rows.items()))
 
 
+def register_sweep() -> dict[str, str]:
+    """EXP-A7 at its default register sizes: a row per (size, policy)."""
+    from repro.experiments import run_register_sweep
+    from repro.workloads import resolve_workload
+
+    suite = [resolve_workload(name, kind="program")[1]() for name in SWEEP_PROGRAMS]
+    return {
+        f"regs={p.regs_per_cluster} policy={p.policy}": (
+            f"mean_ipc={p.mean_ipc!r} fallbacks={p.fallback_loops}"
+        )
+        for p in run_register_sweep(suite)
+    }
+
+
 def moved(golden: dict[str, str], got: dict[str, str]) -> list[str]:
     """One line per point whose fingerprint differs, appeared or vanished."""
     lines = []
@@ -108,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--write", action="store_true", help="regenerate the files")
     parser.add_argument("grids", nargs="*", help="grid names (default: all)")
     args = parser.parse_args(argv)
-    names = args.grids or sorted(GRIDS)
+    names = args.grids or [*sorted(GRIDS), SWEEP]
     if args.write:
         records = {name: record(name) for name in sorted(GRIDS)}
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
@@ -116,11 +142,24 @@ def main(argv: list[str] | None = None) -> int:
         rows = {name: rows for name, (_digest, rows) in records.items()}
         GOLDEN.write_text(json.dumps({"grids": digests}, indent=2) + "\n")
         FINGERPRINTS.write_text(json.dumps({"grids": rows}, indent=1) + "\n")
-        print(f"wrote {len(records)} golden record(s) to {GOLDEN} and {FINGERPRINTS}")
+        sweep = {"points": register_sweep()}
+        REGISTER_SWEEP.write_text(json.dumps(sweep, indent=1) + "\n")
+        print(
+            f"wrote {len(records)} golden record(s) to {GOLDEN} and {FINGERPRINTS}, "
+            f"and the register sweep to {REGISTER_SWEEP}"
+        )
         return 0
     golden, golden_rows = load(), load_fingerprints()
     bad = 0
     for name in names:
+        if name == SWEEP:
+            rows = register_sweep()
+            lines = moved(json.loads(REGISTER_SWEEP.read_text())["points"], rows)
+            bad += bool(lines)
+            print(f"{'DIFF' if lines else 'ok  '} {name}: {len(rows)} point(s)")
+            for line in lines:
+                print(f"     moved {line}")
+            continue
         digest, rows = record(name)
         lines = moved(golden_rows.get(name, {}), rows)
         ok = digest == golden.get(name) and not lines

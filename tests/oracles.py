@@ -222,9 +222,7 @@ class ReferenceBsa(BsaScheduler):
             candidates = {
                 c: p for c, p in sorted(feasible.items()) if profit[c] == best
             }
-            chosen = self._choose_cluster(
-                engine, graph, node, candidates, default_cluster
-            )
+            chosen = self._choose_cluster(engine, node, candidates, default_cluster)
             engine.commit(feasible[chosen])
             assignment[node] = chosen
         return True

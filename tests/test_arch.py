@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch.cluster import MachineConfig
+from repro.arch.cluster import MachineConfig, heterogeneous_config
 from repro.arch.configs import (
     clustered_config,
     four_cluster_config,
@@ -88,6 +88,35 @@ class TestMachineConfig:
         cfg = two_cluster_config()
         with pytest.raises(ConfigError):
             cfg.fu_count(5, FuClass.INT)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            four_cluster_config(),
+            heterogeneous_config(
+                "het",
+                (FuSet(3, 1, 2), FuSet(1, 4, 1), FuSet(2, 2, 5)),
+                16,
+                BusSpec(1, 1),
+            ),
+        ],
+        ids=["homogeneous", "heterogeneous"],
+    )
+    def test_fu_count_every_class_and_cluster(self, cfg):
+        fields = {
+            FuClass.INT: "int_units",
+            FuClass.FP: "fp_units",
+            FuClass.MEM: "mem_units",
+        }
+        for cluster in range(cfg.n_clusters):
+            fus = cfg.cluster_fus[cluster] if cfg.cluster_fus else cfg.fu_per_cluster
+            for fu_class in FuClass:
+                expected = getattr(fus, fields[fu_class])
+                assert cfg.fu_count(cluster, fu_class) == expected
+                assert fus.count(fu_class) == expected
+        for cluster in (-1, cfg.n_clusters):
+            with pytest.raises(ConfigError):
+                cfg.fu_count(cluster, FuClass.INT)
 
     def test_clustered_config_dispatch(self):
         assert clustered_config(1).n_clusters == 1

@@ -44,7 +44,7 @@ def loop_graph(draw):
 
 
 @st.composite
-def clustered_machine(draw):
+def clustered_machine(draw, regs=st.sampled_from([16, 32])):
     n_clusters = draw(st.sampled_from([2, 4]))
     fus = FuSet(
         draw(st.integers(min_value=1, max_value=2)),
@@ -55,8 +55,7 @@ def clustered_machine(draw):
         draw(st.integers(min_value=1, max_value=2)),
         draw(st.sampled_from([1, 2, 4])),
     )
-    regs = draw(st.sampled_from([16, 32]))
-    return MachineConfig("prop-machine", n_clusters, fus, regs, buses)
+    return MachineConfig("prop-machine", n_clusters, fus, draw(regs), buses)
 
 
 COMMON = dict(
@@ -232,6 +231,66 @@ class TestIncrementalPressure:
         from repro.arch.configs import unified_config
 
         self._schedule_with_checks(UnifiedScheduler(unified_config()), g)
+
+    def test_fit_decisions_match_scratch_on_tiny_files(self):
+        """With 2-8 registers per cluster the bound often exceeds the
+        file: every fit decision, bound or exact, must equal the one
+        ``cluster_pressures`` gives with the placement overlaid, and the
+        tracker must equal it after every commit."""
+        from unittest import mock
+
+        from repro.core.lifetimes import cluster_pressures
+        from repro.core.mii import mii as compute_mii
+        from repro.core.pressure import PressureTracker
+        from repro.core.schedule import ScheduledOp
+
+        branches = {"bound": 0, "exact": 0}
+        exact_calls = [0]
+        placements = {}
+        orig_delta = PressureTracker.delta
+        orig_fits = PressureTracker.fits
+        orig_exact = PressureTracker.pressure_after
+
+        def delta(self, node, cluster, cycle, plan):
+            d = orig_delta(self, node, cluster, cycle, plan)
+            placements[id(d)] = (node, cluster, cycle, plan)
+            return d
+
+        def pressure_after(self, d, cluster):
+            exact_calls[0] += 1
+            return orig_exact(self, d, cluster)
+
+        def fits(self, d):
+            before = exact_calls[0]
+            got = orig_fits(self, d)
+            branches["exact" if exact_calls[0] > before else "bound"] += 1
+            node, cluster, cycle, plan = placements.pop(id(d))
+            sched = self.schedule
+            sched.ops[node] = ScheduledOp(node, cycle, cluster, -1)
+            try:
+                scratch = cluster_pressures(sched, extra_comms=plan.pressure_comms())
+            finally:
+                del sched.ops[node]
+            limit = sched.config.regs_per_cluster
+            assert got == all(p <= limit for p in scratch.values())
+            return got
+
+        @given(
+            g=loop_graph(),
+            cfg=clustered_machine(regs=st.integers(min_value=2, max_value=8)),
+            factor=st.sampled_from([1, 2]),
+        )
+        @settings(**{**COMMON, "max_examples": 100})
+        def check(g, cfg, factor):
+            unrolled = unroll_graph(g, factor)
+            budget = compute_mii(unrolled, cfg) + 12
+            self._schedule_with_checks(BsaScheduler(cfg, max_ii=budget), unrolled)
+
+        with mock.patch.multiple(
+            PressureTracker, delta=delta, fits=fits, pressure_after=pressure_after
+        ):
+            check()
+        assert branches["bound"] > 0 and branches["exact"] > 0, branches
 
 
 class TestJoinProfit:
