@@ -26,19 +26,14 @@ class FuSet:
                 raise ConfigError(f"negative {label} unit count: {n}")
         if self.total == 0:
             raise ConfigError("a cluster must own at least one functional unit")
-        # Built once: verification and reservation tables ask per op.
+        #: Units per class, in :attr:`FuClass.index` order (built once:
+        #: verification and reservation tables ask per op).
         object.__setattr__(
-            self,
-            "_by_class",
-            {
-                FuClass.INT: self.int_units,
-                FuClass.FP: self.fp_units,
-                FuClass.MEM: self.mem_units,
-            },
+            self, "counts", (self.int_units, self.fp_units, self.mem_units)
         )
 
     def count(self, fu_class: FuClass) -> int:
-        return self._by_class[fu_class]
+        return self.counts[fu_class.index]
 
     @property
     def total(self) -> int:

@@ -249,16 +249,12 @@ class _BnbSearch:
         self.homogeneous = config.is_homogeneous
         self.cluster_use = [0] * config.n_clusters
         self.used_clusters = 0
-        # Per-class open-slot accounting for the global resource prune.
-        self.free_slots: dict[FuClass, int] = {}
-        self.unplaced: dict[FuClass, int] = {}
-        for q in config.clusters():
-            for fu_class in FuClass:
-                self.free_slots[fu_class] = (
-                    self.free_slots.get(fu_class, 0) + ii * config.fu_count(q, fu_class)
-                )
+        # Per-class open-slot accounting for the global resource prune,
+        # indexed by FuClass.index.
+        self.free_slots = [ii * units for units in config.total_fus.counts]
+        self.unplaced = [0] * len(FuClass)
         for op in graph.operations():
-            self.unplaced[op.fu_class] = self.unplaced.get(op.fu_class, 0) + 1
+            self.unplaced[op.fu_class.index] += 1
         # Pressure is re-derived from scratch per commit only when the
         # register budget can plausibly bind; leaves are always checked,
         # so skipping the per-commit prune never costs soundness.
@@ -291,8 +287,8 @@ class _BnbSearch:
                 )
                 return True
             return False
-        for fu_class, left in self.unplaced.items():
-            if left > self.free_slots[fu_class]:
+        for left, free in zip(self.unplaced, self.free_slots):
+            if left > free:
                 return False
         bounds = self._bounds()
         if bounds is None:
@@ -511,8 +507,8 @@ class _BnbSearch:
         if self.cluster_use[q] == 0:
             self.used_clusters += 1
         self.cluster_use[q] += 1
-        self.unplaced[op.fu_class] -= 1
-        self.free_slots[op.fu_class] -= 1
+        self.unplaced[op.fu_class.index] -= 1
+        self.free_slots[op.fu_class.index] -= 1
         new_comms: list[Communication] = []
         for p in pending:
             comm = Communication(
@@ -545,8 +541,8 @@ class _BnbSearch:
         self.cluster_use[q] -= 1
         if self.cluster_use[q] == 0:
             self.used_clusters -= 1
-        self.unplaced[op.fu_class] += 1
-        self.free_slots[op.fu_class] += 1
+        self.unplaced[op.fu_class.index] += 1
+        self.free_slots[op.fu_class.index] += 1
         self.mrt.release_fu(q, op.fu_class, t, unit, v)
 
     def _pressure_ok(self) -> bool:

@@ -37,7 +37,9 @@ def res_mii(graph: DependenceGraph, config: MachineConfig) -> int:
         return 1
     totals = config.total_fus
     bound = 1
-    for fu_class, n_ops in graph.op_count_by_class().items():
+    # Memoised per graph: counting hashes every node's FU class.
+    counts = graph.derived("op_count_by_class", graph.op_count_by_class)
+    for fu_class, n_ops in counts.items():
         units = totals.count(fu_class)
         if units == 0:
             raise GraphError(

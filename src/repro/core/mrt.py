@@ -11,8 +11,10 @@ An MRT has II rows; resource usage at absolute cycle *t* occupies row
 
 Occupancy is stored twice: a per-row *bitmask* (bit ``c`` set = column
 ``c`` occupied) that makes the hot-path queries ``fu_slot_free`` /
-``bus_free`` O(1) mask tests, and an owner map used only for release
-checking and diagnostics (``fu_owner``, conflict messages).
+``bus_free`` O(1) mask tests, and an owner map, filled by ``occupy``,
+used only for release checking and diagnostics (``fu_owner``,
+``bus_owner``, conflict messages).  The FU grids are held per cluster
+in a list indexed by :attr:`FuClass.index <repro.ir.operation.FuClass>`.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ class _Grid:
 
     rows: int
     cols: int
-    cells: list[list[object | None]] = field(init=False)
+    owners: dict[tuple[int, int], object] = field(init=False)
     masks: list[int] = field(init=False)
     full: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self.cells = [[None] * self.cols for _ in range(self.rows)]
+        self.owners = {}
         self.masks = [0] * self.rows
         self.full = (1 << self.cols) - 1
 
@@ -46,23 +48,27 @@ class _Grid:
             return None
         return (free & -free).bit_length() - 1
 
+    def owner(self, row: int, col: int) -> object | None:
+        return self.owners.get((row, col))
+
     def occupy(self, row: int, col: int, owner: object) -> None:
         if self.masks[row] & (1 << col):
             raise SchedulingError(
                 f"MRT conflict: row {row} col {col} already owned by "
-                f"{self.cells[row][col]!r}"
+                f"{self.owners[row, col]!r}"
             )
         self.masks[row] |= 1 << col
-        self.cells[row][col] = owner
+        self.owners[row, col] = owner
 
     def release(self, row: int, col: int, owner: object) -> None:
-        if self.cells[row][col] != owner:
+        held = self.owners.get((row, col))
+        if held != owner:
             raise SchedulingError(
                 f"MRT release mismatch at row {row} col {col}: "
-                f"{self.cells[row][col]!r} != {owner!r}"
+                f"{held!r} != {owner!r}"
             )
         self.masks[row] &= ~(1 << col)
-        self.cells[row][col] = None
+        self.owners.pop((row, col), None)
 
     def utilisation(self) -> float:
         if self.rows * self.cols == 0:
@@ -79,11 +85,10 @@ class ReservationTable:
             raise SchedulingError(f"II must be >= 1, got {ii}")
         self.config = config
         self.ii = ii
-        self._fu: dict[tuple[int, FuClass], _Grid] = {}
-        for cluster in config.clusters():
-            for fu_class in FuClass:
-                count = config.fu_count(cluster, fu_class)
-                self._fu[(cluster, fu_class)] = _Grid(ii, count)
+        self._fu: list[list[_Grid]] = [
+            [_Grid(ii, count) for count in config.fu_set(cluster).counts]
+            for cluster in config.clusters()
+        ]
         self._bus = _Grid(ii, config.buses.count)
         # A transfer starting at row r occupies latbus consecutive rows;
         # both the row lists and their row-set bitmasks repeat modulo II,
@@ -99,17 +104,17 @@ class ReservationTable:
     # -- functional units -------------------------------------------------
     def fu_grid(self, cluster: int, fu_class: FuClass) -> _Grid:
         """The (cluster, class) grid — lets hot loops hoist the lookup."""
-        return self._fu[(cluster, fu_class)]
+        return self._fu[cluster][fu_class.index]
 
     def fu_slot_free(self, cluster: int, fu_class: FuClass, cycle: int) -> bool:
-        grid = self._fu[(cluster, fu_class)]
+        grid = self._fu[cluster][fu_class.index]
         return grid.masks[cycle % self.ii] != grid.full
 
     def occupy_fu(
         self, cluster: int, fu_class: FuClass, cycle: int, owner: object
     ) -> int:
         """Claim a free unit; returns the unit index."""
-        grid = self._fu[(cluster, fu_class)]
+        grid = self._fu[cluster][fu_class.index]
         row = cycle % self.ii
         col = grid.first_free_col(row)
         if col is None:
@@ -122,12 +127,12 @@ class ReservationTable:
     def release_fu(
         self, cluster: int, fu_class: FuClass, cycle: int, unit: int, owner: object
     ) -> None:
-        self._fu[(cluster, fu_class)].release(cycle % self.ii, unit, owner)
+        self._fu[cluster][fu_class.index].release(cycle % self.ii, unit, owner)
 
     def fu_owner(
         self, cluster: int, fu_class: FuClass, row: int, unit: int
     ) -> object | None:
-        return self._fu[(cluster, fu_class)].cells[row][unit]
+        return self._fu[cluster][fu_class.index].owner(row, unit)
 
     # -- buses --------------------------------------------------------------
     def bus_rows(self, start_cycle: int) -> list[int]:
@@ -207,6 +212,9 @@ class ReservationTable:
         for r in self.bus_rows(start_cycle):
             self._bus.release(r, bus, owner)
 
+    def bus_owner(self, row: int, bus: int) -> object | None:
+        return self._bus.owner(row, bus)
+
     # -- statistics ----------------------------------------------------------
     def bus_utilisation(self) -> float:
         """Fraction of bus rows occupied (0.0 when the machine has no buses)."""
@@ -214,7 +222,8 @@ class ReservationTable:
 
     def fu_utilisation(self) -> float:
         cells = used = 0
-        for grid in self._fu.values():
-            cells += grid.rows * grid.cols
-            used += sum(mask.bit_count() for mask in grid.masks)
+        for grids in self._fu:
+            for grid in grids:
+                cells += grid.rows * grid.cols
+                used += sum(mask.bit_count() for mask in grid.masks)
         return used / cells if cells else 0.0

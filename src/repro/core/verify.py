@@ -25,7 +25,6 @@ Checked invariants:
 from __future__ import annotations
 
 from ..errors import VerificationError
-from ..ir.operation import FuClass
 from .lifetimes import cluster_pressures
 from .schedule import ModuloSchedule
 
@@ -57,15 +56,17 @@ def verify_schedule(schedule: ModuloSchedule) -> None:
         if placed.cycle < 0:
             raise VerificationError(f"node {node}: negative cycle {placed.cycle}")
 
-    # (2) functional-unit conflicts
-    seen: dict[tuple[int, FuClass, int, int], int] = {}
+    # (2) functional-unit conflicts, cells keyed by FuClass.index
+    seen: dict[tuple[int, int, int, int], int] = {}
     for node, placed in schedule.ops.items():
         op = graph.operation(node)
-        key = (placed.cluster, op.fu_class, placed.fu_index, placed.cycle % ii)
+        row = placed.cycle % ii
+        key = (placed.cluster, op.fu_class.index, placed.fu_index, row)
         if key in seen:
             raise VerificationError(
                 f"FU conflict: nodes {seen[key]} and {node} share "
-                f"cluster {key[0]} {key[1]} unit {key[2]} row {key[3]}"
+                f"cluster {placed.cluster} {op.fu_class} unit "
+                f"{placed.fu_index} row {row}"
             )
         seen[key] = node
 

@@ -4,13 +4,13 @@ A :class:`FabricWorker` is the whole client side of the fabric protocol
 in one loop: claim a lease (``POST /leases``), execute the shard's
 points one at a time through the exact same batch core the local
 ``--jobs`` path uses (:func:`~repro.runner.engine._run_batch`, with one
-schedule memo per family across the lease's points), renewing the lease
-between points when a heartbeat is due, and post the shard's results
-(``POST /results``).  Because the worker runs the same code version as
-the coordinator (enforced at claim time) and the same deterministic
-per-point scheduler, whatever it computes is byte-identical to what any
-other worker — or the local path — would have computed for the same
-points.
+schedule memo per family across the lease's points, and each loop
+decoded once per sweep), renewing the lease between points when a
+heartbeat is due, and post the shard's results (``POST /results``).
+Because the worker runs the same code version as the coordinator
+(enforced at claim time) and the same deterministic per-point
+scheduler, whatever it computes is byte-identical to what any other
+worker — or the local path — would have computed for the same points.
 
 The loop is software-pipelined, the way a modulo schedule starts
 iteration i+1 before iteration i ends.  Once shard k has run, the
@@ -24,6 +24,13 @@ Every verdict is read before the worker's next request of any kind
 (claim, renewal or post) and before it exits or dies, so its one
 connection never carries more than one outstanding request, and no
 thread is started.
+
+A worker keeps every loop it decodes, with the memos derived from its
+graph, while its leases come from one sweep (the lease reply's
+``sweep`` id), so each loop of a sweep is decoded and analysed once
+per worker, not once per family.  A kept loop is reused only when its
+document equals the shipped one; a lease from another sweep starts an
+empty map, which bounds what is kept to one sweep's loops.
 
 Failure handling is deliberately boring: a lost or expired lease
 (HTTP 410) just drops the shard on the floor, because the coordinator
@@ -50,7 +57,7 @@ from urllib.parse import urlsplit
 
 from ..errors import ServiceError
 from ..runner.cache import default_code_version
-from ..runner.engine import _run_batch
+from ..runner.engine import LoopMap, _run_batch
 from ..service.client import ClientError, PendingReply, ServiceClient
 from ..service.server import DEFAULT_HOST, DEFAULT_PORT
 from .protocol import PROTOCOL_VERSION
@@ -163,6 +170,9 @@ class FabricWorker:
         self._executed = 0
         #: ``(lease doc, reply)`` of the post whose verdict is unread.
         self._pending: tuple[dict[str, Any], PendingReply] | None = None
+        #: The sweep of the last lease, and the loops decoded for it.
+        self._sweep: str | None = None
+        self._loops: LoopMap = {}
 
     # ------------------------------------------------------------------
     def run(self) -> WorkerStats:
@@ -255,7 +265,11 @@ class FabricWorker:
         heartbeat = float(doc.get("heartbeat_s") or 1.0)
         last_beat = time.monotonic()
         results: list[dict[str, Any]] = []
-        memos: dict = {}  # a family's policy points share its loop and schedules
+        memos: dict = {}  # a family's policy points share their schedules
+        if doc.get("sweep") != self._sweep:
+            # A kept loop is reused only when its document equals the
+            # shipped one; the sweep id only bounds what is kept.
+            self._sweep, self._loops = doc.get("sweep"), {}
         for item in doc["shard"]:
             if self.fail_after is not None and self._executed >= self.fail_after:
                 self._settle()  # the last post's verdict is read first
@@ -270,7 +284,7 @@ class FabricWorker:
             # One-point batches keep heartbeats timely and make injected
             # deaths land *between* points, i.e. genuinely mid-shard.
             (_key, payload, meta) = _run_batch(
-                [item], None, None, doc.get("trace"), memos
+                [item], None, None, doc.get("trace"), memos, self._loops
             )[0]
             self._executed += 1
             self.stats.points += 1

@@ -18,14 +18,26 @@ from dataclasses import dataclass, field, replace
 
 
 class FuClass(enum.Enum):
-    """Functional-unit class an operation executes on."""
+    """Functional-unit class an operation executes on.
+
+    ``index`` is the class's dense position (0, 1, 2 in definition
+    order).  Per-class tables are lists indexed by it: hashing an enum
+    member is a Python-level call, reading an attribute is not.
+    """
 
     INT = "int"
     FP = "fp"
     MEM = "mem"
 
+    index: int
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+for _position, _fu_class in enumerate(FuClass):
+    _fu_class.index = _position
+del _position, _fu_class
 
 
 @dataclass(frozen=True)

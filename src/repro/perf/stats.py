@@ -60,7 +60,7 @@ def _rebuild_mrt(schedule: ModuloSchedule) -> ReservationTable:
     mrt = ReservationTable(schedule.config, schedule.ii)
     for node, placed in schedule.ops.items():
         op = schedule.graph.operation(node)
-        grid = mrt._fu[(placed.cluster, op.fu_class)]
+        grid = mrt.fu_grid(placed.cluster, op.fu_class)
         grid.occupy(placed.cycle % schedule.ii, placed.fu_index, node)
     for comm in schedule.comms:
         mrt.occupy_bus(comm.start_cycle, comm.bus, (comm.producer, comm.start_cycle))
@@ -107,7 +107,7 @@ def render_reservation_table(schedule: ModuloSchedule) -> str:
                     owner = mrt.fu_owner(cluster, fu_class, row, unit)
                     cells.append("." if owner is None else f"n{owner}")
         for bus in range(config.buses.count):
-            owner = mrt._bus.cells[row][bus]
+            owner = mrt.bus_owner(row, bus)
             cells.append("." if owner is None else f"n{owner[0]}")
         rows.append(cells)
 

@@ -324,21 +324,30 @@ def work_item(
     }
 
 
+#: ``graph_hash -> (loop document, decoded loop)``: the loops a worker
+#: has decoded (see :func:`_run_batch`).
+LoopMap = dict[str, tuple[dict[str, Any], Loop]]
+
+
 def _run_batch(
     batch: list[dict[str, Any]],
     cache_root: str | None,
     code_version: str | None,
     trace_carrier: dict[str, str] | None = None,
-    memos: dict[tuple[str, str, str], tuple[ScheduleMemo, Loop]] | None = None,
+    memos: dict[tuple[str, str, str], ScheduleMemo] | None = None,
+    loops: LoopMap | None = None,
 ) -> list[tuple[str, dict[str, Any], dict[str, Any]]]:
     """Execute one shard of :func:`work_item` items in a worker process.
 
     Items run one family at a time (see :func:`_families`), each family
-    sharing one :class:`~repro.core.selective.ScheduleMemo` and one
-    decoded loop (a family has one graph hash, so its points also share
-    the unrolled graph): fresh, or the ones *memos* holds for the family
-    (a fabric worker runs a lease one point per call and passes one
-    *memos* for the whole lease).
+    sharing one :class:`~repro.core.selective.ScheduleMemo`: fresh, or
+    the one *memos* holds for the family (a fabric worker runs a lease
+    one point per call and passes one *memos* for the whole lease).
+    Each loop is decoded once per *loops* map: the batch's own, or the
+    one a fabric worker keeps for a sweep.  A kept loop is reused only
+    when its document is ``==`` the item's; reuse shares the graph
+    object, and with it every memo derived from it (SCCs, recurrence
+    sets, SMS order, RecMII, per-II timings, unrolled graphs).
     Results are written to the shared cache *as each point completes*
     (atomic, content-keyed), so a sweep killed mid-shard still resumes
     from every finished point.  Returns ``(canonical_key,
@@ -355,12 +364,15 @@ def _run_batch(
     points = [ScenarioPoint(**item["point"]) for item in batch]
     out: list[Any] = [None] * len(batch)
     memos = {} if memos is None else memos
+    loops = {} if loops is None else loops
     with TRACER.adopt(trace_carrier):
         for family in _families(points):
-            key = _family(points[family[0]])
-            if key not in memos:
-                memos[key] = ScheduleMemo(), loop_from_dict(batch[family[0]]["loop"])
-            memo, loop = memos[key]
+            first, doc = points[family[0]], batch[family[0]]["loop"]
+            kept = loops.get(first.graph_hash)
+            if kept is None or kept[0] != doc:
+                kept = loops[first.graph_hash] = doc, loop_from_dict(doc)
+            loop = kept[1]
+            memo = memos.setdefault(_family(first), ScheduleMemo())
             for i in family:
                 point, item = points[i], batch[i]
                 prior, prior_fallback = None, False

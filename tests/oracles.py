@@ -8,6 +8,9 @@
 * :class:`ReferenceBsa` — BSA trying every cluster for every node, with
   full failure logs, against the tiered search of
   :class:`repro.core.bsa.BsaScheduler`;
+* :func:`reference_partition` — the two-phase partition rescoring every
+  super-node's demand and crossing edges for every candidate cluster,
+  against :func:`repro.core.twophase.partition_graph`;
 * :func:`to_networkx` and the networkx versions of the graph algorithms
   the library implements with the stdlib: :func:`sccs_nx`,
   :func:`zero_distance_acyclic_nx`, :func:`topological_order_nx` and
@@ -20,12 +23,14 @@ import math
 
 import networkx as nx
 
+from repro.arch.cluster import MachineConfig
 from repro.core.bsa import BsaScheduler, join_profit
 from repro.core.engine import Placement, PlacementEngine
 from repro.core.mii import rec_mii
-from repro.core.sms import _subgraph
+from repro.core.sms import _subgraph, recurrence_sets, sms_order
 from repro.errors import GraphError
 from repro.ir.ddg import DependenceGraph
+from repro.ir.operation import FuClass
 
 
 def to_networkx(graph: DependenceGraph) -> nx.MultiDiGraph:
@@ -226,3 +231,75 @@ class ReferenceBsa(BsaScheduler):
             engine.commit(feasible[chosen])
             assignment[node] = chosen
         return True
+
+
+def reference_partition(
+    graph: DependenceGraph, config: MachineConfig, ii: int
+) -> dict[int, int]:
+    """The two-phase partition, every candidate cluster scored from scratch.
+
+    Each super-node goes to the cluster with the smallest ``(overflow,
+    crossing edges, load)``, the lowest index on ties.
+    """
+    n_clusters = config.n_clusters
+    units = {
+        c: {fc: config.fu_count(c, fc) for fc in FuClass}
+        for c in range(n_clusters)
+    }
+
+    # Super-nodes: recurrences first (already sorted by criticality),
+    # then remaining nodes one by one in SMS order.
+    super_nodes: list[list[int]] = [sorted(s) for s in recurrence_sets(graph)]
+    in_scc = {n for s in super_nodes for n in s}
+    super_nodes.extend([n] for n in sms_order(graph) if n not in in_scc)
+
+    load: list[dict[FuClass, int]] = [
+        {fc: 0 for fc in FuClass} for _ in range(n_clusters)
+    ]
+    assignment: dict[int, int] = {}
+
+    def cross_edges(nodes: list[int], cluster: int) -> int:
+        count = 0
+        for node in nodes:
+            for dep in graph.flow_consumers(node):
+                other = assignment.get(dep.dst)
+                if other is not None and other != cluster and dep.dst not in nodes:
+                    count += 1
+            for dep in graph.flow_producers(node):
+                other = assignment.get(dep.src)
+                if other is not None and other != cluster and dep.src not in nodes:
+                    count += 1
+        return count
+
+    def over_capacity(nodes: list[int], cluster: int) -> int:
+        overflow = 0
+        demand: dict[FuClass, int] = {fc: 0 for fc in FuClass}
+        for node in nodes:
+            demand[graph.operation(node).fu_class] += 1
+        for fc in FuClass:
+            cap = ii * units[cluster][fc]
+            total = load[cluster][fc] + demand[fc]
+            if total > cap:
+                overflow += total - cap
+        return overflow
+
+    def load_metric(cluster: int) -> int:
+        return sum(load[cluster].values())
+
+    for nodes in super_nodes:
+        best_cluster = None
+        best_key: tuple[int, int, int] | None = None
+        for cluster in range(n_clusters):
+            key = (
+                over_capacity(nodes, cluster),
+                cross_edges(nodes, cluster),
+                load_metric(cluster),
+            )
+            if best_key is None or key < best_key:
+                best_key = key
+                best_cluster = cluster
+        assert best_cluster is not None
+        for node in nodes:
+            assignment[node] = best_cluster
+            load[best_cluster][graph.operation(node).fu_class] += 1
+    return assignment

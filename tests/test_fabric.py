@@ -49,7 +49,8 @@ from repro.fabric import (
 from repro.fabric.protocol import MAX_ID_LEN, validate_claim, validate_results
 from repro.fabric.worker import FabricWorker, WorkerDied, client_from_url
 from repro.runner import ResultCache, execute_points, scenario_for
-from repro.runner.engine import _run_batch, run_sweep
+from repro.runner import engine
+from repro.runner.engine import _run_batch, run_sweep, work_item
 from repro.runner.grids import GRIDS
 from repro.runner.scenario import ScenarioPoint
 from repro.service import (
@@ -67,16 +68,25 @@ CODE_VERSION = "test-fabric"
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
-def make_misses(kernels=("daxpy", "dot", "fir4"), cluster_counts=(2, 4)):
+def make_misses(
+    kernels=("daxpy", "dot", "fir4"),
+    cluster_counts=(2, 4),
+    schedulers=("bsa",),
+    trip_count=100,
+):
     """A small, deterministic list of cache misses (the sweep input)."""
     misses = []
     for name in kernels:
-        loop = kernel_loop(name, trip_count=100)
+        loop = kernel_loop(name, trip_count=trip_count)
         for n_clusters in cluster_counts:
-            point = scenario_for(
-                loop, clustered_config(n_clusters, 1, 1), "bsa", UnrollPolicy.NONE
-            )
-            misses.append((point.canonical(), (point, loop)))
+            for scheduler in schedulers:
+                point = scenario_for(
+                    loop,
+                    clustered_config(n_clusters, 1, 1),
+                    scheduler,
+                    UnrollPolicy.NONE,
+                )
+                misses.append((point.canonical(), (point, loop)))
     return misses
 
 
@@ -1041,6 +1051,103 @@ class TestChaosE2E:
         assert svc.cache.writes == len(misses)
         accepted = sum(w["points"] for w in stats["workers"].values())
         assert accepted == len(misses)
+
+
+# ---------------------------------------------------------------------------
+# Loop sharing: a worker decodes each loop once per sweep
+# ---------------------------------------------------------------------------
+def count_decodes(monkeypatch):
+    """Count ``loop_from_dict`` calls of the batch core, by loop and trip."""
+    decodes = Counter()
+    original = engine.loop_from_dict
+
+    def counting(doc):
+        loop = original(doc)
+        decodes[loop.name, loop.trip_count] += 1
+        return loop
+
+    monkeypatch.setattr(engine, "loop_from_dict", counting)
+    return decodes
+
+
+class TestLoopSharing:
+    def test_a_sweep_decodes_each_loop_once(self, fabric_env, monkeypatch):
+        # Three loops, each on two machines under BSA and two-phase: four
+        # families per loop, dealt into six two-point leases.
+        misses = make_misses(schedulers=("bsa", "two-phase"))
+        expected = reference_docs(misses)
+        decodes = count_decodes(monkeypatch)
+        svc, srv, _client = fabric_env(shard_size=2)
+        with fabric_sweep(svc.fabric, misses) as box:
+            stats = FabricWorker(
+                srv.url,
+                code_version=svc.fabric.code_version,
+                max_shards=6,
+                poll_s=0.02,
+            ).run()
+        assert stats.shards == 6 and stats.points == len(misses) == 12
+        assert box["finished"] and "error" not in box
+        assert as_docs(box["results"]) == expected
+        assert decodes == {("daxpy", 100): 1, ("dot", 100): 1, ("fir4", 100): 1}
+
+    def test_a_new_sweep_decodes_again(self, fabric_env, monkeypatch):
+        first = make_misses(cluster_counts=(2,))
+        second = make_misses(cluster_counts=(4,))
+        expected = reference_docs(first + second)
+        decodes = count_decodes(monkeypatch)
+        svc, srv, _client = fabric_env(shard_size=3)
+        outcome = spawn(
+            FabricWorker(
+                srv.url,
+                code_version=svc.fabric.code_version,
+                max_shards=2,
+                poll_s=0.02,
+            )
+        )
+        results = {}
+        for misses in (first, second):
+            with fabric_sweep(svc.fabric, misses) as box:
+                pass
+            assert box["finished"] and "error" not in box
+            results.update(as_docs(box["results"]))
+        outcome.join()
+        assert outcome.error is None and outcome.stats.shards == 2
+        assert results == expected
+        assert decodes == {("daxpy", 100): 2, ("dot", 100): 2, ("fir4", 100): 2}
+
+    def test_another_document_of_a_graph_is_decoded_fresh(
+        self, fabric_env, monkeypatch
+    ):
+        # The same graphs (same graph hash) with another trip count, on
+        # the other machine: equal hashes, unequal documents.
+        misses = make_misses(cluster_counts=(2,))
+        misses += make_misses(cluster_counts=(4,), trip_count=200)
+        expected = reference_docs(misses)
+        decodes = count_decodes(monkeypatch)
+        svc, srv, _client = fabric_env(shard_size=6)
+        with fabric_sweep(svc.fabric, misses) as box:
+            stats = FabricWorker(
+                srv.url,
+                code_version=svc.fabric.code_version,
+                max_shards=1,
+                poll_s=0.02,
+            ).run()
+        # Every post was decoded and verified by the coordinator.
+        assert stats.points == stats.posted == 6 and stats.rejected_posts == 0
+        assert box["finished"] and "error" not in box
+        assert as_docs(box["results"]) == expected
+        kernels = ("daxpy", "dot", "fir4")
+        assert decodes == {(name, trip): 1 for name in kernels for trip in (100, 200)}
+
+    def test_a_pool_shard_decodes_each_loop_once(self, monkeypatch):
+        misses = make_misses(kernels=("daxpy",), schedulers=("bsa", "two-phase"))
+        expected = reference_docs(misses)
+        decodes = count_decodes(monkeypatch)
+        batch = _run_batch(
+            [work_item(point, loop) for _key, (point, loop) in misses], None, None
+        )
+        assert {key: payload for key, payload, _meta in batch} == expected
+        assert decodes == {("daxpy", 100): 1}
 
 
 # ---------------------------------------------------------------------------
