@@ -3,12 +3,7 @@
 from .codesize import ZERO_SIZE, CodeSize, schedule_code_size
 from .linear import BusRecord, IssueRecord, LinearCode, OperandRead, linearize
 from .rename import RenamedKernel, RenamedOp, rename_kernel
-from .vliw import (
-    KernelCode,
-    expand_software_pipeline,
-    generate_kernel,
-    render_schedule,
-)
+from .vliw import KernelCode, generate_kernel, render_schedule
 
 __all__ = [
     "BusRecord",
@@ -20,7 +15,6 @@ __all__ = [
     "RenamedKernel",
     "RenamedOp",
     "ZERO_SIZE",
-    "expand_software_pipeline",
     "generate_kernel",
     "linearize",
     "rename_kernel",

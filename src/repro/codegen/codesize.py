@@ -53,25 +53,15 @@ class CodeSize:
 ZERO_SIZE = CodeSize(0, 0)
 
 
-def schedule_code_size(
-    schedule: ModuloSchedule, *, with_mve: bool = False
-) -> CodeSize:
+def schedule_code_size(schedule: ModuloSchedule) -> CodeSize:
     """Static code size of one modulo-scheduled loop.
 
-    With ``with_mve=True`` the kernel is charged its modulo-variable-
-    expansion replication (values living longer than II need renamed
-    kernel copies on machines without rotating register files); the paper
-    counts plain kernels — the option quantifies what rotating files save.
+    The kernel is counted once, as the paper counts it: no modulo-variable-
+    expansion copies.
     """
     config: MachineConfig = schedule.config
     ii = schedule.ii
     sc = schedule.stage_count
-    kernel_copies = 1
-    if with_mve:
-        from ..core.lifetimes import mve_factor
-
-        kernel_copies = mve_factor(schedule)
-    instructions = (2 * sc - 1 + (kernel_copies - 1)) * ii
-    slots = instructions * slots_per_instruction(config)
-    useful = len(schedule.ops) * (sc + kernel_copies - 1)
+    slots = (2 * sc - 1) * ii * slots_per_instruction(config)
+    useful = len(schedule.ops) * sc
     return CodeSize(useful_ops=useful, nop_ops=slots - useful)

@@ -1,15 +1,13 @@
 """VLIW code generation from a modulo schedule.
 
-Renders the kernel (II instructions), and expands the prologue and
-epilogue of the software-pipelined loop, in the instruction format of the
-paper's Figure 3.  This is what the code-size study (Section 6.4) counts,
-and what the examples print so a schedule can be eyeballed.
+Renders the kernel (II instructions) of the software-pipelined loop in the
+instruction format of the paper's Figure 3, so a schedule can be eyeballed.
+The prologue and the epilogue are not expanded: each takes ``(SC-1)*II``
+instructions, and :mod:`repro.codegen.codesize` counts their slots in
+closed form (Section 6.4).
 
 Kernel construction: the operation scheduled at absolute cycle *t* appears
-in kernel row ``t mod II`` on its (cluster, FU).  Prologue: for ramp-up
-stage ``k`` (0-based, ``k < SC-1``), instruction ``k*II + r`` contains the
-ops of rows ``r`` of stages ``0..k`` — equivalently, every op whose stage
-is ``<= k``.  The epilogue mirrors it, draining stages.
+in kernel row ``t mod II`` on its (cluster, FU).
 """
 
 from __future__ import annotations
@@ -84,47 +82,6 @@ def _place_in_slot(
     slots[slot_idx] = type(old)(
         old.fu_class, old.fu_index, label, node=node, stage=stage
     )
-
-
-def expand_software_pipeline(schedule: ModuloSchedule) -> list[VliwInstruction]:
-    """The complete static code: prologue + kernel + epilogue, expanded.
-
-    Stage ``s`` of the pipeline (ops with ``cycle // II == s``) is present:
-
-    * in prologue group ``k`` (0-based, ``k < SC-1``) iff ``s <= k``;
-    * in the kernel always;
-    * in epilogue group ``k`` iff ``s > k`` — the tail of iterations
-      started during the last kernel executions.
-
-    Bus fields are expanded with the same membership rule applied to the
-    communication's own stage.
-    """
-    config = schedule.config
-    ii = schedule.ii
-    sc = schedule.stage_count
-    out: list[VliwInstruction] = []
-    groups = [("prologue", k) for k in range(sc - 1)]
-    groups.append(("kernel", sc - 1))
-    groups.extend(("epilogue", k) for k in range(sc - 1))
-
-    cycle_counter = 0
-    for phase, k in groups:
-        rows = [empty_instruction(config, cycle_counter + r) for r in range(ii)]
-        for node, placed in schedule.ops.items():
-            stage = placed.cycle // ii
-            if phase == "prologue" and stage > k:
-                continue
-            if phase == "epilogue" and stage <= k:
-                continue
-            op = schedule.graph.operation(node)
-            label = f"{op.opcode.name}.{node}"
-            _place_in_slot(
-                rows[placed.cycle % ii], config, placed.cluster, op.fu_class,
-                placed.fu_index, label, node=node, stage=stage,
-            )
-        out.extend(rows)
-        cycle_counter += ii
-    return out
 
 
 def generate_kernel(schedule: ModuloSchedule) -> KernelCode:

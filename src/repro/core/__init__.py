@@ -5,7 +5,7 @@ from .bsa import BsaScheduler, join_profit
 from .comm import AddReader, CommPlan, NewTransfer
 from .engine import FailReason, Placement, PlacementEngine
 from .exact import ExactScheduler
-from .lifetimes import cluster_pressures, max_pressure, mve_factor, pressure_ok
+from .lifetimes import cluster_pressures, max_pressure, mve_factor
 from .list_schedule import list_schedule
 from .mii import MiiReport, mii, mii_report, rec_mii, res_mii
 from .mrt import ReservationTable
@@ -64,7 +64,6 @@ __all__ = [
     "mii_report",
     "ordering_sets",
     "partition_graph",
-    "pressure_ok",
     "rec_mii",
     "recurrence_sets",
     "res_mii",

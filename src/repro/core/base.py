@@ -45,20 +45,9 @@ class SchedulerBase(abc.ABC):
     #: reads a failure class its log does not show.
     lazy_log: bool = False
 
-    def __init__(self, config: MachineConfig, *, max_ii: int | None = None):
-        """Bind the scheduler to one machine configuration.
-
-        Parameters
-        ----------
-        config:
-            The (clustered or unified) machine to schedule for.
-        max_ii:
-            Optional hard II ceiling; when ``None`` (the default) the
-            budget is ``MII + default_ii_budget(graph, config)``,
-            computed per graph.
-        """
+    def __init__(self, config: MachineConfig):
+        """Bind the scheduler to one (clustered or unified) machine."""
         self.config = config
-        self.max_ii = max_ii
 
     def schedule(self, graph: DependenceGraph) -> ModuloSchedule:
         """Modulo-schedule *graph* on this scheduler's machine.
@@ -67,6 +56,8 @@ class SchedulerBase(abc.ABC):
         subclass to place every node (:meth:`_place_all`), and on any
         failure restart from scratch at II + 1, logging why the attempt
         failed (the bookkeeping behind the paper's ``LimitedByBus``).
+        The search gives up above ``MII + default_ii_budget(graph,
+        config)``.
         A lazily logged attempt (:attr:`lazy_log`) is re-run with every
         probe only when ``LimitedByBus`` or the register-pressure exit
         reads a failure class its log does not show, so both decide as
@@ -92,7 +83,7 @@ class SchedulerBase(abc.ABC):
         if len(graph) == 0:
             raise SchedulingError(f"graph {graph.name!r} has no operations")
         start_ii = compute_mii(graph, self.config)
-        budget = self.max_ii or (start_ii + default_ii_budget(graph, self.config))
+        budget = start_ii + default_ii_budget(graph, self.config)
         failures: list[FailureLog] = []
         # Indices of the failed attempts whose log is lazy (see lazy_log).
         lazy: set[int] = set()

@@ -78,11 +78,10 @@ class BsaScheduler(SchedulerBase):
         self,
         config: MachineConfig,
         *,
-        max_ii: int | None = None,
         order: str = "sms",
         default_cluster_policy: str = "circular",
     ):
-        super().__init__(config, max_ii=max_ii)
+        super().__init__(config)
         if config.n_clusters > 1 and config.buses.count == 0:
             raise ConfigError("clustered machine without buses cannot communicate")
         try:

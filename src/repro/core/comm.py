@@ -48,16 +48,6 @@ class AddReader:
     existing: Communication
     reader: int
 
-    def as_phantom(self) -> Communication:
-        """A pressure-model stand-in for the reader addition only."""
-        return Communication(
-            producer=self.existing.producer,
-            src_cluster=self.existing.src_cluster,
-            bus=self.existing.bus,
-            start_cycle=self.existing.start_cycle,
-            readers=frozenset({self.reader}),
-        )
-
 
 @dataclass
 class CommPlan:
@@ -65,16 +55,6 @@ class CommPlan:
 
     new_transfers: list[NewTransfer]
     added_readers: list[AddReader]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.new_transfers and not self.added_readers
-
-    def pressure_comms(self) -> list[Communication]:
-        """Communications to overlay on the schedule for pressure checks."""
-        out = [t.as_communication() for t in self.new_transfers]
-        out.extend(a.as_phantom() for a in self.added_readers)
-        return out
 
 
 def empty_plan() -> CommPlan:

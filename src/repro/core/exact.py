@@ -107,15 +107,12 @@ class ExactScheduler(SchedulerBase):
         self,
         config: MachineConfig,
         *,
-        max_ii: int | None = None,
         max_nodes: int = DEFAULT_MAX_NODES,
         time_budget_s: float = DEFAULT_TIME_BUDGET_S,
-        minimize_pressure: bool = True,
     ):
-        super().__init__(config, max_ii=max_ii)
+        super().__init__(config)
         self.max_nodes = max_nodes
         self.time_budget_s = time_budget_s
-        self.minimize_pressure = minimize_pressure
 
     # ------------------------------------------------------------------
     def _place_all(self, engine) -> bool:  # pragma: no cover - interface stub
@@ -132,7 +129,7 @@ class ExactScheduler(SchedulerBase):
                 "use a heuristic scheduler for graphs this size"
             )
         start_ii = compute_mii(graph, self.config)
-        budget = self.max_ii or (start_ii + default_ii_budget(graph, self.config))
+        budget = start_ii + default_ii_budget(graph, self.config)
         deadline = time.monotonic() + self.time_budget_s
         failures: list[FailureLog] = []
         solution: _Solution | None = None
@@ -147,8 +144,7 @@ class ExactScheduler(SchedulerBase):
                 f"within II <= {budget}",
                 ii_tried=budget,
             )
-        if self.minimize_pressure:
-            solution = self._refine_pressure(graph, solution, deadline)
+        solution = self._refine_pressure(graph, solution, deadline)
         sched = self._materialize(graph, solution, start_ii)
         sched.attempt_failures = failures
         verify_schedule(sched)
@@ -276,7 +272,7 @@ class _BnbSearch:
             )
         depth = len(self.sched.ops)
         if depth == len(self.order):
-            if self._pressure_ok():
+            if self._within_reg_limit():
                 self.solution = _Solution(
                     self.ii,
                     tuple(
@@ -315,7 +311,7 @@ class _BnbSearch:
                     continue
                 for pending, added in self._plans(reqs, 0, [], []):
                     undo = self._commit(v, op, q, t, pending, added)
-                    ok = not self.check_every_commit or self._pressure_ok()
+                    ok = not self.check_every_commit or self._within_reg_limit()
                     if ok and self._search():
                         return True
                     self._undo(undo)
@@ -545,6 +541,6 @@ class _BnbSearch:
         self.free_slots[op.fu_class.index] += 1
         self.mrt.release_fu(q, op.fu_class, t, unit, v)
 
-    def _pressure_ok(self) -> bool:
+    def _within_reg_limit(self) -> bool:
         pressures = cluster_pressures(self.sched)
         return max(pressures.values()) <= self.reg_limit if pressures else True

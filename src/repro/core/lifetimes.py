@@ -38,18 +38,14 @@ from ..ir.ddg import DependenceGraph
 from .schedule import Communication, ModuloSchedule
 
 
-def _intervals(
-    schedule: ModuloSchedule,
-    extra_comms: list[Communication] | None,
-) -> list[tuple[int, int, int]]:
+def _intervals(schedule: ModuloSchedule) -> list[tuple[int, int, int]]:
     """All live ranges as (cluster, start, end) with end exclusive."""
     graph: DependenceGraph = schedule.graph
     ii = schedule.ii
     bus_latency = schedule.config.buses.latency
-    comms = schedule.comms if not extra_comms else schedule.comms + extra_comms
 
     comms_by_producer: dict[int, list[Communication]] = {}
-    for comm in comms:
+    for comm in schedule.comms:
         comms_by_producer.setdefault(comm.producer, []).append(comm)
 
     out: list[tuple[int, int, int]] = []
@@ -73,7 +69,7 @@ def _intervals(
         out.append((placed.cluster, written, last_read + 1))
 
     # Incoming communicated values stored in destination register files.
-    for comm in comms:
+    for comm in schedule.comms:
         arrival = comm.start_cycle + bus_latency
         consumers = graph.flow_consumers(comm.producer)
         for reader_cluster in comm.readers:
@@ -93,16 +89,8 @@ def _intervals(
     return out
 
 
-def cluster_pressures(
-    schedule: ModuloSchedule,
-    *,
-    extra_comms: list[Communication] | None = None,
-) -> dict[int, int]:
-    """MaxLive per cluster for *schedule*.
-
-    ``extra_comms`` lets schedulers evaluate a tentative placement's
-    communication plan without mutating the schedule.
-    """
+def cluster_pressures(schedule: ModuloSchedule) -> dict[int, int]:
+    """MaxLive per cluster for *schedule*."""
     ii = schedule.ii
     n_clusters = schedule.config.n_clusters
     # Whole-II wraps cover every row; a remainder covers rows start ..
@@ -110,7 +98,7 @@ def cluster_pressures(
     # doubled range whose two halves are then folded together.
     base = [0] * n_clusters
     diffs = [[0] * (2 * ii) for _ in range(n_clusters)]
-    for c, start, end in _intervals(schedule, extra_comms):
+    for c, start, end in _intervals(schedule):
         full, rem = divmod(end - start, ii)
         base[c] += full
         if rem:
@@ -132,11 +120,11 @@ def mve_factor(schedule: ModuloSchedule) -> int:
     must be replicated ``max_v ceil(lifetime(v) / II)`` times with renamed
     registers (Lam).  The pressure model already *counts* the extra copies
     (wrapped lifetimes contribute once per II spanned); this exposes the
-    resulting kernel replication for code-size accounting.
+    resulting kernel replication.
     """
     ii = schedule.ii
     factor = 1
-    for _, start, end in _intervals(schedule, None):
+    for _, start, end in _intervals(schedule):
         need = -(-(end - start) // ii)  # ceil
         if need > factor:
             factor = need
@@ -147,16 +135,3 @@ def max_pressure(schedule: ModuloSchedule) -> int:
     """The largest per-cluster MaxLive of the schedule."""
     pressures = cluster_pressures(schedule)
     return max(pressures.values()) if pressures else 0
-
-
-def pressure_ok(
-    schedule: ModuloSchedule,
-    *,
-    extra_comms: list[Communication] | None = None,
-) -> bool:
-    """Do all clusters fit in their register files?"""
-    limit = schedule.config.regs_per_cluster
-    return all(
-        p <= limit
-        for p in cluster_pressures(schedule, extra_comms=extra_comms).values()
-    )

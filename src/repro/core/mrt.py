@@ -10,11 +10,12 @@ An MRT has II rows; resource usage at absolute cycle *t* occupies row
   the entire communication latency, Section 3).
 
 Occupancy is stored twice: a per-row *bitmask* (bit ``c`` set = column
-``c`` occupied) that makes the hot-path queries ``fu_slot_free`` /
-``bus_free`` O(1) mask tests, and an owner map, filled by ``occupy``,
-used only for release checking and diagnostics (``fu_owner``,
-``bus_owner``, conflict messages).  The FU grids are held per cluster
-in a list indexed by :attr:`FuClass.index <repro.ir.operation.FuClass>`.
+``c`` occupied), which the placement engine reads directly
+(``fu_grid(...).masks`` and ``first_free_bus``), and an owner map,
+filled by ``occupy``, used only for release checking and diagnostics
+(``fu_owner``, ``bus_owner``, conflict messages).  The FU grids are held
+per cluster in a list indexed by :attr:`FuClass.index
+<repro.ir.operation.FuClass>`.
 """
 
 from __future__ import annotations
@@ -106,10 +107,6 @@ class ReservationTable:
         """The (cluster, class) grid — lets hot loops hoist the lookup."""
         return self._fu[cluster][fu_class.index]
 
-    def fu_slot_free(self, cluster: int, fu_class: FuClass, cycle: int) -> bool:
-        grid = self._fu[cluster][fu_class.index]
-        return grid.masks[cycle % self.ii] != grid.full
-
     def occupy_fu(
         self, cluster: int, fu_class: FuClass, cycle: int, owner: object
     ) -> int:
@@ -154,23 +151,6 @@ class ReservationTable:
             combined |= masks[r]
         return combined
 
-    def bus_free(self, start_cycle: int, busy_mask: int = 0) -> int | None:
-        """A bus free for a transfer starting at *start_cycle*, else None.
-
-        A transfer needs ``latbus`` consecutive rows on the *same* bus.  A
-        transfer longer than II would collide with its own next-iteration
-        instance, so it can never fit.  ``busy_mask`` marks extra buses to
-        treat as occupied (pending transfers of the same placement plan).
-        """
-        if self.config.buses.count == 0:
-            return None
-        if self.config.buses.latency > self.ii:
-            return None
-        free = ~(self.bus_occupancy(start_cycle) | busy_mask) & self._bus.full
-        if not free:
-            return None
-        return (free & -free).bit_length() - 1
-
     def first_free_bus(
         self, first: int, last: int, pending: list[tuple[int, int]]
     ) -> tuple[int, int] | None:
@@ -179,8 +159,10 @@ class ReservationTable:
         One pass over the window: each start's bus rows and their row
         mask are precomputed, and the *pending* ``(start_cycle, bus)``
         transfers of the same placement plan block their bus at every
-        start whose rows overlap theirs.  Equivalent to calling
-        :meth:`bus_free` at each start with those buses masked.
+        start whose rows overlap theirs.  A transfer needs ``latbus``
+        consecutive rows on the *same* bus, so none fits when the latency
+        exceeds II (it would collide with its own next-iteration
+        instance).
         """
         if self.config.buses.count == 0 or self.config.buses.latency > self.ii:
             return None

@@ -15,7 +15,7 @@ greatest *height* among the ready successors) and bottom-up passes (pick
 the node of greatest *depth* among the ready predecessors), breaking ties
 by lowest mobility.
 
-Priorities derive from resource-free ASAP/ALAP times at II = MII, computed
+Priorities derive from resource-free ASAP/ALAP times at II = RecMII, computed
 by longest-path relaxation over edge weights ``latency - II * distance``
 (valid because no positive cycle exists at II >= RecMII).
 """
@@ -188,23 +188,22 @@ def ordering_sets(graph: DependenceGraph) -> list[set[int]]:
     return sets
 
 
-def sms_order(graph: DependenceGraph, ii: int | None = None) -> list[int]:
+def sms_order(graph: DependenceGraph) -> list[int]:
     """The SMS scheduling order of *graph*'s nodes.
 
-    *ii* defaults to RecMII (priorities only need a feasible II; the
-    resource component of MII does not change relative mobilities).
-    Memoised per (graph, ii): the II search recomputes the order on every
-    attempt, and it only depends on the graph (shared — do not mutate).
+    Priorities come from the timings at RecMII (they only need a feasible
+    II; the resource component of MII does not change relative
+    mobilities).  Memoised on the graph: the II search asks for the order
+    on every attempt, and it only depends on the graph (shared — do not
+    mutate).
     """
-    return graph.derived(("sms_order", ii), lambda: _sms_order(graph, ii))
+    return graph.derived("sms_order", lambda: _sms_order(graph))
 
 
-def _sms_order(graph: DependenceGraph, ii: int | None = None) -> list[int]:
+def _sms_order(graph: DependenceGraph) -> list[int]:
     if len(graph) == 0:
         return []
-    if ii is None:
-        ii = rec_mii(graph)
-    timing = compute_timings(graph, ii)
+    timing = compute_timings(graph, rec_mii(graph))
     height = {v: 0 for v in graph.node_ids}
     depth = {v: 0 for v in graph.node_ids}
     horizon = max(t.alap for t in timing.values())

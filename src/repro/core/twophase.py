@@ -132,8 +132,8 @@ class TwoPhaseScheduler(SchedulerBase):
 
     name = "two-phase"
 
-    def __init__(self, config: MachineConfig, *, max_ii: int | None = None):
-        super().__init__(config, max_ii=max_ii)
+    def __init__(self, config: MachineConfig):
+        super().__init__(config)
         if config.n_clusters > 1 and config.buses.count == 0:
             raise ConfigError("clustered machine without buses cannot communicate")
 

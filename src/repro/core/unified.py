@@ -21,13 +21,13 @@ class UnifiedScheduler(SchedulerBase):
 
     name = "unified-sms"
 
-    def __init__(self, config: MachineConfig, *, max_ii: int | None = None):
+    def __init__(self, config: MachineConfig):
         if config.is_clustered:
             raise ConfigError(
                 f"UnifiedScheduler needs a 1-cluster machine, got {config.name!r} "
                 f"with {config.n_clusters} clusters"
             )
-        super().__init__(config, max_ii=max_ii)
+        super().__init__(config)
 
     def _place_all(self, engine: PlacementEngine) -> bool:
         for node in sms_order(engine.graph):

@@ -23,6 +23,7 @@ from ..arch.cluster import MachineConfig
 from ..arch.configs import clustered_config
 from ..core.lifetimes import max_pressure
 from ..core.selective import UnrollPolicy
+from ..perf.report import format_markdown, format_table
 from ..runner.scenario import GridItem, scenario_for
 from ..workloads.kernels import kernel_loop
 from ..workloads.registry import workloads
@@ -180,18 +181,8 @@ def render_gap(points: list[GapPoint], fmt: str = "text") -> str:
         return json.dumps(rows, indent=2)
     columns = list(rows[0]) if rows else []
     if fmt == "markdown":
-        lines = [
-            "| " + " | ".join(columns) + " |",
-            "| " + " | ".join("---" for _ in columns) + " |",
-        ]
-        for row in rows:
-            lines.append(
-                "| " + " | ".join(str(row.get(c, "")) for c in columns) + " |"
-            )
-        return "\n".join(lines)
+        return format_markdown(rows, columns)
     if fmt == "text":
-        from ..perf.report import format_table
-
         return format_table(
             rows, columns, title="Heuristic vs optimal (exact backend)"
         )

@@ -29,7 +29,7 @@ import re
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 __all__ = [
     "LATENCY_BUCKETS_S",
@@ -226,25 +226,16 @@ class _HistogramChild:
 
 
 class Histogram(_Instrument):
-    """Fixed-bucket cumulative histogram (Prometheus semantics)."""
+    """Cumulative histogram over :data:`LATENCY_BUCKETS_S` (Prometheus
+    semantics)."""
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        registry,
-        name,
-        help,
-        labelnames=(),
-        buckets: Iterable[float] = LATENCY_BUCKETS_S,
-    ):
+    def __init__(self, registry, name, help, labelnames=()):
         super().__init__(registry, name, help, labelnames)
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or sorted(bounds) != list(bounds):
-            raise ValueError(f"{name}: buckets must be sorted and non-empty")
-        self.buckets = bounds
+        self.buckets = LATENCY_BUCKETS_S
         self._default = (
-            _HistogramChild(self._lock, bounds) if not labelnames else None
+            _HistogramChild(self._lock, self.buckets) if not labelnames else None
         )
 
     def _new_child(self) -> _HistogramChild:
@@ -347,11 +338,10 @@ class MetricsRegistry:
         name: str,
         help: str,
         labelnames: tuple[str, ...] = (),
-        buckets: Iterable[float] = LATENCY_BUCKETS_S,
     ) -> Histogram:
         _check_labels(labelnames)
         return self._register(
-            lambda: Histogram(self, name, help, labelnames, buckets),
+            lambda: Histogram(self, name, help, labelnames),
             name,
             "histogram",
         )

@@ -243,21 +243,6 @@ def aggregate(
     return rows
 
 
-def _render_markdown(rows: list[dict[str, Any]], columns: list[str]) -> str:
-    def fmt(value: Any) -> str:
-        return format(value, ".2f") if isinstance(value, float) else str(value)
-
-    lines = [
-        "| " + " | ".join(columns) + " |",
-        "| " + " | ".join("---" for _ in columns) + " |",
-    ]
-    for row in rows:
-        lines.append(
-            "| " + " | ".join(fmt(row.get(col, "")) for col in columns) + " |"
-        )
-    return "\n".join(lines)
-
-
 def render_report(
     report: RunReport, *, by: str = "kernel", fmt: str = "text"
 ) -> str:
@@ -265,7 +250,7 @@ def render_report(
     # Imported here, not at module level: repro.obs must stay importable
     # from the scheduler core without dragging in the perf/experiment
     # layers (which themselves import the core).
-    from ..perf.report import format_table
+    from ..perf.report import format_markdown, format_table
 
     rows = aggregate(report.records, by=by)
     columns = [by] + [c for c in (rows[0] if rows else {}) if c != by]
@@ -286,7 +271,7 @@ def render_report(
         header = f"**{summary}**"
         if not rows:
             return header
-        return header + "\n\n" + _render_markdown(rows, columns)
+        return header + "\n\n" + format_markdown(rows, columns)
     if fmt == "text":
         table = format_table(rows, columns, floatfmt=".2f") if rows else "(empty)"
         return summary + "\n" + table

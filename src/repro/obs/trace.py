@@ -38,7 +38,7 @@ __all__ = [
 TRACE_ENV_VAR = "REPRO_VLIW_TRACE"
 
 #: Spans retained in a tracer's in-memory ring buffer.
-DEFAULT_SPAN_BUFFER = 2048
+SPAN_BUFFER = 2048
 
 
 def new_trace_id() -> str:
@@ -117,15 +117,15 @@ class Tracer:
         When ``False`` (the default for the process-wide :data:`TRACER`
         unless ``$REPRO_VLIW_TRACE`` is set) every :meth:`span` call
         returns a shared no-op context manager.
-    buffer:
-        Finished spans retained in memory (oldest evicted first);
-        :meth:`drain` hands them to whoever aggregates (run reports,
-        tests).
+
+    The last :data:`SPAN_BUFFER` finished spans are retained in memory
+    (oldest evicted first); :meth:`drain` hands them to whoever
+    aggregates (run reports, tests).
     """
 
-    def __init__(self, *, enabled: bool = False, buffer: int = DEFAULT_SPAN_BUFFER):
+    def __init__(self, *, enabled: bool = False):
         self.enabled = enabled
-        self._finished: deque[Span] = deque(maxlen=buffer)
+        self._finished: deque[Span] = deque(maxlen=SPAN_BUFFER)
         self._current: contextvars.ContextVar[TraceContext | None] = (
             contextvars.ContextVar("repro_trace_ctx", default=None)
         )

@@ -44,6 +44,23 @@ def format_table(
     return "\n".join(out)
 
 
+def format_markdown(rows: Sequence[dict[str, Any]], columns: Sequence[str]) -> str:
+    """Render dict rows as a Markdown table (floats to two decimals)."""
+
+    def fmt(value: Any) -> str:
+        return format(value, ".2f") if isinstance(value, float) else str(value)
+
+    lines = [
+        "| " + " | ".join(columns) + " |",
+        "| " + " | ".join("---" for _ in columns) + " |",
+    ]
+    for row in rows:
+        lines.append(
+            "| " + " | ".join(fmt(row.get(col, "")) for col in columns) + " |"
+        )
+    return "\n".join(lines)
+
+
 def format_series(
     label: str, points: Iterable[tuple[Any, float]], floatfmt: str = ".3f"
 ) -> str:

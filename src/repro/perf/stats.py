@@ -69,7 +69,7 @@ def _rebuild_mrt(schedule: ModuloSchedule) -> ReservationTable:
 
 def schedule_stats(schedule: ModuloSchedule) -> ScheduleStats:
     """Compute all statistics for *schedule*."""
-    intervals = _intervals(schedule, None)
+    intervals = _intervals(schedule)
     lengths = [end - start for _, start, end in intervals]
     mrt = _rebuild_mrt(schedule)
     return ScheduleStats(

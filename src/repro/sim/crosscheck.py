@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ..core.schedule import ModuloSchedule
 from ..core.selective import ScheduledLoopResult
 from ..ir.loop import Loop
-from ..perf.model import PERFECT_MEMORY, StallModel, loop_performance, pipeline_cycles
+from ..perf.model import loop_performance, pipeline_cycles
 from .engine import simulate_result, simulate_schedule
 from .memory import MemoryModel
 from .report import SimReport
@@ -103,16 +103,15 @@ def crosscheck_loop(
     loop: Loop,
     result: ScheduledLoopResult,
     *,
-    stall_model: StallModel = PERFECT_MEMORY,
     memory: MemoryModel | None = None,
 ) -> CrossCheck:
     """Diff one scheduled :class:`Loop` (one loop entry) against the model.
 
     The analytic side comes from :func:`repro.perf.model.loop_performance`
-    under *stall_model*; the simulated side executes ``loop.trip_count``
+    with a perfect memory; the simulated side executes ``loop.trip_count``
     source iterations under *memory*.
     """
-    perf = loop_performance(loop, result, stall_model)
+    perf = loop_performance(loop, result)
     report = simulate_result(
         result,
         loop.trip_count,

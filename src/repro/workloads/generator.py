@@ -1,8 +1,10 @@
 """Seeded synthetic loop-body generator.
 
 Stands in for the SPECfp95 innermost loops the paper extracts with the
-ICTINEO compiler (see DESIGN.md, substitutions).  Generated bodies have the
-structure of numerical inner loops:
+ICTINEO compiler: there is no ICTINEO and no SPECfp95 binary here, so
+seeded loops follow each program's published shape
+(:mod:`repro.workloads.specfp`).  Generated bodies have the structure of
+numerical inner loops:
 
 * a layer of loads (optionally behind integer address arithmetic),
 * a DAG of compute operations, each consuming one or two previously

@@ -1,12 +1,12 @@
 """A synthetic SPECfp95-like evaluation suite.
 
-The paper evaluates the 10 SPECfp95 programs compiled by ICTINEO; neither
-is available, so each program here is a seeded set of synthetic innermost
-loops (plus a few hand-written classic kernels) whose *shape profile*
-follows the program's published character: loop body sizes, FP/memory op
-mix, recurrence density, loop-carried dependence patterns and trip counts.
-The scheduling comparisons of the paper depend only on those shape
-properties (DESIGN.md, substitutions table).
+The paper evaluates the 10 SPECfp95 programs compiled by ICTINEO.  There
+is no ICTINEO and no SPECfp95 binary here, so each program is a seeded set
+of synthetic innermost loops (plus a few hand-written classic kernels)
+whose *shape profile* follows the program's published character: loop
+body sizes, FP/memory op mix, recurrence density, loop-carried dependence
+patterns and trip counts.  The scheduling comparisons of the paper depend
+only on those shape properties.
 
 Profiles, qualitatively:
 

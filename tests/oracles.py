@@ -11,6 +11,18 @@
 * :func:`reference_partition` — the two-phase partition rescoring every
   super-node's demand and crossing edges for every candidate cluster,
   against :func:`repro.core.twophase.partition_graph`;
+* :func:`overlay_pressures` and :func:`pressure_ok` — ``cluster_pressures``
+  of a scratch copy of the schedule with a tentative placement overlaid
+  (its plan's transfers from :func:`pressure_comms`, an added reader as a
+  :func:`phantom` transfer), against the incremental
+  :class:`repro.core.pressure.PressureTracker`;
+* :func:`fu_slot_free`, :func:`bus_free` and :func:`per_start_scan` —
+  per-cycle reservation-table probes, the last one trying each start
+  cycle in turn, against the one-pass
+  :meth:`repro.core.mrt.ReservationTable.first_free_bus`;
+* :func:`expand_software_pipeline` — the prologue, kernel and epilogue
+  expanded instruction by instruction, against the closed form of
+  :func:`repro.codegen.schedule_code_size`;
 * :func:`to_networkx` and the networkx versions of the graph algorithms
   the library implements with the stdlib: :func:`sccs_nx`,
   :func:`zero_distance_acyclic_nx`, :func:`topological_order_nx` and
@@ -20,13 +32,20 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import networkx as nx
 
 from repro.arch.cluster import MachineConfig
+from repro.arch.isa import VliwInstruction, empty_instruction
+from repro.codegen.vliw import _place_in_slot
 from repro.core.bsa import BsaScheduler, join_profit
+from repro.core.comm import AddReader, CommPlan
 from repro.core.engine import Placement, PlacementEngine
+from repro.core.lifetimes import cluster_pressures
 from repro.core.mii import rec_mii
+from repro.core.mrt import ReservationTable
+from repro.core.schedule import Communication, ModuloSchedule, ScheduledOp
 from repro.core.sms import _subgraph, recurrence_sets, sms_order
 from repro.errors import GraphError
 from repro.ir.ddg import DependenceGraph
@@ -303,3 +322,141 @@ def reference_partition(
             assignment[node] = best_cluster
             load[best_cluster][graph.operation(node).fu_class] += 1
     return assignment
+
+
+def phantom(added: AddReader) -> Communication:
+    """A stand-in transfer for one reader added to an existing transfer:
+    same producer, bus and start, that reader alone."""
+    existing = added.existing
+    return Communication(
+        producer=existing.producer,
+        src_cluster=existing.src_cluster,
+        bus=existing.bus,
+        start_cycle=existing.start_cycle,
+        readers=frozenset({added.reader}),
+    )
+
+
+def pressure_comms(plan: CommPlan) -> list[Communication]:
+    """The transfers to overlay on a schedule for *plan*'s pressure.
+
+    A reader the plan adds twice to one transfer (two consumers in one
+    cluster) is one copy, as committing the plan makes it.
+    """
+    out = [t.as_communication() for t in plan.new_transfers]
+    for added in plan.added_readers:
+        stand_in = phantom(added)
+        if stand_in not in out:
+            out.append(stand_in)
+    return out
+
+
+def overlay_pressures(
+    schedule: ModuloSchedule,
+    comms: Iterable[Communication] = (),
+    ops: Iterable[ScheduledOp] = (),
+) -> dict[int, int]:
+    """``cluster_pressures`` of *schedule* with *ops* and *comms* added.
+
+    Works on a scratch copy, so *schedule* is never changed.
+    """
+    scratch = ModuloSchedule(schedule.graph, schedule.config, schedule.ii)
+    for placed in [*schedule.ops.values(), *ops]:
+        scratch.place(placed)
+    for comm in [*schedule.comms, *comms]:
+        scratch.add_comm(comm)
+    return cluster_pressures(scratch)
+
+
+def pressure_ok(
+    schedule: ModuloSchedule,
+    comms: Iterable[Communication] = (),
+    ops: Iterable[ScheduledOp] = (),
+) -> bool:
+    """Does every cluster fit its register file with the overlay added?"""
+    limit = schedule.config.regs_per_cluster
+    return all(p <= limit for p in overlay_pressures(schedule, comms, ops).values())
+
+
+def fu_slot_free(
+    mrt: ReservationTable, cluster: int, fu_class: FuClass, cycle: int
+) -> bool:
+    """Is some *fu_class* unit of *cluster* free at *cycle*?"""
+    grid = mrt.fu_grid(cluster, fu_class)
+    return grid.masks[cycle % mrt.ii] != grid.full
+
+
+def bus_free(
+    mrt: ReservationTable, start_cycle: int, busy_mask: int = 0
+) -> int | None:
+    """The lowest bus free for a transfer starting at *start_cycle*.
+
+    A transfer needs ``latbus`` consecutive rows on the *same* bus, so
+    none fits when the latency exceeds II.  ``busy_mask`` marks extra
+    buses to treat as occupied.
+    """
+    buses = mrt.config.buses
+    if buses.count == 0 or buses.latency > mrt.ii:
+        return None
+    free = ~(mrt.bus_occupancy(start_cycle) | busy_mask) & ((1 << buses.count) - 1)
+    if not free:
+        return None
+    return (free & -free).bit_length() - 1
+
+
+def per_start_scan(
+    mrt: ReservationTable, first: int, last: int, pending: list[tuple[int, int]]
+) -> tuple[int, int] | None:
+    """The earliest ``(start_cycle, bus)`` in *first*..*last*: one
+    :func:`bus_free` call per start, the buses of the *pending*
+    ``(start_cycle, bus)`` transfers whose rows overlap masked."""
+    for start in range(first, last + 1):
+        rows = set(mrt.bus_rows(start))
+        busy = 0
+        for other, bus in pending:
+            if rows & set(mrt.bus_rows(other)):
+                busy |= 1 << bus
+        bus = bus_free(mrt, start, busy)
+        if bus is not None:
+            return start, bus
+    return None
+
+
+def expand_software_pipeline(schedule: ModuloSchedule) -> list[VliwInstruction]:
+    """The complete static code: prologue + kernel + epilogue, expanded.
+
+    Stage ``s`` of the pipeline (ops with ``cycle // II == s``) is present:
+
+    * in prologue group ``k`` (0-based, ``k < SC-1``) iff ``s <= k``;
+    * in the kernel always;
+    * in epilogue group ``k`` iff ``s > k`` — the tail of iterations
+      started during the last kernel executions.
+
+    Only operation slots are filled; bus fields stay empty.
+    """
+    config = schedule.config
+    ii = schedule.ii
+    sc = schedule.stage_count
+    out: list[VliwInstruction] = []
+    groups = [("prologue", k) for k in range(sc - 1)]
+    groups.append(("kernel", sc - 1))
+    groups.extend(("epilogue", k) for k in range(sc - 1))
+
+    cycle_counter = 0
+    for phase, k in groups:
+        rows = [empty_instruction(config, cycle_counter + r) for r in range(ii)]
+        for node, placed in schedule.ops.items():
+            stage = placed.cycle // ii
+            if phase == "prologue" and stage > k:
+                continue
+            if phase == "epilogue" and stage <= k:
+                continue
+            op = schedule.graph.operation(node)
+            label = f"{op.opcode.name}.{node}"
+            _place_in_slot(
+                rows[placed.cycle % ii], config, placed.cluster, op.fu_class,
+                placed.fu_index, label, node=node, stage=stage,
+            )
+        out.extend(rows)
+        cycle_counter += ii
+    return out

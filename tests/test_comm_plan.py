@@ -1,4 +1,7 @@
-"""Tests for communication-plan dataclasses (repro.core.comm)."""
+"""Tests for communication-plan dataclasses (repro.core.comm) and the
+pressure overlay the reference checks build from them."""
+
+from oracles import phantom, pressure_comms
 
 from repro.core.comm import AddReader, CommPlan, NewTransfer, empty_plan
 from repro.core.schedule import Communication
@@ -19,23 +22,22 @@ class TestAddReader:
     def test_phantom_has_only_new_reader(self):
         existing = Communication(3, 0, 1, 7, frozenset({1}))
         a = AddReader(existing=existing, reader=2)
-        phantom = a.as_phantom()
-        assert phantom.readers == {2}  # pressure overlay counts only the add
-        assert phantom.start_cycle == existing.start_cycle
-        assert phantom.bus == existing.bus
+        stand_in = phantom(a)
+        assert stand_in.readers == {2}  # pressure overlay counts only the add
+        assert stand_in.start_cycle == existing.start_cycle
+        assert stand_in.bus == existing.bus
 
 
 class TestCommPlan:
     def test_empty(self):
         plan = empty_plan()
-        assert plan.is_empty
-        assert plan.pressure_comms() == []
+        assert plan.new_transfers == [] and plan.added_readers == []
+        assert pressure_comms(plan) == []
 
     def test_pressure_comms_combines_both(self):
         t = NewTransfer(1, 0, 0, 4, 1)
         a = AddReader(Communication(2, 0, 0, 5, frozenset({1})), 0)
         plan = CommPlan(new_transfers=[t], added_readers=[a])
-        assert not plan.is_empty
-        overlay = plan.pressure_comms()
+        overlay = pressure_comms(plan)
         assert len(overlay) == 2
         assert {c.producer for c in overlay} == {1, 2}

@@ -1,6 +1,7 @@
 """Unit tests for the placement engine (windows, comm planning, commit)."""
 
 import pytest
+from oracles import bus_free
 
 from repro.arch.configs import two_cluster_config, unified_config
 from repro.core.engine import FailReason, Placement, PlacementEngine
@@ -142,7 +143,7 @@ class TestCommPlanning:
         assert isinstance(pb, Placement)
         eng.commit(pb)
         # II=1, 1 bus, 1-cycle transfers: the single bus row is now full.
-        assert eng.mrt.bus_free(0) is None
+        assert bus_free(eng.mrt, 0) is None
 
     def test_transfer_reuse_by_second_consumer(self):
         g = DependenceGraph()

@@ -132,13 +132,6 @@ class TestOptimality:
         assert best.ii == heuristic.ii == 1
         assert max_pressure(best) < max_pressure(heuristic)
 
-    def test_minimize_pressure_flag_off_keeps_optimal_ii(self):
-        config = two_cluster_config()
-        g = kernel_graph("figure7")
-        fast = ExactScheduler(config, minimize_pressure=False).schedule(g)
-        assert fast.ii == 2
-        verify_schedule(fast)
-
 
 # ---------------------------------------------------------------------------
 # Size and time guards

@@ -8,10 +8,11 @@ that no single-module test can see.
 """
 
 import pytest
+from oracles import expand_software_pipeline
 
 from repro.arch.configs import four_cluster_config, unified_config
 from repro.arch.timing import cycle_time_ps
-from repro.codegen import expand_software_pipeline, schedule_code_size
+from repro.codegen import schedule_code_size
 from repro.core.selective import UnrollPolicy
 from repro.core.verify import verify_schedule
 from repro.experiments import ExperimentContext

@@ -1,7 +1,9 @@
 """Unit tests for the register-pressure (MaxLive) model."""
 
+from oracles import overlay_pressures, pressure_ok
+
 from repro.arch.configs import two_cluster_config, unified_config
-from repro.core.lifetimes import _intervals, cluster_pressures, max_pressure, pressure_ok
+from repro.core.lifetimes import _intervals, cluster_pressures, max_pressure
 from repro.core.schedule import Communication, ModuloSchedule, ScheduledOp
 from repro.ir.ddg import DependenceGraph
 
@@ -88,7 +90,7 @@ class TestCommunicationLifetimes:
         s.place(ScheduledOp(b, 9, 1, 0))
         s.add_comm(Communication(a, 0, 0, start_cycle=7, readers=frozenset({1})))
         # producer interval [3, 8): bus read at 7.
-        ivs = _intervals(s, None)
+        ivs = _intervals(s)
         assert (0, 3, 8) in ivs
 
     def test_remote_consumer_does_not_extend_producer(self):
@@ -97,7 +99,7 @@ class TestCommunicationLifetimes:
         s.place(ScheduledOp(a, 0, 0, 0))
         s.place(ScheduledOp(b, 9, 1, 0))
         s.add_comm(Communication(a, 0, 0, start_cycle=3, readers=frozenset({1})))
-        ivs = _intervals(s, None)
+        ivs = _intervals(s)
         assert (0, 3, 4) in ivs  # producer holds only until the bus read
 
     def test_incoming_value_stored_when_read_late(self):
@@ -107,7 +109,7 @@ class TestCommunicationLifetimes:
         s.place(ScheduledOp(b, 9, 1, 0))
         s.add_comm(Communication(a, 0, 0, start_cycle=3, readers=frozenset({1})))
         # arrival 5, read 9 -> stored interval [5, 10) in cluster 1
-        ivs = _intervals(s, None)
+        ivs = _intervals(s)
         assert (1, 5, 10) in ivs
         assert cluster_pressures(s)[1] == 1
 
@@ -125,7 +127,7 @@ class TestCommunicationLifetimes:
         Backward scans legally place nodes at negative cycles before the
         schedule is normalised (engine.py docstring).  A ``-1`` sentinel
         for the last late read silently dropped these intervals and
-        understated MaxLive, letting placements pass ``pressure_ok`` that
+        understated MaxLive, letting placements pass a register check that
         a normalised schedule would reject.
         """
         g, a, b = two_node_graph(consumer="store")
@@ -133,7 +135,7 @@ class TestCommunicationLifetimes:
         s.place(ScheduledOp(a, -9, 0, 0))
         s.place(ScheduledOp(b, -3, 1, 0))  # reads at -3, after arrival -4
         s.add_comm(Communication(a, 0, 0, start_cycle=-6, readers=frozenset({1})))
-        ivs = _intervals(s, None)
+        ivs = _intervals(s)
         assert (1, -4, -2) in ivs  # stored from arrival -4 until read -3
         assert cluster_pressures(s)[1] == 1
 
@@ -157,7 +159,7 @@ class TestCommunicationLifetimes:
         s.place(ScheduledOp(a, 0, 0, 0))
         s.place(ScheduledOp(b, 9, 1, 0))
         overlay = [Communication(a, 0, 0, start_cycle=3, readers=frozenset({1}))]
-        with_overlay = cluster_pressures(s, extra_comms=overlay)
+        with_overlay = overlay_pressures(s, overlay)
         without = cluster_pressures(s)
         assert with_overlay[1] == 1
         assert without[1] == 0

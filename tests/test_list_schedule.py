@@ -98,33 +98,6 @@ class TestMveFactor:
 
         sched = UnifiedScheduler(unified).schedule(figure7_graph())
         expected = max(
-            -(-(end - start) // sched.ii)
-            for _, start, end in _intervals(sched, None)
+            -(-(end - start) // sched.ii) for _, start, end in _intervals(sched)
         )
         assert mve_factor(sched) == expected
-
-
-class TestMveCodeSize:
-    def test_mve_increases_kernel_size(self, unified):
-        from repro.codegen import schedule_code_size
-        from repro.core.schedule import ModuloSchedule, ScheduledOp
-
-        g = DependenceGraph()
-        p = g.add_operation("fadd")
-        c = g.add_operation("store")
-        g.add_dependence(p, c)
-        sched = ModuloSchedule(g, unified, ii=2)
-        sched.place(ScheduledOp(p, 0, 0, 0))
-        sched.place(ScheduledOp(c, 9, 0, 0))  # MVE factor 4
-        plain = schedule_code_size(sched)
-        expanded = schedule_code_size(sched, with_mve=True)
-        assert expanded.total_ops > plain.total_ops
-        assert expanded.useful_ops > plain.useful_ops
-
-    def test_mve_neutral_when_factor_one(self, unified):
-        from repro.codegen import schedule_code_size
-
-        sched = list_schedule(daxpy(), unified)
-        assert schedule_code_size(sched) == schedule_code_size(
-            sched, with_mve=True
-        )

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bus_free, fu_slot_free, per_start_scan
 
 from repro.arch.configs import four_cluster_config, two_cluster_config, unified_config
 from repro.core.mrt import ReservationTable
@@ -15,7 +16,7 @@ class TestFuTables:
         mrt = ReservationTable(four_cluster_config(), ii=4)
         unit = mrt.occupy_fu(0, FuClass.FP, 2, "a")
         assert unit == 0
-        assert not mrt.fu_slot_free(0, FuClass.FP, 2)
+        assert not fu_slot_free(mrt, 0, FuClass.FP, 2)
         with pytest.raises(SchedulingError):
             mrt.occupy_fu(0, FuClass.FP, 2, "b")
 
@@ -23,26 +24,26 @@ class TestFuTables:
         mrt = ReservationTable(four_cluster_config(), ii=3)
         mrt.occupy_fu(0, FuClass.INT, 1, "a")
         # cycle 4 maps to row 1 -> occupied
-        assert not mrt.fu_slot_free(0, FuClass.INT, 4)
-        assert mrt.fu_slot_free(0, FuClass.INT, 5)
+        assert not fu_slot_free(mrt, 0, FuClass.INT, 4)
+        assert fu_slot_free(mrt, 0, FuClass.INT, 5)
 
     def test_negative_cycles_wrap(self):
         mrt = ReservationTable(four_cluster_config(), ii=4)
         mrt.occupy_fu(0, FuClass.MEM, -1, "a")  # row 3
-        assert not mrt.fu_slot_free(0, FuClass.MEM, 3)
+        assert not fu_slot_free(mrt, 0, FuClass.MEM, 3)
 
     def test_units_fill_in_order(self):
         mrt = ReservationTable(unified_config(), ii=2)
         units = [mrt.occupy_fu(0, FuClass.FP, 0, f"op{i}") for i in range(4)]
         assert units == [0, 1, 2, 3]
-        assert not mrt.fu_slot_free(0, FuClass.FP, 0)
-        assert mrt.fu_slot_free(0, FuClass.FP, 1)
+        assert not fu_slot_free(mrt, 0, FuClass.FP, 0)
+        assert fu_slot_free(mrt, 0, FuClass.FP, 1)
 
     def test_release(self):
         mrt = ReservationTable(four_cluster_config(), ii=2)
         unit = mrt.occupy_fu(1, FuClass.INT, 0, "a")
         mrt.release_fu(1, FuClass.INT, 0, unit, "a")
-        assert mrt.fu_slot_free(1, FuClass.INT, 0)
+        assert fu_slot_free(mrt, 1, FuClass.INT, 0)
 
     def test_release_wrong_owner_rejected(self):
         mrt = ReservationTable(four_cluster_config(), ii=2)
@@ -53,7 +54,7 @@ class TestFuTables:
     def test_clusters_are_independent(self):
         mrt = ReservationTable(four_cluster_config(), ii=2)
         mrt.occupy_fu(0, FuClass.FP, 0, "a")
-        assert mrt.fu_slot_free(1, FuClass.FP, 0)
+        assert fu_slot_free(mrt, 1, FuClass.FP, 0)
 
     def test_bad_ii_rejected(self):
         with pytest.raises(SchedulingError):
@@ -69,27 +70,27 @@ class TestBusTables:
     def test_occupy_blocks_whole_transfer(self):
         cfg = two_cluster_config(n_buses=1, bus_latency=2)
         mrt = ReservationTable(cfg, ii=4)
-        bus = mrt.bus_free(0)
+        bus = bus_free(mrt, 0)
         assert bus == 0
         mrt.occupy_bus(0, bus, "t0")
-        assert mrt.bus_free(0) is None  # rows 0,1 taken
-        assert mrt.bus_free(1) is None  # rows 1,2 -> 1 taken
-        assert mrt.bus_free(2) == 0  # rows 2,3 free
+        assert bus_free(mrt, 0) is None  # rows 0,1 taken
+        assert bus_free(mrt, 1) is None  # rows 1,2 -> 1 taken
+        assert bus_free(mrt, 2) == 0  # rows 2,3 free
 
     def test_second_bus_picked_up(self):
         cfg = two_cluster_config(n_buses=2, bus_latency=1)
         mrt = ReservationTable(cfg, ii=2)
         mrt.occupy_bus(0, 0, "a")
-        assert mrt.bus_free(0) == 1
+        assert bus_free(mrt, 0) == 1
 
     def test_transfer_longer_than_ii_impossible(self):
         cfg = two_cluster_config(n_buses=1, bus_latency=4)
         mrt = ReservationTable(cfg, ii=3)
-        assert mrt.bus_free(0) is None
+        assert bus_free(mrt, 0) is None
 
     def test_no_buses_machine(self):
         mrt = ReservationTable(unified_config(), ii=4)
-        assert mrt.bus_free(0) is None
+        assert bus_free(mrt, 0) is None
         assert mrt.bus_utilisation() == 0.0
 
     def test_release_bus(self):
@@ -97,21 +98,7 @@ class TestBusTables:
         mrt = ReservationTable(cfg, ii=4)
         mrt.occupy_bus(1, 0, "t")
         mrt.release_bus(1, 0, "t")
-        assert mrt.bus_free(1) == 0
-
-
-def per_start_scan(mrt, first, last, pending):
-    """The reference bus scan: one :meth:`bus_free` call per start cycle."""
-    for start in range(first, last + 1):
-        rows = set(mrt.bus_rows(start))
-        busy = 0
-        for other, bus in pending:
-            if rows & set(mrt.bus_rows(other)):
-                busy |= 1 << bus
-        bus = mrt.bus_free(start, busy)
-        if bus is not None:
-            return start, bus
-    return None
+        assert bus_free(mrt, 1) == 0
 
 
 @st.composite
@@ -128,7 +115,7 @@ def bus_scans(draw):
         st.lists(st.tuples(st.integers(-8, 8), st.integers(0, n_buses - 1)), max_size=8)
     ):
         # Claim the bus only when it is free for the whole transfer.
-        if mrt.bus_free(start, everyone & ~(1 << bus)) == bus:
+        if bus_free(mrt, start, everyone & ~(1 << bus)) == bus:
             mrt.occupy_bus(start, bus, (start, bus))
     first = draw(st.integers(-8, 8))
     last = first + draw(st.integers(-1, 2 * mrt.ii))

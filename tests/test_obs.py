@@ -95,7 +95,8 @@ class TestMetrics:
 
     def test_histogram_cumulative_buckets(self):
         reg = MetricsRegistry()
-        h = reg.histogram("repro_lat_seconds", "help", buckets=(0.1, 1.0))
+        h = reg.histogram("repro_lat_seconds", "help")
+        assert h.buckets == LATENCY_BUCKETS_S  # the one shared ladder
         for v in (0.05, 0.5, 0.5, 5.0):
             h.observe(v)
         fam = h.collect()
@@ -129,7 +130,7 @@ class TestProm:
         c = reg.counter("repro_req_total", "requests", ("route",))
         c.labels(route="/jobs").inc(3)
         reg.gauge("repro_depth", "queue depth", callback=lambda: 2)
-        h = reg.histogram("repro_lat_seconds", "latency", buckets=(0.1, 1.0))
+        h = reg.histogram("repro_lat_seconds", "latency")
         h.observe(0.05)
         h.observe(0.5)
         return reg

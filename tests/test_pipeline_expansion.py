@@ -1,8 +1,10 @@
-"""Tests for full software-pipeline expansion (prologue/kernel/epilogue)."""
+"""The reference software-pipeline expansion (prologue, kernel, epilogue;
+``tests/oracles.py``) and the closed-form code-size model it checks."""
 
 import pytest
+from oracles import expand_software_pipeline
 
-from repro.codegen import expand_software_pipeline, schedule_code_size
+from repro.codegen import schedule_code_size
 from repro.core.bsa import BsaScheduler
 from repro.core.unified import UnifiedScheduler
 from repro.workloads.kernels import daxpy, figure7_graph

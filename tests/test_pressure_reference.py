@@ -19,7 +19,7 @@ from repro.workloads.registry import workloads
 def naive_pressures(schedule):
     ii = schedule.ii
     counts = {c: [0] * ii for c in schedule.config.clusters()}
-    for cluster, start, end in _intervals(schedule, None):
+    for cluster, start, end in _intervals(schedule):
         for t in range(start, end):
             counts[cluster][t % ii] += 1
     return {c: (max(v) if v else 0) for c, v in counts.items()}

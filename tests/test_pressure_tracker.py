@@ -12,6 +12,7 @@ from contextlib import ExitStack
 from unittest import mock
 
 import pytest
+from oracles import overlay_pressures, pressure_comms
 
 from repro.arch.cluster import MachineConfig
 from repro.arch.configs import two_cluster_config
@@ -36,12 +37,9 @@ def chain_graph(n=3, op="fadd"):
 
 
 def scratch_pressures(s, node, cluster, cycle, plan):
-    """``cluster_pressures`` with the placement overlaid, then undone."""
-    s.ops[node] = ScheduledOp(node, cycle, cluster, -1)
-    try:
-        return cluster_pressures(s, extra_comms=plan.pressure_comms())
-    finally:
-        del s.ops[node]
+    """``cluster_pressures`` of a scratch copy with the placement overlaid."""
+    placed = ScheduledOp(node, cycle, cluster, -1)
+    return overlay_pressures(s, pressure_comms(plan), [placed])
 
 
 class TestRebuild:
@@ -127,6 +125,31 @@ class TestDelta:
         s.add_comm(plan.new_transfers[0].as_communication())
         assert tracker.pressures() == cluster_pressures(s)
         assert tracker.pressures() == PressureTracker(s).pressures()
+
+    def test_reader_of_two_consumers_is_one_copy(self):
+        """p feeds c1 on cluster 1 and c2, c3 on cluster 0 through one new
+        transfer: cluster 0 stores the value once, so the overlay, the
+        delta and the committed schedule agree on 2 registers there."""
+        g = DependenceGraph("fanout")
+        p = g.add_operation("fadd")
+        consumers = [g.add_operation("fadd") for _ in range(3)]
+        for c in consumers:
+            g.add_dependence(p, c)
+        cfg = MachineConfig("fanout", 4, FuSet(1, 1, 1), 2, BusSpec(1, 2))
+        eng = PlacementEngine(g, cfg, ii=4, mii=1)
+        for c, cluster in zip(consumers, (1, 0, 0)):
+            eng.commit(eng.find_placement(c, cluster))
+        placement = eng.find_placement(p, 2)
+        assert isinstance(placement, Placement)
+        scratch = scratch_pressures(
+            eng.schedule, p, 2, placement.cycle, placement.comm_plan
+        )
+        tracker = eng._pressure
+        assert scratch[0] == 2
+        for cluster, pressure in scratch.items():
+            assert tracker.pressure_after(placement.delta, cluster) == pressure
+        eng.commit(placement)
+        assert cluster_pressures(eng.schedule) == scratch
 
 
 class TestBound:

@@ -4,6 +4,8 @@ Every schedule any scheduler produces must pass the independent verifier;
 II must never be below MII; BSA on one cluster must match unified SMS.
 """
 
+from unittest import mock
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +65,11 @@ COMMON = dict(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+
+
+def ii_budget(k):
+    """Cap every II search at MII + *k* (patches ``default_ii_budget``)."""
+    return mock.patch("repro.core.base.default_ii_budget", return_value=k)
 
 
 def _schedule_or_documented_failure(scheduler, g):
@@ -163,14 +170,13 @@ class TestSchedulerProperties:
         invalid schedule.  (Dense random carried-dependence webs can be
         genuinely unschedulable without spill code.)"""
         from repro.arch.configs import four_cluster_config
-        from repro.core.mii import mii
         from repro.errors import SchedulingError
 
         cfg = four_cluster_config(1, 1)
         unrolled = unroll_graph(g, factor)
-        budget = mii(unrolled, cfg) + 40
         try:
-            sched = BsaScheduler(cfg, max_ii=budget).schedule(unrolled)
+            with ii_budget(40):
+                sched = BsaScheduler(cfg).schedule(unrolled)
         except SchedulingError as err:
             assert err.ii_tried is not None
             return
@@ -184,8 +190,6 @@ class TestIncrementalPressure:
 
     @staticmethod
     def _schedule_with_checks(scheduler, g):
-        from unittest import mock
-
         from repro.core.engine import PlacementEngine
         from repro.core.lifetimes import cluster_pressures
 
@@ -218,11 +222,9 @@ class TestIncrementalPressure:
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     def test_unrolled_tracker_matches_scratch(self, g, cfg, factor):
-        from repro.core.mii import mii as compute_mii
-
         unrolled = unroll_graph(g, factor)
-        budget = compute_mii(unrolled, cfg) + 40
-        self._schedule_with_checks(BsaScheduler(cfg, max_ii=budget), unrolled)
+        with ii_budget(40):
+            self._schedule_with_checks(BsaScheduler(cfg), unrolled)
 
     @given(g=loop_graph())
     @settings(max_examples=20, deadline=None,
@@ -237,10 +239,8 @@ class TestIncrementalPressure:
         file: every fit decision, bound or exact, must equal the one
         ``cluster_pressures`` gives with the placement overlaid, and the
         tracker must equal it after every commit."""
-        from unittest import mock
+        from oracles import pressure_comms, pressure_ok
 
-        from repro.core.lifetimes import cluster_pressures
-        from repro.core.mii import mii as compute_mii
         from repro.core.pressure import PressureTracker
         from repro.core.schedule import ScheduledOp
 
@@ -265,14 +265,8 @@ class TestIncrementalPressure:
             got = orig_fits(self, d)
             branches["exact" if exact_calls[0] > before else "bound"] += 1
             node, cluster, cycle, plan = placements.pop(id(d))
-            sched = self.schedule
-            sched.ops[node] = ScheduledOp(node, cycle, cluster, -1)
-            try:
-                scratch = cluster_pressures(sched, extra_comms=plan.pressure_comms())
-            finally:
-                del sched.ops[node]
-            limit = sched.config.regs_per_cluster
-            assert got == all(p <= limit for p in scratch.values())
+            placed = ScheduledOp(node, cycle, cluster, -1)
+            assert got == pressure_ok(self.schedule, pressure_comms(plan), [placed])
             return got
 
         @given(
@@ -283,8 +277,8 @@ class TestIncrementalPressure:
         @settings(**{**COMMON, "max_examples": 100})
         def check(g, cfg, factor):
             unrolled = unroll_graph(g, factor)
-            budget = compute_mii(unrolled, cfg) + 12
-            self._schedule_with_checks(BsaScheduler(cfg, max_ii=budget), unrolled)
+            with ii_budget(12):
+                self._schedule_with_checks(BsaScheduler(cfg), unrolled)
 
         with mock.patch.multiple(
             PressureTracker, delta=delta, fits=fits, pressure_after=pressure_after

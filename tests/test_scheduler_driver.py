@@ -1,5 +1,7 @@
 """Tests for the II-search driver (base.SchedulerBase)."""
 
+from unittest import mock
+
 import pytest
 
 from repro.arch.cluster import MachineConfig
@@ -8,6 +10,9 @@ from repro.arch.resources import BusSpec, FuSet
 from repro.core.base import SchedulerBase, default_ii_budget
 from repro.core.bsa import BsaScheduler
 from repro.core.engine import PlacementEngine
+from repro.core.exact import ExactScheduler
+from repro.core.mii import mii
+from repro.core.twophase import TwoPhaseScheduler
 from repro.core.unified import UnifiedScheduler
 from repro.errors import SchedulingError
 from repro.ir.ddg import DependenceGraph
@@ -77,10 +82,46 @@ class TestDriverBehaviour:
         assert exc.value.ii_tried is not None
         assert exc.value.ii_tried < default_ii_budget(g, starved)
 
+    @pytest.mark.parametrize(
+        "make",
+        [BsaScheduler, TwoPhaseScheduler, ExactScheduler],
+        ids=["bsa", "two-phase", "exact"],
+    )
+    def test_budget_exit(self, make):
+        """Every II search gives up above MII + ``default_ii_budget``.
+
+        daxpy first fits at MII + 1 on two clusters joined by one 4-cycle
+        bus, so a budget of 0 leaves one failed attempt, at MII, and then
+        the error.
+        """
+        assert_budget_exit(make, two_cluster_config(n_buses=1, bus_latency=4))
+
     def test_max_ii_override(self):
-        with pytest.raises(SchedulingError) as exc:
-            UnifiedScheduler(unified_config(), max_ii=1).schedule(dot_product())
-        assert exc.value.ii_tried == 1
+        """The unified search stops at the same ceiling: patching
+        ``default_ii_budget`` to 0 on one cluster with 3 registers (where
+        daxpy first fits at MII + 1) makes it fail at MII."""
+        assert_budget_exit(UnifiedScheduler, THREE_REGS)
+
+
+#: One cluster with 3 registers: daxpy first fits there at MII + 1.
+THREE_REGS = MachineConfig("3-regs", 1, FuSet(4, 4, 4), 3, BusSpec(0, 1))
+
+
+def assert_budget_exit(make, config: MachineConfig) -> None:
+    """daxpy fits at MII + 1 on *config*, and not within a budget of 0."""
+    g = daxpy()
+    start = mii(g, config)
+    assert make(config).schedule(g).ii == start + 1
+    with (
+        mock.patch("repro.core.base.default_ii_budget", return_value=0),
+        mock.patch("repro.core.exact.default_ii_budget", return_value=0),
+        pytest.raises(SchedulingError) as exc,
+    ):
+        make(config).schedule(g)
+    assert str(exc.value).endswith(
+        f"no schedule for 'daxpy' on {config.name!r} within II <= {start}"
+    )
+    assert exc.value.ii_tried == start
 
 
 class TestSubclassContract:

@@ -1,7 +1,11 @@
 """Integration tests for the unified SMS scheduler."""
 
+from unittest import mock
+
 import pytest
 
+from repro.arch.cluster import MachineConfig
+from repro.arch.resources import BusSpec, FuSet
 from repro.core.mii import mii
 from repro.core.unified import UnifiedScheduler
 from repro.core.verify import verify_schedule
@@ -59,10 +63,20 @@ class TestUnifiedScheduler:
         with pytest.raises(SchedulingError):
             UnifiedScheduler(unified).schedule(DependenceGraph())
 
-    def test_max_ii_budget_respected(self, unified):
-        g = dot_product()  # needs II = 3
-        with pytest.raises(SchedulingError):
-            UnifiedScheduler(unified, max_ii=2).schedule(g)
+    def test_max_ii_budget_respected(self):
+        """The last II the budget allows is tried: on one cluster with 3
+        registers daxpy first fits at MII + 1, so a budget of 1 schedules
+        it there and a budget of 0 does not."""
+        three_regs = MachineConfig("3-regs", 1, FuSet(4, 4, 4), 3, BusSpec(0, 1))
+        g = daxpy()
+        start = mii(g, three_regs)
+        with mock.patch("repro.core.base.default_ii_budget", return_value=1):
+            assert UnifiedScheduler(three_regs).schedule(g).ii == start + 1
+        with (
+            mock.patch("repro.core.base.default_ii_budget", return_value=0),
+            pytest.raises(SchedulingError),
+        ):
+            UnifiedScheduler(three_regs).schedule(g)
 
     def test_all_cycles_non_negative(self, kernel_graph, unified):
         sched = UnifiedScheduler(unified).schedule(kernel_graph)

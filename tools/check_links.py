@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail on broken intra-repo links and stale CLI verbs in Markdown files.
+"""Fail on broken intra-repo links, stale CLI verbs and dangling citations.
 
 Two drift detectors over every ``*.md`` file (repo root, ``docs/``, and
 any other tracked directory):
@@ -12,6 +12,13 @@ any other tracked directory):
 * **CLI verbs** — every ``repro-vliw <subcommand>`` mention must name a
   subcommand that ``repro.cli.build_parser()`` registers, so the docs
   cannot drift as verbs are added or renamed.
+
+and a third over the Python sources of ``src/``, ``tools/``, ``tests/``,
+``benchmarks/`` and ``examples/``:
+
+* **citations** — every Markdown file a docstring or comment names
+  (``docs/API.md``, ``EXPERIMENTS.md``) must be a file of the checkout,
+  relative to its root or to the citing file's directory.
 
 Used by the CI docs job (importing ``repro.cli`` needs the package's
 dependencies installed)::
@@ -100,12 +107,45 @@ def cli_mentions(md_file: Path) -> list[str]:
     return CLI_MENTION_RE.findall(code)
 
 
+#: Directories whose ``*.py`` files may cite Markdown files by name.
+CITING_DIRS = ("src", "tools", "tests", "benchmarks", "examples")
+
+#: A cited Markdown path.  A word character must precede its ``.md``
+#: suffix, so a glob or a bare suffix is no citation, and it may not
+#: start inside a longer token, so a URL is never one.
+MD_CITATION_RE = re.compile(r"(?<![\w./:-])[\w./-]*\w\.md\b")
+
+
+def dangling_citations(root: Path) -> list[tuple[Path, int, str]]:
+    """The (file, line, name) of every cited Markdown file that is missing."""
+    root = root.resolve()
+    problems = []
+    for top in CITING_DIRS:
+        for py_file in sorted((root / top).rglob("*.py")):
+            if any(part in SKIP_DIRS for part in py_file.parts):
+                continue
+            bases = (root, py_file.parent)
+            lines = py_file.read_text(encoding="utf-8").splitlines()
+            for number, line in enumerate(lines, 1):
+                for name in MD_CITATION_RE.findall(line):
+                    targets = [(base / name).resolve() for base in bases]
+                    if not any(t.is_file() and t.is_relative_to(root) for t in targets):
+                        problems.append((py_file, number, name))
+    return problems
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
     failures = 0
     files = iter_markdown_files(root)
     known = registered_subcommands(root)
     mentions = 0
+    for py_file, number, name in dangling_citations(root):
+        print(
+            f"{py_file.relative_to(root)}:{number}: cites {name}, which is "
+            "no file of the checkout"
+        )
+        failures += 1
     for md_file in files:
         for target, reason in broken_links(md_file):
             print(f"{md_file.relative_to(root)}: broken link ({target}): {reason}")
