@@ -25,7 +25,8 @@ Commands map one-to-one onto the paper's artefacts::
     repro-vliw worker --coordinator URL
                                    # pull-based sweep worker for the fabric
     repro-vliw report FILE         # aggregate a recorded run report
-    repro-vliw cache [stats|clear] # inspect / wipe the result cache
+    repro-vliw cache [stats|clear|gc]
+                                   # inspect / wipe / prune the result cache
     repro-vliw serve               # persistent scheduling service (HTTP)
     repro-vliw submit KERNEL       # schedule via a running service
     repro-vliw loadtest            # drive N concurrent synthetic clients
@@ -602,11 +603,14 @@ def cmd_report(args: argparse.Namespace) -> None:
 
 def cmd_cache(args: argparse.Namespace) -> None:
     cache = ResultCache(args.cache_dir)
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'}")
+    if args.action == "stats":
+        print(cache.stats().render())
         return
-    print(cache.stats().render())
+    if args.action == "clear":
+        removed, kind = cache.clear(), ""
+    else:
+        removed, kind = cache.gc(), "orphaned "
+    print(f"removed {removed} {kind}cache entr{'y' if removed == 1 else 'ies'}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -764,9 +768,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("text", "json", "markdown"),
                    help="output format (default: text)")
     p.set_defaults(func=cmd_report)
-    p = sub.add_parser("cache", help="result-cache statistics / clearing")
+    p = sub.add_parser(
+        "cache", help="result-cache statistics / clearing / orphan removal"
+    )
     p.add_argument(
-        "action", nargs="?", choices=("stats", "clear"), default="stats"
+        "action", nargs="?", choices=("stats", "clear", "gc"), default="stats"
     )
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_cache)

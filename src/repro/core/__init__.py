@@ -5,7 +5,7 @@ from .bsa import BsaScheduler, join_profit
 from .comm import AddReader, CommPlan, NewTransfer
 from .engine import FailReason, Placement, PlacementEngine
 from .exact import ExactScheduler
-from .lifetimes import cluster_pressures, max_pressure, mve_factor
+from .lifetimes import cluster_pressures, max_pressure
 from .list_schedule import list_schedule
 from .mii import MiiReport, mii, mii_report, rec_mii, res_mii
 from .mrt import ReservationTable
@@ -56,7 +56,6 @@ __all__ = [
     "cluster_pressures",
     "join_profit",
     "list_schedule",
-    "mve_factor",
     "compute_timings",
     "default_ii_budget",
     "max_pressure",

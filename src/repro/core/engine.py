@@ -239,9 +239,9 @@ class PlacementEngine:
                 and t.start_cycle + latbus <= deadline
             ):
                 if t.reader != reader:
-                    plan.added_readers.append(
-                        AddReader(existing=t.as_communication(), reader=reader)
-                    )
+                    added = AddReader(existing=t.as_communication(), reader=reader)
+                    if added not in plan.added_readers:
+                        plan.added_readers.append(added)
                 return True
         # A fresh transfer.
         last_start = deadline - latbus

@@ -112,25 +112,6 @@ def cluster_pressures(schedule: ModuloSchedule) -> dict[int, int]:
     return result
 
 
-def mve_factor(schedule: ModuloSchedule) -> int:
-    """Modulo-variable-expansion factor of the schedule.
-
-    A value whose lifetime exceeds II would be overwritten by its own
-    next-iteration instance; without rotating register files the kernel
-    must be replicated ``max_v ceil(lifetime(v) / II)`` times with renamed
-    registers (Lam).  The pressure model already *counts* the extra copies
-    (wrapped lifetimes contribute once per II spanned); this exposes the
-    resulting kernel replication.
-    """
-    ii = schedule.ii
-    factor = 1
-    for _, start, end in _intervals(schedule):
-        need = -(-(end - start) // ii)  # ceil
-        if need > factor:
-            factor = need
-    return factor
-
-
 def max_pressure(schedule: ModuloSchedule) -> int:
     """The largest per-cluster MaxLive of the schedule."""
     pressures = cluster_pressures(schedule)

@@ -23,15 +23,20 @@ Timing conventions (shared with the verifier and all schedulers):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from ..arch.cluster import MachineConfig
 from ..errors import SchedulingError
 from ..ir.ddg import DependenceGraph
 
 
-@dataclass(frozen=True)
-class ScheduledOp:
-    """Placement of one operation."""
+class ScheduledOp(NamedTuple):
+    """Placement of one operation.
+
+    A tuple: ``list(op)`` is its serialised row and
+    ``ScheduledOp._make(row)`` rebuilds it; use ``op._replace(...)`` for
+    a moved copy.
+    """
 
     node: int
     cycle: int

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any
 
-from ..errors import GraphError
+from ..errors import GraphError, SchedulingError
 from .ddg import DepKind, DependenceGraph
 from .loop import Loop, Program
 from .operation import DEFAULT_CATALOG, OpCatalog
@@ -158,109 +158,130 @@ def config_from_dict(data: dict[str, Any]) -> "MachineConfig":
     )
 
 
+#: Field order of a schedule body's rows (:func:`schedule_body_to_rows`),
+#: which are also the record keys of the self-describing document
+#: (:func:`schedule_to_dict`), per body key.
+_OP_FIELDS = ("node", "cycle", "cluster", "fu_index")
+_COMM_FIELDS = ("producer", "src_cluster", "bus", "start_cycle", "readers")
+_LOG_FIELDS = ("no_fu", "no_bus", "register_pressure", "dependence_window")
+_RECORDS = {
+    "attempt_failures": (_LOG_FIELDS, "attempt log"),
+    "operations": (_OP_FIELDS, "operation"),
+    "communications": (_COMM_FIELDS, "communication"),
+}
+
+
 def schedule_to_dict(schedule) -> dict[str, Any]:
     """Serialise a :class:`~repro.core.schedule.ModuloSchedule`, graph and
-    machine included (:func:`schedule_body_to_dict` leaves them out)."""
+    machine included, every placement, transfer and attempt log a
+    self-describing record (:func:`schedule_body_to_rows` is the compact
+    body without graph and machine)."""
+    body = schedule_body_to_rows(schedule)
+    for key, (names, _what) in _RECORDS.items():
+        body[key] = [dict(zip(names, row)) for row in body[key]]
     return {
         "format": FORMAT_VERSION,
         "kind": "schedule",
         "graph": graph_to_dict(schedule.graph),
         "machine": config_to_dict(schedule.config),
-        **schedule_body_to_dict(schedule),
+        **body,
     }
 
 
 def schedule_from_dict(data: dict[str, Any], catalog: OpCatalog = DEFAULT_CATALOG):
-    """Rebuild a schedule; callers typically re-verify it afterwards."""
+    """Rebuild a schedule; callers typically re-verify it afterwards.
+
+    Each record is read by name into its row and the rows are decoded by
+    :func:`schedule_body_from_rows`, with its checks; a record missing a
+    field raises ``KeyError``.
+    """
     _check_format(data, "schedule")
-    return schedule_body_from_dict(
-        data, graph_from_dict(data["graph"], catalog), config_from_dict(data["machine"])
+    body = {
+        "ii": data["ii"],
+        "mii": data["mii"],
+        "bus_utilisation": data.get("bus_utilisation", 0.0),
+        "attempt_failures": data.get("attempt_failures", []),
+        "operations": data["operations"],
+        "communications": data["communications"],
+    }
+    for key, (names, what) in _RECORDS.items():
+        body[key] = [_record_row(record, names, what) for record in body[key]]
+    return schedule_body_from_rows(
+        body, graph_from_dict(data["graph"], catalog), config_from_dict(data["machine"])
     )
 
 
-def schedule_body_to_dict(schedule) -> dict[str, Any]:
-    """The placements, transfers and II of a schedule, without its graph
-    and machine: for a store whose reader already holds both."""
+def schedule_body_to_rows(schedule) -> dict[str, Any]:
+    """The II, placements, transfers and attempt logs of a schedule,
+    without its graph and machine: for a store whose reader already holds
+    both.  Every record is a fixed-order row: an operation
+    ``[node, cycle, cluster, fu_index]``, a communication ``[producer,
+    src_cluster, bus, start_cycle, readers]`` (readers sorted), an attempt
+    log ``[no_fu, no_bus, register_pressure, dependence_window]``."""
     return {
         "ii": schedule.ii,
         "mii": schedule.mii,
         "bus_utilisation": schedule.bus_utilisation,
         "attempt_failures": [
-            {
-                "no_fu": log.no_fu,
-                "no_bus": log.no_bus,
-                "register_pressure": log.register_pressure,
-                "dependence_window": log.dependence_window,
-            }
+            [log.no_fu, log.no_bus, log.register_pressure, log.dependence_window]
             for log in schedule.attempt_failures
         ],
-        "operations": [
-            {
-                "node": op.node,
-                "cycle": op.cycle,
-                "cluster": op.cluster,
-                "fu_index": op.fu_index,
-            }
-            for op in schedule.ops.values()
-        ],
+        "operations": [list(op) for op in schedule.ops.values()],
         "communications": [
-            {
-                "producer": c.producer,
-                "src_cluster": c.src_cluster,
-                "bus": c.bus,
-                "start_cycle": c.start_cycle,
-                "readers": sorted(c.readers),
-            }
+            [c.producer, c.src_cluster, c.bus, c.start_cycle, sorted(c.readers)]
             for c in schedule.comms
         ],
     }
 
 
-def schedule_body_from_dict(
-    data: dict[str, Any], graph: DependenceGraph, config: "MachineConfig"
+def schedule_body_from_rows(
+    body: dict[str, Any], graph: DependenceGraph, config: "MachineConfig"
 ):
-    """Rebuild a :func:`schedule_body_to_dict` body as a schedule of
-    *graph* on *config*.
+    """Rebuild a :func:`schedule_body_to_rows` body as a schedule of
+    *graph* on *config*, in one pass over its rows.
 
     Raises
     ------
     GraphError
-        When II or MII is not a positive integer, or the body does not
-        place every node of *graph* exactly once (a node twice raises
+        When II or MII is not a positive integer, a row is not a list of
+        its record's length, or the body does not place every node of
+        *graph* exactly once (a node twice raises
         :class:`~repro.errors.SchedulingError`).
     """
     from ..core.schedule import Communication, FailureLog, ModuloSchedule, ScheduledOp
 
-    for key in ("ii", "mii"):
-        if type(data[key]) is not int or data[key] < 1:
+    ii, mii = body["ii"], body["mii"]
+    for key, value in (("ii", ii), ("mii", mii)):
+        if type(value) is not int or value < 1:
             raise GraphError(
-                f"schedule {key} must be a positive integer, got {data[key]!r}"
+                f"schedule {key} must be a positive integer, got {value!r}"
             )
-    schedule = ModuloSchedule(graph, config, data["ii"], mii=data["mii"])
-    schedule.bus_utilisation = data.get("bus_utilisation", 0.0)
-    schedule.attempt_failures = [
-        FailureLog(**log) for log in data.get("attempt_failures", [])
-    ]
-    for op in data["operations"]:
-        _check_record(op, "operation")
-        schedule.place(
-            ScheduledOp(op["node"], op["cycle"], op["cluster"], op["fu_index"])
-        )
-    if schedule.ops.keys() != set(graph.node_ids):
+    schedule = ModuloSchedule(graph, config, ii, mii=mii)
+    schedule.bus_utilisation = body["bus_utilisation"]
+    logs = schedule.attempt_failures
+    for row in body["attempt_failures"]:
+        if type(row) is not list or len(row) != 4:
+            raise _row_error(row, _LOG_FIELDS, "attempt log")
+        logs.append(FailureLog(*row))
+    ops = schedule.ops
+    make = ScheduledOp._make
+    for row in body["operations"]:
+        if type(row) is not list or len(row) != 4:
+            raise _row_error(row, _OP_FIELDS, "operation")
+        node = row[0]
+        if node in ops:
+            raise SchedulingError(f"node {node} scheduled twice")
+        ops[node] = make(row)
+    if ops.keys() != set(graph.node_ids):
         raise GraphError(
-            f"schedule places nodes {sorted(schedule.ops)}, not the "
+            f"schedule places nodes {sorted(ops)}, not the "
             f"{len(graph)} node(s) of graph {graph.name!r}"
         )
-    for c in data["communications"]:
-        _check_record(c, "communication")
+    for row in body["communications"]:
+        if type(row) is not list or len(row) != 5:
+            raise _row_error(row, _COMM_FIELDS, "communication")
         schedule.add_comm(
-            Communication(
-                c["producer"],
-                c["src_cluster"],
-                c["bus"],
-                c["start_cycle"],
-                frozenset(c["readers"]),
-            )
+            Communication(row[0], row[1], row[2], row[3], frozenset(row[4]))
         )
     return schedule
 
@@ -289,6 +310,16 @@ def _unfuset(d: dict[str, int]) -> "FuSet":
 def _check_record(item: Any, what: str) -> None:
     if not isinstance(item, dict):
         raise GraphError(f"expected a {what} object, got {type(item).__name__}")
+
+
+def _record_row(record: Any, names: tuple[str, ...], what: str) -> list[Any]:
+    _check_record(record, what)
+    return [record[name] for name in names]
+
+
+def _row_error(row: Any, names: tuple[str, ...], what: str) -> GraphError:
+    shape = f"{len(row)} field(s)" if type(row) is list else type(row).__name__
+    return GraphError(f"bad {what} row: expected [{', '.join(names)}], got {shape}")
 
 
 def _check_format(data: dict[str, Any], kind: str) -> None:

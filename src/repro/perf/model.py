@@ -122,10 +122,14 @@ def loop_performance(
     ``result.schedule`` may be of the unrolled graph; operations per
     *source* iteration come from the original loop.
     """
-    loads = sum(
-        1
-        for op in loop.graph.operations()
-        if op.fu_class is FuClass.MEM and op.writes_register
+    graph = loop.graph
+    loads = graph.derived(
+        "loads_per_iteration",
+        lambda: sum(
+            1
+            for op in graph.operations()
+            if op.fu_class is FuClass.MEM and op.writes_register
+        ),
     )
     return LoopPerformance(
         loop_name=loop.name,

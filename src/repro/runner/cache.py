@@ -16,7 +16,8 @@ entry names its own point.  Consequences:
 * **invalidation by construction** — the code version participates in
   the key, so bumping it (new release, changed result schema) orphans
   every stale entry instead of silently serving it; an entry whose
-  recorded point or version is not the one probed is a miss too;
+  recorded point or version is not the one probed is a miss too, and
+  :meth:`ResultCache.gc` deletes the orphans;
 * **decoded against the point** — a hit is decoded against the loop of
   the probing grid item and the point's machine
   (:meth:`~repro.runner.scenario.PointResult.from_dict`), never against a
@@ -116,11 +117,17 @@ def default_code_version() -> str:
 
 @dataclass(frozen=True)
 class CacheStats:
-    """A snapshot of cache contents plus this instance's hit counters."""
+    """A snapshot of cache contents plus this instance's hit counters.
+
+    ``entries`` counts every entry file; ``orphaned`` counts those no
+    process of this code version can hit (recorded under another code
+    version, or unreadable), which :meth:`ResultCache.gc` deletes.
+    """
 
     root: str
     code_version: str
     entries: int
+    orphaned: int
     total_bytes: int
     hits: int
     misses: int
@@ -132,7 +139,8 @@ class CacheStats:
             [
                 f"cache root:    {self.root}",
                 f"code version:  {self.code_version}",
-                f"entries:       {self.entries}",
+                f"entries:       {self.entries - self.orphaned} current, "
+                f"{self.orphaned} orphaned",
                 f"size:          {self.total_bytes / 1024:.1f} KiB",
                 f"this session:  {self.hits} hit(s), {self.misses} miss(es), "
                 f"{self.writes} write(s)",
@@ -174,8 +182,10 @@ class ResultCache:
 
     def path_for(self, point: ScenarioPoint) -> Path:
         """Where *point*'s result lives (whether or not it exists yet)."""
-        key = self.key(point)
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._entry_file(self.key(point)))
+
+    def _entry_file(self, key: str) -> str:
+        return os.path.join(self.root, key[:2], key + ".json")
 
     # ------------------------------------------------------------------
     def get(self, point: ScenarioPoint, loop: Loop) -> PointResult | None:
@@ -187,9 +197,9 @@ class ResultCache:
         or code version, and entries whose schedule does not decode count
         as misses (and will be overwritten by the next :meth:`put`).
         """
-        path = self.path_for(point)
         try:
-            entry = json.loads(path.read_text())
+            with open(self._entry_file(self.key(point))) as fh:
+                entry = json.load(fh)
             if not isinstance(entry, dict) or (
                 entry.get("point"), entry.get("code_version")
             ) != (point.canonical(), self.code_version):
@@ -240,41 +250,61 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def stats(self) -> CacheStats:
-        """Walk the cache directory and snapshot entry count and size."""
-        entries = 0
-        total = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*/*.json"):
-                try:
-                    total += path.stat().st_size
-                except OSError:  # pragma: no cover - racing deletion
-                    continue
-                entries += 1
+        """Walk the cache directory: entry count, orphans and size."""
+        entries = orphaned = total = 0
+        for path in self._entry_paths():
+            try:
+                total += path.stat().st_size
+            except OSError:  # pragma: no cover - racing deletion
+                continue
+            entries += 1
+            orphaned += not self._is_current(path)
         return CacheStats(
             root=str(self.root),
             code_version=self.code_version,
             entries=entries,
+            orphaned=orphaned,
             total_bytes=total,
             hits=self.hits,
             misses=self.misses,
             writes=self.writes,
         )
 
+    def gc(self) -> int:
+        """Delete every orphaned entry (see :class:`CacheStats`); returns
+        how many.  Current entries are left alone."""
+        return self._remove(p for p in self._entry_paths() if not self._is_current(p))
+
     def clear(self) -> int:
         """Delete every entry (all versions); returns how many."""
+        return self._remove(self._entry_paths())
+
+    def _entry_paths(self) -> list[Path]:
+        return list(self.root.glob("*/*.json")) if self.root.is_dir() else []
+
+    def _is_current(self, path: Path) -> bool:
+        """Whether the entry at *path* reads and names this code version."""
+        try:
+            entry = json.loads(path.read_bytes())
+        except (OSError, ValueError):
+            return False
+        return (
+            isinstance(entry, dict) and entry.get("code_version") == self.code_version
+        )
+
+    def _remove(self, paths) -> int:
         removed = 0
-        if not self.root.is_dir():
-            return 0
-        for path in self.root.glob("*/*.json"):
+        for path in paths:
             try:
                 path.unlink()
                 removed += 1
             except OSError:  # pragma: no cover - racing deletion
                 continue
-        for sub in self.root.iterdir():
-            if sub.is_dir():
-                try:
-                    sub.rmdir()
-                except OSError:
-                    continue
+        if self.root.is_dir():
+            for sub in self.root.iterdir():
+                if sub.is_dir():
+                    try:
+                        sub.rmdir()
+                    except OSError:
+                        continue
         return removed

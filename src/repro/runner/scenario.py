@@ -9,7 +9,8 @@ across processes; :meth:`ScenarioPoint.canonical` is the content-address
 used by both the in-process memo and the on-disk cache.
 
 A :class:`PointResult` is the JSON-serialisable outcome: the schedule's
-placements and transfers (:func:`~repro.ir.serialize.schedule_body_to_dict`),
+placements and transfers as compact rows
+(:func:`~repro.ir.serialize.schedule_body_to_rows`),
 the transformation that produced it, and — for simulated points — the
 analytic-vs-simulated cycle and IPC comparison.  Its payload carries no
 graph and no machine: both follow from the point and the loop it was
@@ -35,8 +36,8 @@ from ..ir.serialize import (
     config_from_dict,
     config_to_dict,
     graph_to_dict,
-    schedule_body_from_dict,
-    schedule_body_to_dict,
+    schedule_body_from_rows,
+    schedule_body_to_rows,
 )
 from ..ir.unroll import unrolled
 
@@ -45,12 +46,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version of the :class:`PointResult` payload layout.  Bumping it
 #: invalidates every cache entry (it feeds the default code version).
-RESULT_FORMAT = 2
+RESULT_FORMAT = 3
 
 #: What decoding a malformed :class:`PointResult` payload raises: a bad
 #: layout (``KeyError``, ``TypeError``, ``ValueError``) or a library error
-#: while rebuilding its schedule (a node placed twice, a node set that is
-#: not the graph's, a schedule that fails verification).
+#: while rebuilding its schedule (a row of the wrong shape, a node placed
+#: twice, a node set that is not the graph's, a schedule that fails
+#: verification).
 PAYLOAD_ERRORS = (ReproError, KeyError, TypeError, ValueError)
 
 
@@ -77,12 +79,15 @@ def graph_content_hash(graph: DependenceGraph) -> str:
     return graph.derived(("content_hash", graph.name), build)
 
 
+@functools.lru_cache(maxsize=256)
 def machine_to_json(config: "MachineConfig") -> str:
     """Canonical JSON description of a machine configuration.
 
     The full configuration (clusters, FU mix, registers, bus fabric) is
     embedded in the scenario point, so arbitrary machines — not just the
     paper's named ones — are cacheable and reconstructible in workers.
+    Memoised like :func:`machine_from_json` (a ``MachineConfig`` is frozen
+    and hashable), so a grid or a reducer serialises each machine once.
     """
     return _canonical_json(config_to_dict(config))
 
@@ -299,7 +304,7 @@ class PointResult:
     Attributes
     ----------
     schedule:
-        :func:`~repro.ir.serialize.schedule_body_to_dict` payload of the
+        :func:`~repro.ir.serialize.schedule_body_to_rows` payload of the
         emitted modulo schedule (of the unrolled graph when the policy
         unrolled); the graph and machine are the point's.
     unroll_factor:
@@ -363,7 +368,7 @@ class PointResult:
             raise ValueError(
                 f"unroll factor {factor!r} on a {config.n_clusters}-cluster machine"
             )
-        schedule = schedule_body_from_dict(
+        schedule = schedule_body_from_rows(
             data["schedule"], unrolled(loop.graph, factor), config
         )
         sim = data.get("sim")
@@ -410,7 +415,7 @@ class PointResult:
         ``base_schedule`` (which is what a decode yields).
         """
         point_result = cls(
-            schedule=schedule_body_to_dict(result.schedule),
+            schedule=schedule_body_to_rows(result.schedule),
             unroll_factor=result.unroll_factor,
             policy=result.policy.value,
             fallback=fallback,

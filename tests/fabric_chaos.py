@@ -46,16 +46,54 @@ from repro.runner.engine import _run_batch
 from repro.service.client import ClientError, PendingReply
 
 
+#: Index of the cycle in an operation row ``[node, cycle, cluster, fu_index]``.
+CYCLE = 1
+
+
 def swap_cycles(results: list[dict[str, Any]]) -> list[dict[str, Any]]:
     """A lying worker's post: every result well-formed, but in each
     schedule the earliest and the latest operation trade cycles."""
     lied = json.loads(json.dumps(results))
     for item in lied:
         ops = item["result"]["schedule"]["operations"]
-        first = min(ops, key=lambda op: op["cycle"])
-        last = max(ops, key=lambda op: op["cycle"])
-        first["cycle"], last["cycle"] = last["cycle"], first["cycle"]
+        first = min(ops, key=lambda op: op[CYCLE])
+        last = max(ops, key=lambda op: op[CYCLE])
+        first[CYCLE], last[CYCLE] = last[CYCLE], first[CYCLE]
     return lied
+
+
+# Point-result payloads (or cache entries) with one row of the wrong
+# shape: each must be a cache miss, a raise from a pool return and a 400
+# on a fabric post.
+def operation_row_not_a_list(result: dict[str, Any]) -> dict[str, Any]:
+    """The first operation as a record (the layout before rows)."""
+    ops = result["schedule"]["operations"]
+    ops[0] = dict(zip(("node", "cycle", "cluster", "fu_index"), ops[0]))
+    return result
+
+
+def operation_row_too_short(result: dict[str, Any]) -> dict[str, Any]:
+    result["schedule"]["operations"][0].pop()
+    return result
+
+
+def communication_row_too_short(result: dict[str, Any]) -> dict[str, Any]:
+    result["schedule"]["communications"].append([0, 0, 0, 0])
+    return result
+
+
+def attempt_log_row_too_short(result: dict[str, Any]) -> dict[str, Any]:
+    """Three counts: a log row that a lenient decoder would pad with 0."""
+    result["schedule"]["attempt_failures"].append([0, 0, 0])
+    return result
+
+
+MISSHAPEN_ROWS = (
+    operation_row_not_a_list,
+    operation_row_too_short,
+    communication_row_too_short,
+    attempt_log_row_too_short,
+)
 
 
 @dataclass

@@ -16,6 +16,10 @@
   (its plan's transfers from :func:`pressure_comms`, an added reader as a
   :func:`phantom` transfer), against the incremental
   :class:`repro.core.pressure.PressureTracker`;
+* :func:`mve_factor` — the modulo-variable-expansion factor (Lam) a
+  schedule's lifetimes would need without rotating registers, from the
+  same lifetime intervals as ``cluster_pressures`` (no production path
+  replicates kernels);
 * :func:`fu_slot_free`, :func:`bus_free` and :func:`per_start_scan` —
   per-cycle reservation-table probes, the last one trying each start
   cycle in turn, against the one-pass
@@ -42,7 +46,7 @@ from repro.codegen.vliw import _place_in_slot
 from repro.core.bsa import BsaScheduler, join_profit
 from repro.core.comm import AddReader, CommPlan
 from repro.core.engine import Placement, PlacementEngine
-from repro.core.lifetimes import cluster_pressures
+from repro.core.lifetimes import _intervals, cluster_pressures
 from repro.core.mii import rec_mii
 from repro.core.mrt import ReservationTable
 from repro.core.schedule import Communication, ModuloSchedule, ScheduledOp
@@ -376,6 +380,25 @@ def pressure_ok(
     """Does every cluster fit its register file with the overlay added?"""
     limit = schedule.config.regs_per_cluster
     return all(p <= limit for p in overlay_pressures(schedule, comms, ops).values())
+
+
+def mve_factor(schedule: ModuloSchedule) -> int:
+    """Modulo-variable-expansion factor of the schedule.
+
+    A value whose lifetime exceeds II would be overwritten by its own
+    next-iteration instance; without rotating register files the kernel
+    must be replicated ``max_v ceil(lifetime(v) / II)`` times with renamed
+    registers (Lam).  The pressure model already *counts* the extra copies
+    (wrapped lifetimes contribute once per II spanned); this exposes the
+    resulting kernel replication.
+    """
+    ii = schedule.ii
+    factor = 1
+    for _, start, end in _intervals(schedule):
+        need = -(-(end - start) // ii)  # ceil
+        if need > factor:
+            factor = need
+    return factor
 
 
 def fu_slot_free(

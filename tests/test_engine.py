@@ -3,7 +3,7 @@
 import pytest
 from oracles import bus_free
 
-from repro.arch.configs import two_cluster_config, unified_config
+from repro.arch.configs import four_cluster_config, two_cluster_config, unified_config
 from repro.core.engine import FailReason, Placement, PlacementEngine
 from repro.core.schedule import ScheduledOp
 from repro.ir.ddg import DependenceGraph
@@ -162,6 +162,22 @@ class TestCommPlanning:
         assert not pc.comm_plan.new_transfers
         eng.commit(pc)
         assert len(eng.schedule.comms) == 1
+
+    def test_planned_transfer_lists_a_cluster_once(self):
+        """Two consumers in one remote cluster read the transfer planned
+        for a third in the same placement: one added reader, not two."""
+        g = DependenceGraph()
+        p = g.add_operation("iadd", "p")
+        c1, c2, c3 = (g.add_operation("iadd", f"c{i}") for i in (1, 2, 3))
+        for c in (c1, c2, c3):
+            g.add_dependence(p, c)
+        eng = engine_for(g, four_cluster_config(), ii=4)
+        for node, cluster in ((c1, 1), (c2, 0), (c3, 0)):
+            eng.commit(eng.find_placement(node, cluster))
+        placed = eng.find_placement(p, 2)
+        assert isinstance(placed, Placement)
+        assert [t.reader for t in placed.comm_plan.new_transfers] == [1]
+        assert [a.reader for a in placed.comm_plan.added_readers] == [0]
 
     def test_bus_exhaustion_fails(self):
         # Two producers on cluster 0, two consumers on cluster 1, II=1,

@@ -30,7 +30,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 import pytest
-from fabric_chaos import ChaosWorker, drain, spawn, swap_cycles
+from fabric_chaos import MISSHAPEN_ROWS, ChaosWorker, drain, spawn, swap_cycles
 from prom_oracle import parse as parse_metrics
 
 from repro.arch.configs import clustered_config
@@ -495,7 +495,7 @@ class TestCoordinator:
             alien = [dict(item) for item in honest]
             result = json.loads(json.dumps(alien[0]["result"]))
             ops = result["schedule"]["operations"]
-            ops[-1]["node"] = max(op["node"] for op in ops) + 1
+            ops[-1][0] = max(node for node, *_ in ops) + 1
             alien[0] = dict(alien[0], result=result)
             with pytest.raises(FabricBadRequest, match="GraphError"):
                 coordinator.submit_results(
@@ -534,6 +534,31 @@ class TestCoordinator:
         assert box["finished"] and "error" not in box
         assert as_docs(box["results"]) == reference_docs(misses)
         assert coordinator.stats()["counters"]["results_rejected"] == 5
+        assert coordinator.cache.writes == len(misses)
+
+    @pytest.mark.parametrize("edit", MISSHAPEN_ROWS)
+    def test_misshapen_row_post_is_rejected_and_never_cached(self, tmp_path, edit):
+        """A schedule row of the wrong shape in one result: a 400 naming
+        the GraphError, and nothing of the post lands."""
+        coordinator = make_coordinator(tmp_path, shard_size=99)
+        misses = make_misses(kernels=("daxpy", "dot"))
+        with fabric_sweep(coordinator, misses) as box:
+            doc = coordinator.claim(claim_body("w1", CODE_VERSION))
+            honest = execute_items(doc["shard"], doc.get("trace"))
+            bad = json.loads(json.dumps(honest))
+            bad[-1]["result"] = edit(bad[-1]["result"])
+            with pytest.raises(FabricBadRequest, match="GraphError: bad .* row"):
+                coordinator.submit_results(
+                    results_body("w1", doc["lease"], CODE_VERSION, bad)
+                )
+            counters = coordinator.stats()["counters"]
+            assert counters["results_rejected"] == 1
+            assert counters["points_completed"] == 0
+            assert coordinator.cache.writes == 0
+            coordinator.submit_results(
+                results_body("w1", doc["lease"], CODE_VERSION, honest)
+            )
+        assert box["finished"] and "error" not in box
         assert coordinator.cache.writes == len(misses)
 
     def test_lying_post_is_rejected_and_never_cached(self, tmp_path):

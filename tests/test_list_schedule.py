@@ -1,9 +1,9 @@
 """Tests for the list scheduler (no-pipelining baseline) and MVE factor."""
 
 import pytest
+from oracles import mve_factor
 
 from repro.arch.configs import four_cluster_config
-from repro.core.lifetimes import mve_factor
 from repro.core.list_schedule import list_schedule
 from repro.core.unified import UnifiedScheduler
 from repro.core.verify import verify_schedule

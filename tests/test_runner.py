@@ -23,7 +23,7 @@ from dataclasses import asdict
 from functools import partial
 
 import pytest
-from fabric_chaos import swap_cycles
+from fabric_chaos import MISSHAPEN_ROWS, swap_cycles
 
 from repro.arch.configs import (
     clustered_config,
@@ -35,7 +35,7 @@ from repro.core.base import SchedulerBase
 from repro.core.bsa import BsaScheduler
 from repro.core.selective import SelectiveRule, UnrollPolicy
 from repro.core.unified import UnifiedScheduler
-from repro.errors import SchedulingError, VerificationError
+from repro.errors import GraphError, SchedulingError, VerificationError
 from repro.ir.ddg import DepKind
 from repro.ir.unroll import unrolled
 from repro.experiments import (
@@ -182,6 +182,45 @@ class TestResultCache:
         assert v2.clear() == 1
         assert ResultCache(tmp_path / "c", code_version="v1").get(point, loop) is None
 
+    def test_gc_removes_only_orphans(self, tmp_path):
+        """An entry of another code version and an unreadable file are
+        orphans: counted by stats, removed by gc; the current entry stays."""
+        loop = kernel_loop("daxpy")
+        plain, unrolled_all = (
+            scenario_for(loop, two_cluster_config(), "bsa", policy)
+            for policy in (UnrollPolicy.NONE, UnrollPolicy.ALL)
+        )
+        old = ResultCache(tmp_path / "c", code_version="v1")
+        cache = ResultCache(tmp_path / "c", code_version="v2")
+        old.put(plain, execute_point(plain, loop))
+        cache.put(unrolled_all, execute_point(unrolled_all, loop))
+        torn = cache.path_for(plain)
+        torn.parent.mkdir(parents=True, exist_ok=True)
+        torn.write_text('{"code_version": "v2", "schedule": {"ii"')
+        stats = cache.stats()
+        assert (stats.entries, stats.orphaned) == (3, 2)
+        assert "entries:       1 current, 2 orphaned" in stats.render()
+        assert old.stats().orphaned == 2  # v2's entry and the torn file
+        assert cache.gc() == 2
+        assert (cache.stats().entries, cache.stats().orphaned) == (1, 0)
+        assert cache.get(unrolled_all, loop) is not None
+        assert old.get(plain, loop) is None
+        assert cache.gc() == 0
+
+    def test_cache_cli_reports_and_removes_orphans(self, tmp_path, capsys):
+        from repro.cli import main
+
+        loop = kernel_loop("daxpy")
+        point = scenario_for(loop, two_cluster_config(), "bsa", UnrollPolicy.NONE)
+        ResultCache(tmp_path, code_version="v0").put(point, execute_point(point, loop))
+        main(["cache", "stats", "--cache-dir", str(tmp_path)])
+        assert "entries:       0 current, 1 orphaned" in capsys.readouterr().out
+        main(["cache", "gc", "--cache-dir", str(tmp_path)])
+        assert capsys.readouterr().out == "removed 1 orphaned cache entry\n"
+        main(["cache", "gc", "--cache-dir", str(tmp_path)])
+        assert capsys.readouterr().out == "removed 0 orphaned cache entries\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_default_code_version_tracks_source_content(self, monkeypatch):
         """Any scheduler edit invalidates the cache, version bump or not.
 
@@ -301,7 +340,7 @@ def entry_not_a_document(entry):
 
 def node_placed_twice(entry):
     ops = entry["schedule"]["operations"]
-    ops.append(dict(ops[0]))
+    ops.append(list(ops[0]))
     return entry
 
 
@@ -312,7 +351,7 @@ def node_omitted(entry):
 
 def node_outside_graph(entry):
     ops = entry["schedule"]["operations"]
-    ops[-1]["node"] = max(op["node"] for op in ops) + 1
+    ops[-1][0] = max(node for node, *_ in ops) + 1
     return entry
 
 
@@ -354,6 +393,7 @@ class TestCorruptSchedules:
             node_outside_graph,
             ii_zero,
             unroll_factor_no_policy_emits,
+            *MISSHAPEN_ROWS,
         ],
     )
     def test_get_treats_bad_schedule_as_miss(self, cache, edit):
@@ -533,13 +573,13 @@ class TestGraphSharing:
         from repro.runner import scenario
 
         calls = []
-        decode = scenario.schedule_body_from_dict
+        decode = scenario.schedule_body_from_rows
 
         def counting(*args, **kwargs):
             calls.append(args)
             return decode(*args, **kwargs)
 
-        monkeypatch.setattr(scenario, "schedule_body_from_dict", counting)
+        monkeypatch.setattr(scenario, "schedule_body_from_rows", counting)
         ctx = ExperimentContext(suite=small_suite())
         items = self.items()
         ctx.run_grid(items)
@@ -703,16 +743,29 @@ class TestExecutePoints:
         with pytest.raises(VerificationError):
             execute_points(self.misses(), jobs=2, pool=LyingPool())
 
+    @pytest.mark.parametrize("edit", MISSHAPEN_ROWS)
+    def test_pool_return_with_a_misshapen_row_raises(self, edit):
+        with pytest.raises(GraphError, match="row"):
+            execute_points(self.misses(), jobs=2, pool=LyingPool(edit))
+
+
+def lie(payload):
+    """Swap two operations' cycles in a result payload's schedule."""
+    return swap_cycles([{"result": payload}])[0]["result"]
+
 
 class LyingPool(Executor):
-    """Runs each shard in-process, then swaps two operations' cycles in
-    every schedule it returns (a worker that lies)."""
+    """Runs each shard in-process, then applies *edit* (by default
+    :func:`lie`) to every result payload it returns (a worker that lies)."""
+
+    def __init__(self, edit=lie):
+        self.edit = edit
 
     def submit(self, fn, *args, **kwargs):
         future = Future()
         future.set_result(
             [
-                (key, swap_cycles([{"result": payload}])[0]["result"], meta)
+                (key, self.edit(json.loads(json.dumps(payload))), meta)
                 for key, payload, meta in fn(*args, **kwargs)
             ]
         )

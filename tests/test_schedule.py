@@ -28,6 +28,16 @@ class TestScheduledOp:
         assert op.stage(4) == -1
         assert op.row(4) == 3
 
+    def test_is_an_immutable_row(self):
+        op = ScheduledOp(3, 17, 1, 0)
+        assert list(op) == [3, 17, 1, 0]
+        assert ScheduledOp._make([3, 17, 1, 0]) == op
+        assert hash(op) == hash((3, 17, 1, 0))
+        assert op._replace(cycle=18) == ScheduledOp(3, 18, 1, 0)
+        with pytest.raises(AttributeError):
+            op.cycle = 18
+        assert op.cycle == 17
+
 
 class TestCommunication:
     def test_arrival(self):

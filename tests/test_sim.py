@@ -130,8 +130,8 @@ class TestDataflowTokenCheck:
             and d.distance == 0
             and sched.ops[d.src].cluster == sched.ops[d.dst].cluster
         )
-        sched.ops[dep.dst] = replace(
-            sched.ops[dep.dst], cycle=sched.ops[dep.src].cycle
+        sched.ops[dep.dst] = sched.ops[dep.dst]._replace(
+            cycle=sched.ops[dep.src].cycle
         )
         with pytest.raises(SimulationError, match="before it is ready"):
             simulate_schedule(sched, 10)
