@@ -420,7 +420,6 @@ def cmd_worker(args: argparse.Namespace) -> None:
             max_shards=args.max_shards,
             fail_after=args.fail_after,
             idle_exit_s=args.idle_exit,
-            poll_s=args.poll,
             timeout=args.timeout,
             wait_healthy_s=args.wait_healthy,
             progress=progress,
@@ -680,8 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--idle-exit", type=float, default=None, metavar="S",
                    help="exit after S seconds with no work (default: poll "
                         "until the coordinator goes away)")
-    p.add_argument("--poll", type=float, default=0.05, metavar="S",
-                   help="idle poll interval in seconds (default: 0.05)")
     p.add_argument("--timeout", type=float, default=120.0,
                    help="per-request HTTP timeout in seconds")
     p.add_argument("--wait-healthy", type=float, default=10.0,

@@ -78,6 +78,9 @@ class ScheduledLoopResult:
     policy: UnrollPolicy
     #: The original (non-unrolled) schedule, when one was produced.
     base_schedule: ModuloSchedule | None = None
+    #: True when modulo scheduling failed and *schedule* is the
+    #: non-pipelined list-schedule fallback.
+    fallback: bool = False
 
     @property
     def ii(self) -> int:

@@ -26,7 +26,6 @@ custom workloads from aborting a whole experiment.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -178,8 +177,6 @@ class ExperimentContext:
     fallbacks: list[ScenarioPoint] = field(default_factory=list)
     stats: SweepStats = field(default_factory=SweepStats)
     recorder: RunRecorder | None = None
-    #: Canonical keys of the points in :attr:`fallbacks` (fast lookup).
-    _fallback_keys: set[str] = field(default_factory=set)
 
     # ------------------------------------------------------------------
     # Point-at-a-time API (reducers)
@@ -249,22 +246,16 @@ class ExperimentContext:
                 memo_hits.setdefault(key, (point, loop))
         if self.recorder is not None:
             for key, (point, _loop) in memo_hits.items():
-                if point.simulate:
-                    continue  # the schedule-only twin is what the memo holds
-                self.recorder.record(
-                    point,
-                    PointResult.from_loop_result(
-                        self.memo[key], fallback=key in self._fallback_keys
-                    ),
-                    source="memo",
-                )
+                if point.simulate:  # the memo holds its twin's schedule
+                    key = point.without_simulation().canonical()
+                self.recorder.record(point, self.memo[key], source="memo")
         pending = list(by_key.values())
         results, stats = run_sweep(
             pending,
             jobs=jobs,
             cache=self.cache,
             fresh=self.fresh,
-            prior_lookup=self._known_schedule,
+            prior_lookup=self.memo.get,
             recorder=self.recorder,
             execute=self.executor,
         )
@@ -278,16 +269,6 @@ class ExperimentContext:
         return stats
 
     # ------------------------------------------------------------------
-    def _known_schedule(
-        self, point: ScenarioPoint
-    ) -> tuple[ScheduledLoopResult, bool] | None:
-        """The memoised schedule (and its fallback flag) for a point."""
-        key = point.canonical()
-        known = self.memo.get(key)
-        if known is None:
-            return None
-        return known, key in self._fallback_keys
-
     def _absorb_schedule(self, point: ScenarioPoint, result: PointResult) -> None:
         """Install a point result into the memo (once) with accounting."""
         key = point.canonical()
@@ -296,24 +277,15 @@ class ExperimentContext:
         self.memo[key] = result.loop_result()
         if result.fallback:
             self.fallbacks.append(point)
-            self._fallback_keys.add(key)
 
     def _absorb_sim(self, point: ScenarioPoint, result: PointResult) -> None:
         """Install a simulated point: CrossCheck plus the embedded schedule."""
         key = point.canonical()
         if key in self.sim_memo:
             return
-        sim = result.sim
-        if sim is None:  # pragma: no cover - defensive: malformed payload
+        if result.sim is None:  # pragma: no cover - defensive: malformed payload
             raise ValueError(f"point {point.describe()} has no sim outcome")
-        self.sim_memo[key] = CrossCheck(
-            loop_name=point.loop,
-            config_name=json.loads(point.machine)["name"],
-            analytic_cycles=sim.analytic_cycles,
-            simulated_cycles=sim.simulated_cycles,
-            analytic_ipc=sim.analytic_ipc,
-            simulated_ipc=sim.simulated_ipc,
-        )
+        self.sim_memo[key] = result.sim
         # The schedule rode along: warm the schedule memo for the twin.
         self._absorb_schedule(point.without_simulation(), result)
 

@@ -110,9 +110,6 @@ def run_gap(ctx: ExperimentContext, *, quick: bool = False) -> list[GapPoint]:
                 result = ctx.schedule_loop(
                     loop, config, scheduler, UnrollPolicy.NONE
                 )
-                key = scenario_for(
-                    loop, config, scheduler, UnrollPolicy.NONE
-                ).canonical()
                 points.append(
                     GapPoint(
                         kernel=kernel,
@@ -121,7 +118,7 @@ def run_gap(ctx: ExperimentContext, *, quick: bool = False) -> list[GapPoint]:
                         ii=result.schedule.ii,
                         mii=result.schedule.mii,
                         max_live=max_pressure(result.schedule),
-                        fallback=key in ctx._fallback_keys,
+                        fallback=result.fallback,
                     )
                 )
     return points

@@ -138,11 +138,6 @@ class FabricCoordinator:
         Optional registry to export the ``fabric_*`` counter/gauge/
         histogram families on (the service passes its own, so they show
         up on ``GET /metrics``).
-    code_version:
-        The cache code version workers must match; defaults to the
-        cache's (or the process default).  Matching versions guarantee
-        worker and coordinator compute identical content keys — the
-        byte-identity invariant.
     lease_ttl_s:
         Seconds a lease stays valid without a renewal; workers are told
         to heartbeat at a third of this, and ``execute`` checks for
@@ -164,7 +159,6 @@ class FabricCoordinator:
         *,
         cache: ResultCache | None = None,
         metrics: MetricsRegistry | None = None,
-        code_version: str | None = None,
         lease_ttl_s: float = 30.0,
         shard_size: int = 8,
         straggler_after_s: float | None = None,
@@ -172,11 +166,13 @@ class FabricCoordinator:
         sweep_timeout_s: float | None = None,
     ):
         self.cache = cache
-        if code_version is None:
-            code_version = (
-                cache.code_version if cache is not None else default_code_version()
-            )
-        self.code_version = code_version
+        #: The code version workers must match: the cache's, else the
+        #: process default.  Matching versions guarantee worker and
+        #: coordinator compute identical content keys — the
+        #: byte-identity invariant.
+        self.code_version = (
+            cache.code_version if cache is not None else default_code_version()
+        )
         self.lease_ttl_s = float(lease_ttl_s)
         self.heartbeat_s = self.lease_ttl_s / 3.0
         self.shard_size = max(1, int(shard_size))

@@ -132,10 +132,8 @@ class FabricWorker:
         — possibly mid-shard, which is the point (``--fail-after``).
     idle_exit_s:
         Exit cleanly after this long with no work on offer; ``None``
-        polls forever (until the coordinator goes away).
-    poll_s:
-        Idle poll fallback interval (the coordinator's ``retry_s`` hint
-        wins when present).
+        polls forever (until the coordinator goes away).  Between idle
+        polls the worker sleeps for the reply's ``retry_s``.
     progress:
         Optional ``callable(str)`` for per-shard progress lines.
     """
@@ -149,7 +147,6 @@ class FabricWorker:
         max_shards: int | None = None,
         fail_after: int | None = None,
         idle_exit_s: float | None = None,
-        poll_s: float = 0.05,
         timeout: float = 120.0,
         wait_healthy_s: float = 10.0,
         progress: Callable[[str], None] | None = None,
@@ -163,7 +160,6 @@ class FabricWorker:
         self.max_shards = max_shards
         self.fail_after = fail_after
         self.idle_exit_s = idle_exit_s
-        self.poll_s = poll_s
         self.wait_healthy_s = wait_healthy_s
         self.progress = progress
         self.stats = WorkerStats(worker=self.worker_id)
@@ -214,7 +210,7 @@ class FabricWorker:
                 self._say(f"idle for {self.idle_exit_s:g}s; exiting")
                 break
             self.stats.idle_polls += 1
-            time.sleep(float(doc.get("retry_s") or self.poll_s))
+            time.sleep(doc["retry_s"])
             doc = self._claim()
         self._settle()
 

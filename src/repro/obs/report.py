@@ -32,7 +32,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runner.scenario import PointResult, ScenarioPoint
+    from ..core.selective import ScheduledLoopResult
+    from ..runner.scenario import ScenarioPoint
 
 __all__ = [
     "GROUP_KEYS",
@@ -85,24 +86,24 @@ class PointRecord:
 
 def record_for(
     point: "ScenarioPoint",
-    result: "PointResult",
+    result: "ScheduledLoopResult",
     *,
     source: str,
     wall_s: float = 0.0,
     trace_id: str | None = None,
 ) -> PointRecord:
-    """Build the record for one (point, result) pair.
+    """Build the record of *point*, resolved to *result*.
 
-    MaxLive and the stage count come from the materialised schedule;
-    this deserialisation cost is only paid when a recorder is attached.
+    MaxLive is computed from the schedule here, a cost only paid when a
+    recorder is attached.
     """
     from ..core.lifetimes import cluster_pressures
 
-    schedule = result.loop_result().schedule
+    schedule = result.schedule
     pressures = cluster_pressures(schedule)
     return PointRecord(
         loop=point.loop,
-        machine=json.loads(point.machine)["name"],
+        machine=point.config().name,
         scheduler=point.scheduler,
         policy=point.policy,
         rule=point.rule,
@@ -129,7 +130,7 @@ class RunRecorder:
     def record(
         self,
         point: "ScenarioPoint",
-        result: "PointResult",
+        result: "ScheduledLoopResult",
         *,
         source: str,
         wall_s: float = 0.0,

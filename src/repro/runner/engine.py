@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
 from time import perf_counter
 from typing import Any, Callable
@@ -55,7 +55,7 @@ from ..core.selective import (
 from ..core.twophase import TwoPhaseScheduler
 from ..core.unified import UnifiedScheduler
 from ..core.verify import verify_schedule
-from ..errors import SchedulingError
+from ..errors import SchedulingError, VerificationError
 from ..ir.ddg import DependenceGraph
 from ..ir.loop import Loop
 from ..ir.serialize import loop_from_dict, loop_to_dict
@@ -64,14 +64,14 @@ from ..obs.trace import TRACER
 from ..sim.crosscheck import crosscheck_loop
 from ..sim.memory import MemoryModel, RandomMissMemory
 from .cache import ResultCache
-from .scenario import GridItem, PointResult, ScenarioPoint, SimOutcome
+from .scenario import GridItem, PointResult, ScenarioPoint
 
 #: Scheduler factory signature: config -> scheduler.
 SchedulerFactory = Callable[[MachineConfig], SchedulerBase]
 
-#: ``prior_for`` hook signature: point -> (twin's schedule or None,
-#: whether that schedule was a list-schedule fallback).
-PriorFor = Callable[[ScenarioPoint], tuple[ScheduledLoopResult | None, bool]]
+#: ``prior_for`` hook signature: point -> its schedule-only twin's
+#: schedule (fallback flag included), or None.
+PriorFor = Callable[[ScenarioPoint], ScheduledLoopResult | None]
 
 #: Registered schedulers, by the names used in scenario points,
 #: experiment grids and ablation studies.  ``exact`` is the branch-and-bound
@@ -131,9 +131,9 @@ def sequential_fallback(
     """A non-pipelined stand-in schedule for loops that defeat the
     modulo schedulers: classic list scheduling of one iteration, II =
     schedule length, SC = 1 — what a compiler emits when it skips
-    software pipelining."""
+    software pipelining.  Deterministic, and flagged ``fallback``."""
     sched = list_schedule(graph, config)
-    return ScheduledLoopResult(sched, 1, UnrollPolicy.NONE)
+    return ScheduledLoopResult(sched, 1, UnrollPolicy.NONE, fallback=True)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,6 @@ def execute_point(
     loop: Loop,
     *,
     prior: ScheduledLoopResult | None = None,
-    prior_fallback: bool = False,
     memo: ScheduleMemo | None = None,
 ) -> PointResult:
     """Run one scenario point to completion.
@@ -157,9 +156,8 @@ def execute_point(
         The live loop whose graph matches ``point.graph_hash``.
     prior:
         An already-computed schedule for the schedule-only twin of this
-        point (cache cross-pollination); skips rescheduling when given.
-    prior_fallback:
-        Whether *prior* was a list-schedule fallback.
+        point (cache cross-pollination), fallback flag included; skips
+        rescheduling when given.
     memo:
         The :class:`~repro.core.selective.ScheduleMemo` of this point's
         family, shared with its other policy points (see
@@ -172,9 +170,8 @@ def execute_point(
         when ``point.simulate`` is set.
     """
     config = point.config()
-    if prior is not None:
-        result, fallback = prior, prior_fallback
-    else:
+    result = prior
+    if result is None:
         scheduler = make_scheduler(point.scheduler, config)
         try:
             result = schedule_with_policy(
@@ -184,10 +181,8 @@ def execute_point(
                 rule=point.selective_rule,
                 memo=memo,
             )
-            fallback = False
         except SchedulingError:
             result = sequential_fallback(loop.graph, config)
-            fallback = True
 
     sim = None
     if point.simulate:
@@ -199,14 +194,8 @@ def execute_point(
         sim_loop = Loop(
             graph=loop.graph, trip_count=point.niter, times_executed=1
         )
-        check = crosscheck_loop(sim_loop, result, memory=memory)
-        sim = SimOutcome(
-            analytic_cycles=check.analytic_cycles,
-            simulated_cycles=check.simulated_cycles,
-            analytic_ipc=check.analytic_ipc,
-            simulated_ipc=check.simulated_ipc,
-        )
-    return PointResult.from_loop_result(result, fallback=fallback, sim=sim)
+        sim = crosscheck_loop(sim_loop, result, memory=memory)
+    return PointResult.from_loop_result(result, sim=sim)
 
 
 def store_result(
@@ -222,35 +211,38 @@ def store_result(
     if result.sim is not None:
         twin = point.without_simulation()
         if twin not in cache:
-            cache.put(
-                twin,
-                PointResult(
-                    schedule=result.schedule,
-                    unroll_factor=result.unroll_factor,
-                    policy=result.policy,
-                    fallback=result.fallback,
-                ),
-            )
+            cache.put(twin, replace(result, sim=None))
 
 
 def checked_result(
     payload: dict[str, Any], point: ScenarioPoint, loop: Loop
 ) -> PointResult:
-    """Decode a result that crossed a process boundary and verify it.
+    """Decode a result that crossed a process boundary and check it.
 
     The payload is decoded against *point*'s own graph and machine
-    (:meth:`PointResult.from_dict`), then its schedule is re-checked by
-    :func:`~repro.core.verify.verify_schedule`: a pool worker's return
-    or a fabric worker's post is believed only once it passes both.
+    (:meth:`PointResult.from_dict`), then a modulo schedule must pass
+    :func:`~repro.core.verify.verify_schedule`.  A list schedule need
+    not fit the register file, so a result flagged ``fallback`` must be
+    the deterministic :func:`sequential_fallback` of the point, with the
+    same II, placements and transfers.  A pool worker's return or a
+    fabric worker's post is believed only once it passes.
 
     Raises
     ------
     PAYLOAD_ERRORS
-        When the payload does not decode, or its schedule fails
-        verification (:class:`~repro.errors.VerificationError`).
+        When the payload does not decode, or its schedule fails the
+        check (:class:`~repro.errors.VerificationError`).
     """
     result = PointResult.from_dict(payload, point, loop)
-    verify_schedule(result.loop_result().schedule)
+    got = result.loop_result().schedule
+    if not result.fallback:
+        verify_schedule(got)
+        return result
+    want = sequential_fallback(loop.graph, point.config()).schedule
+    if (got.ii, got.ops, got.comms) != (want.ii, want.ops, want.comms):
+        raise VerificationError(
+            f"{point.describe()}: not the point's list-schedule fallback"
+        )
     return result
 
 
@@ -259,7 +251,6 @@ def _execute_and_store(
     loop: Loop,
     cache: ResultCache | None,
     prior: ScheduledLoopResult | None = None,
-    prior_fallback: bool = False,
     memo: ScheduleMemo | None = None,
 ) -> tuple[PointResult, dict[str, Any]]:
     """Execute one point, persist it, and time it.
@@ -271,9 +262,7 @@ def _execute_and_store(
     """
     t0 = perf_counter()
     with TRACER.span("runner.execute_point", point=point.describe()):
-        result = execute_point(
-            point, loop, prior=prior, prior_fallback=prior_fallback, memo=memo
-        )
+        result = execute_point(point, loop, prior=prior, memo=memo)
     meta: dict[str, Any] = {"wall_s": perf_counter() - t0}
     if cache is not None:
         store_result(cache, point, result)
@@ -312,14 +301,12 @@ def work_item(
     schedule-only twin's result from *prior_for* so the worker skips
     rescheduling.  Pool shards and fabric leases ship the same schema.
     """
-    prior, prior_fb = prior_for(point) if prior_for is not None else (None, False)
+    prior = prior_for(point) if prior_for is not None else None
     return {
         "point": json.loads(point.canonical()),
         "loop": loop_to_dict(loop),
         "prior": (
-            PointResult.from_loop_result(prior, fallback=bool(prior_fb)).to_dict()
-            if prior is not None
-            else None
+            PointResult.from_loop_result(prior).to_dict() if prior is not None else None
         ),
     }
 
@@ -375,15 +362,11 @@ def _run_batch(
             memo = memos.setdefault(_family(first), ScheduleMemo())
             for i in family:
                 point, item = points[i], batch[i]
-                prior, prior_fallback = None, False
-                if item.get("prior") is not None:
+                prior = item.get("prior")
+                if prior is not None:
                     # The twin shares the point's graph hash and machine.
-                    prior_result = PointResult.from_dict(item["prior"], point, loop)
-                    prior = prior_result.loop_result()
-                    prior_fallback = prior_result.fallback
-                result, meta = _execute_and_store(
-                    point, loop, cache, prior, prior_fallback, memo
-                )
+                    prior = PointResult.from_dict(prior, point, loop).loop_result()
+                result, meta = _execute_and_store(point, loop, cache, prior, memo)
                 if TRACER.enabled:
                     meta["spans"] = [span.to_dict() for span in TRACER.drain()]
                 out[i] = (point.canonical(), result.to_dict(), meta)
@@ -466,8 +449,8 @@ def execute_points(
         worker for pooled execution, inline for serial execution — so an
         interrupted batch still resumes from every finished point.
     prior_for:
-        Optional hook returning ``(schedule, was_fallback)`` for a
-        simulated point's schedule-only twin (see :func:`run_sweep`).
+        Optional hook returning the schedule of a simulated point's
+        schedule-only twin, or ``None`` (see :func:`run_sweep`).
     meta_out:
         When given, filled with ``canonical_key -> {"wall_s": ...}``
         execution metadata (observability only — never part of the
@@ -499,10 +482,8 @@ def execute_points(
             memo = ScheduleMemo()
             for i in family:
                 key, (point, loop) = misses[i]
-                prior, prior_fb = (
-                    prior_for(point) if prior_for is not None else (None, False)
-                )
-                done[key] = _execute_and_store(point, loop, cache, prior, prior_fb, memo)
+                prior = prior_for(point) if prior_for is not None else None
+                done[key] = _execute_and_store(point, loop, cache, prior, memo)
     else:
         shards = _shard(misses, max(1, jobs))
         payloads = [
@@ -570,10 +551,7 @@ def run_sweep(
     jobs: int = 1,
     cache: ResultCache | None = None,
     fresh: bool = False,
-    prior_lookup: Callable[
-        [ScenarioPoint], tuple[ScheduledLoopResult, bool] | None
-    ]
-    | None = None,
+    prior_lookup: Callable[[str], ScheduledLoopResult | None] | None = None,
     recorder: RunRecorder | None = None,
     execute: Callable[..., dict[str, PointResult]] | None = None,
 ) -> tuple[dict[str, PointResult], SweepStats]:
@@ -598,11 +576,12 @@ def run_sweep(
     fresh:
         Ignore cached entries (results are still written back).
     prior_lookup:
-        Optional hook returning ``(schedule, was_fallback)`` for a
+        Optional hook called with the canonical key of a simulated
         point's schedule-only twin (see
-        :meth:`ScenarioPoint.without_simulation`), or ``None`` when
-        unknown; lets simulated sweeps reuse schedules the caller
-        already holds in memory without losing fallback accounting.
+        :meth:`ScenarioPoint.without_simulation`), returning its
+        schedule (fallback flag included), or ``None`` when unknown;
+        lets simulated sweeps reuse schedules the caller already holds
+        in memory.
     recorder:
         Optional :class:`~repro.obs.report.RunRecorder`; when given, one
         :class:`~repro.obs.report.PointRecord` is recorded per distinct
@@ -645,27 +624,29 @@ def run_sweep(
             results[key] = cached
             stats.cached += 1
             if recorder is not None:
-                recorder.record(point, cached, source="disk", trace_id=trace_id)
+                recorder.record(
+                    point, cached.loop_result(), source="disk", trace_id=trace_id
+                )
         else:
             misses.append((key, (point, loop)))
 
     if not misses:
         return results, stats
 
-    def _prior_for(point: ScenarioPoint) -> tuple[ScheduledLoopResult | None, bool]:
+    def _prior_for(point: ScenarioPoint) -> ScheduledLoopResult | None:
         """Schedule reuse for simulated points: memory first, then disk."""
         if not point.simulate:
-            return None, False
+            return None
         twin = point.without_simulation()
         if prior_lookup is not None:
-            known = prior_lookup(twin)
+            known = prior_lookup(twin.canonical())
             if known is not None:
                 return known
         if cache is not None and not fresh:
             cached_twin = cache.get(twin, unique[point.canonical()][1])
             if cached_twin is not None:
-                return cached_twin.loop_result(), cached_twin.fallback
-        return None, False
+                return cached_twin.loop_result()
+        return None
 
     meta_out: dict[str, dict[str, Any]] = {}
     runner = execute if execute is not None else execute_points
@@ -683,7 +664,7 @@ def run_sweep(
         if recorder is not None:
             recorder.record(
                 unique[key][0],
-                result,
+                result.loop_result(),
                 source="executed",
                 wall_s=meta_out.get(key, {}).get("wall_s", 0.0),
                 trace_id=trace_id,

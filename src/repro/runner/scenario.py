@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any
 
 from ..core.selective import ScheduledLoopResult, SelectiveRule, UnrollPolicy
@@ -40,6 +40,7 @@ from ..ir.serialize import (
     schedule_body_to_rows,
 )
 from ..ir.unroll import unrolled
+from ..sim.crosscheck import CrossCheck
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..arch.cluster import MachineConfig
@@ -218,7 +219,7 @@ class ScenarioPoint:
         """Short human-readable label (progress lines, error messages)."""
         sim = f" sim(niter={self.niter})" if self.simulate else ""
         return (
-            f"{self.loop} @ {json.loads(self.machine)['name']} "
+            f"{self.loop} @ {self.config().name} "
             f"[{self.scheduler}/{self.policy}]{sim}"
         )
 
@@ -274,30 +275,6 @@ def scenario_for(
 
 
 @dataclass(frozen=True)
-class SimOutcome:
-    """Analytic-vs-simulated numbers for one executed scenario point."""
-
-    analytic_cycles: int
-    simulated_cycles: int
-    analytic_ipc: float
-    simulated_ipc: float
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready payload."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SimOutcome":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            analytic_cycles=data["analytic_cycles"],
-            simulated_cycles=data["simulated_cycles"],
-            analytic_ipc=data["analytic_ipc"],
-            simulated_ipc=data["simulated_ipc"],
-        )
-
-
-@dataclass(frozen=True)
 class PointResult:
     """The serialisable outcome of executing one :class:`ScenarioPoint`.
 
@@ -315,14 +292,15 @@ class PointResult:
         True when modulo scheduling failed and the point was charged the
         non-pipelined list-schedule fallback.
     sim:
-        :class:`SimOutcome` for simulated points, else ``None``.
+        The analytic-vs-simulated :class:`~repro.sim.crosscheck.CrossCheck`
+        of a simulated point, else ``None``.
     """
 
     schedule: dict[str, Any]
     unroll_factor: int
     policy: str
     fallback: bool = False
-    sim: SimOutcome | None = None
+    sim: CrossCheck | None = None
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready payload (the on-disk cache value)."""
@@ -353,8 +331,9 @@ class PointResult:
         ------
         PAYLOAD_ERRORS
             On a malformed payload, an unroll factor no policy emits on
-            the point's machine (1 or its cluster count), or a schedule
-            that does not place exactly the graph's nodes.
+            the point's machine (1 or its cluster count), a fallback flag
+            that is not a bool, or a schedule that does not place
+            exactly the graph's nodes.
         """
         if not isinstance(data, dict):
             raise ValueError(f"point result is a {type(data).__name__}, not a dict")
@@ -368,6 +347,8 @@ class PointResult:
             raise ValueError(
                 f"unroll factor {factor!r} on a {config.n_clusters}-cluster machine"
             )
+        if type(data["fallback"]) is not bool:  # it picks checked_result's check
+            raise ValueError(f"fallback flag {data['fallback']!r} is not a bool")
         schedule = schedule_body_from_rows(
             data["schedule"], unrolled(loop.graph, factor), config
         )
@@ -377,9 +358,11 @@ class PointResult:
             unroll_factor=factor,
             policy=data["policy"],
             fallback=data["fallback"],
-            sim=SimOutcome.from_dict(sim) if sim else None,
+            sim=CrossCheck(point.loop, config.name, **sim) if sim else None,
         )
-        decoded = ScheduledLoopResult(schedule, factor, UnrollPolicy(result.policy))
+        decoded = ScheduledLoopResult(
+            schedule, factor, UnrollPolicy(result.policy), fallback=result.fallback
+        )
         object.__setattr__(result, "_loop_result", decoded)
         return result
 
@@ -403,11 +386,7 @@ class PointResult:
 
     @classmethod
     def from_loop_result(
-        cls,
-        result: ScheduledLoopResult,
-        *,
-        fallback: bool = False,
-        sim: SimOutcome | None = None,
+        cls, result: ScheduledLoopResult, *, sim: CrossCheck | None = None
     ) -> "PointResult":
         """Wrap a live :class:`ScheduledLoopResult` for caching.
 
@@ -418,10 +397,10 @@ class PointResult:
             schedule=schedule_body_to_rows(result.schedule),
             unroll_factor=result.unroll_factor,
             policy=result.policy.value,
-            fallback=fallback,
+            fallback=result.fallback,
             sim=sim,
         )
-        live = ScheduledLoopResult(result.schedule, result.unroll_factor, result.policy)
+        live = replace(result, base_schedule=None)
         object.__setattr__(point_result, "_loop_result", live)
         return point_result
 

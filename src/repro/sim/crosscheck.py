@@ -36,6 +36,15 @@ class CrossCheck:
     #: (``None`` when the numbers were replayed from the result cache).
     report: SimReport | None = None
 
+    def to_dict(self) -> dict[str, int | float]:
+        """The four numbers: a result payload's ``sim`` record."""
+        return {
+            "analytic_cycles": self.analytic_cycles,
+            "simulated_cycles": self.simulated_cycles,
+            "analytic_ipc": self.analytic_ipc,
+            "simulated_ipc": self.simulated_ipc,
+        }
+
     @property
     def cycle_divergence(self) -> int:
         return self.simulated_cycles - self.analytic_cycles

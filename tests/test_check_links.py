@@ -1,7 +1,9 @@
-"""The citation detector of ``tools/check_links.py``.
+"""The citation and CLI detectors of ``tools/check_links.py``.
 
 Every Markdown file a Python source under ``src/``, ``tools/``,
-``tests/``, ``benchmarks/`` or ``examples/`` names must exist.
+``tests/``, ``benchmarks/`` or ``examples/`` names must exist, and every
+``repro-vliw`` command line a Markdown file cites must name a registered
+verb and only flags that verb registers.
 """
 
 from __future__ import annotations
@@ -46,3 +48,30 @@ def test_reports_a_dangling_citation(tmp_path):
 
 def test_checkout_cites_only_existing_files():
     assert check_links.dangling_citations(ROOT) == []
+
+
+def test_reports_a_stale_cli_flag(tmp_path):
+    # A continued command line, a comment and a pipe: only --quik is stale.
+    write(
+        tmp_path / "README.md",
+        "Run `repro-vliw fig8 --quik`, or\n\n"
+        "```sh\nrepro-vliw sweep fig8 \\\n  --quick --jobs 2  # not --quik\n"
+        "repro-vliw fig9 --quick | grep --count IPC\n```\n",
+    )
+    commands = check_links.cli_commands(tmp_path / "README.md")
+    assert commands == [
+        ("sweep", ["--quick", "--jobs"]),
+        ("fig9", ["--quick"]),
+        ("fig8", ["--quik"]),
+    ]
+    assert check_links.stale_cli(commands, check_links.registered_options(ROOT)) == [
+        "'repro-vliw fig8 --quik': fig8 registers no --quik option"
+    ]
+
+
+def test_checkout_cites_only_registered_cli_usage():
+    options = check_links.registered_options(ROOT)
+    assert "--quick" in options["fig8"]
+    for md_file in check_links.iter_markdown_files(ROOT):
+        commands = check_links.cli_commands(md_file)
+        assert check_links.stale_cli(commands, options) == [], md_file

@@ -159,6 +159,21 @@ class TestGuards:
         exact budget must ride that path instead of crashing a worker."""
         assert issubclass(ExactTimeout, SchedulingError)
 
+    def test_gap_table_reads_a_timeout_off_the_result(self, monkeypatch):
+        """Every oracle point times out and falls back; the gap table
+        reads each point's fallback flag and prints ``timeout``."""
+        from repro.experiments import ExperimentContext
+        from repro.experiments.gap import gap_rows, run_gap
+
+        monkeypatch.setitem(
+            SCHEDULERS, "exact", lambda cfg: ExactScheduler(cfg, time_budget_s=0.0)
+        )
+        points = run_gap(ExperimentContext(suite=[]), quick=True)
+        assert {p.scheduler for p in points if p.fallback} == {"exact"}
+        assert all(p.fallback for p in points if p.scheduler == "exact")
+        rows = gap_rows(points)
+        assert {(r["exact_ii"], r["ii_gap"]) for r in rows} == {("timeout", "")}
+
     def test_empty_graph_rejected(self):
         from repro.ir.ddg import DependenceGraph
 

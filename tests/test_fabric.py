@@ -28,16 +28,18 @@ import time
 import urllib.request
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 from fabric_chaos import MISSHAPEN_ROWS, ChaosWorker, drain, spawn, swap_cycles
 from prom_oracle import parse as parse_metrics
+from test_runner import starved_case
 
 from repro.arch.configs import clustered_config
 from repro.cli import main
 from repro.core.base import SchedulerBase
 from repro.core.selective import UnrollPolicy
-from repro.experiments import ExperimentContext, fig8_rows, run_fig8
+from repro.experiments import ExperimentContext, fig8_rows, run_fig8, suite_grid
 from repro.fabric import (
     PROTOCOL_VERSION,
     FabricBadRequest,
@@ -52,7 +54,7 @@ from repro.runner import ResultCache, execute_points, scenario_for
 from repro.runner import engine
 from repro.runner.engine import _run_batch, run_sweep, work_item
 from repro.runner.grids import GRIDS
-from repro.runner.scenario import ScenarioPoint
+from repro.runner.scenario import PointResult, ScenarioPoint
 from repro.service import (
     ClientError,
     SchedulingService,
@@ -585,6 +587,30 @@ class TestCoordinator:
         assert box["finished"] and "error" not in box
         assert as_docs(box["results"]) == reference_docs(misses)
 
+    def test_modulo_schedule_flagged_fallback_is_rejected(self, tmp_path):
+        """A fallback is checked by recomputing it, not by
+        verify_schedule, so a modulo schedule posted with ``fallback``
+        set is not the point's fallback: a 400, and nothing lands."""
+        coordinator = make_coordinator(tmp_path, shard_size=99)
+        misses = make_misses(kernels=("daxpy",))
+        with fabric_sweep(coordinator, misses) as box:
+            doc = coordinator.claim(claim_body("w1", CODE_VERSION))
+            honest = execute_items(doc["shard"], doc.get("trace"))
+            flagged = json.loads(json.dumps(honest))
+            flagged[-1]["result"]["fallback"] = True
+            with pytest.raises(
+                FabricBadRequest, match="VerificationError: .* list-schedule fallback"
+            ):
+                coordinator.submit_results(
+                    results_body("w1", doc["lease"], CODE_VERSION, flagged)
+                )
+            assert coordinator.cache.writes == 0
+            coordinator.submit_results(
+                results_body("w1", doc["lease"], CODE_VERSION, honest)
+            )
+        assert box["finished"] and "error" not in box
+        assert as_docs(box["results"]) == reference_docs(misses)
+
     def test_claim_with_wrong_code_version_conflicts(self, tmp_path):
         coordinator = make_coordinator(tmp_path)
         with pytest.raises(FabricConflict, match="code version mismatch"):
@@ -827,7 +853,6 @@ class TestChaosE2E:
                     worker_id="failer",
                     code_version=svc.fabric.code_version,
                     fail_after=3,  # dies executing its second shard
-                    poll_s=0.02,
                 )
             )
             wait_for(
@@ -843,7 +868,6 @@ class TestChaosE2E:
                     worker_id="honest",
                     code_version=svc.fabric.code_version,
                     idle_exit_s=1.5,
-                    poll_s=0.02,
                 )
             )
             failer.join()
@@ -876,7 +900,6 @@ class TestChaosE2E:
                     worker_id="failer",
                     code_version=svc.fabric.code_version,
                     fail_after=3,  # dies inside its second shard
-                    poll_s=0.02,
                 )
             )
             failer.join()
@@ -910,7 +933,6 @@ class TestChaosE2E:
                     stall_before_post_s=1.2,
                     max_shards=1,
                     idle_exit_s=2.0,
-                    poll_s=0.02,
                 )
             )
             wait_for(
@@ -946,7 +968,6 @@ class TestChaosE2E:
                     code_version=svc.fabric.code_version,
                     double_post=True,
                     idle_exit_s=1.0,
-                    poll_s=0.02,
                 )
             )
             doubler.join()
@@ -980,7 +1001,6 @@ class TestChaosE2E:
                     ],
                     corrupt_recover=True,
                     idle_exit_s=1.0,
-                    poll_s=0.02,
                 )
             )
             corruptor.join()
@@ -1007,7 +1027,6 @@ class TestChaosE2E:
                     corrupt=swap_cycles,
                     corrupt_recover=True,
                     idle_exit_s=1.0,
-                    poll_s=0.02,
                 )
             )
             liar.join()
@@ -1033,7 +1052,6 @@ class TestChaosE2E:
                 ChaosWorker(
                     srv.url, worker_id="staller", code_version=version,
                     stall_before_post_s=0.9, max_shards=1, idle_exit_s=2.0,
-                    poll_s=0.02,
                 )
             )
             wait_for(
@@ -1046,7 +1064,7 @@ class TestChaosE2E:
             failer = spawn(
                 FabricWorker(
                     srv.url, worker_id="failer", code_version=version,
-                    fail_after=2, poll_s=0.02,
+                    fail_after=2,
                 )
             )
             # Let the failer die before the mop-up starts, so its death
@@ -1058,7 +1076,7 @@ class TestChaosE2E:
             doubler = spawn(
                 ChaosWorker(
                     srv.url, worker_id="doubler", code_version=version,
-                    double_post=True, idle_exit_s=1.5, poll_s=0.02,
+                    double_post=True, idle_exit_s=1.5,
                 )
             )
             drain(svc.fabric)
@@ -1108,7 +1126,6 @@ class TestLoopSharing:
                 srv.url,
                 code_version=svc.fabric.code_version,
                 max_shards=6,
-                poll_s=0.02,
             ).run()
         assert stats.shards == 6 and stats.points == len(misses) == 12
         assert box["finished"] and "error" not in box
@@ -1126,7 +1143,6 @@ class TestLoopSharing:
                 srv.url,
                 code_version=svc.fabric.code_version,
                 max_shards=2,
-                poll_s=0.02,
             )
         )
         results = {}
@@ -1155,7 +1171,6 @@ class TestLoopSharing:
                 srv.url,
                 code_version=svc.fabric.code_version,
                 max_shards=1,
-                poll_s=0.02,
             ).run()
         # Every post was decoded and verified by the coordinator.
         assert stats.points == stats.posted == 6 and stats.rejected_posts == 0
@@ -1192,13 +1207,13 @@ class TestWorker:
 
     def test_version_mismatch_is_fatal(self, fabric_env):
         _svc, srv, _client = fabric_env()
-        worker = FabricWorker(srv.url, code_version="bogus", poll_s=0.01)
+        worker = FabricWorker(srv.url, code_version="bogus")
         with pytest.raises(ClientError) as err:
             worker.run()
         assert err.value.status == 409
 
     def test_unreachable_coordinator(self):
-        worker = FabricWorker("127.0.0.1:1", wait_healthy_s=0.2, poll_s=0.01)
+        worker = FabricWorker("127.0.0.1:1", wait_healthy_s=0.2)
         with pytest.raises(ClientError, match="never became healthy"):
             worker.run()
 
@@ -1210,7 +1225,6 @@ class TestWorker:
                 srv.url,
                 code_version=svc.fabric.code_version,
                 max_shards=1,
-                poll_s=0.02,
             ).run()
             assert stats.shards == 1 and stats.points == 2
             # Exactly one lease claimed, and its results committed (and
@@ -1247,7 +1261,6 @@ class TestWorker:
                 srv.url,
                 code_version=svc.fabric.code_version,
                 max_shards=1,
-                poll_s=0.02,
             ).run()
             drain(svc.fabric)
         assert stats.shards == 1 and stats.points == 3
@@ -1293,7 +1306,6 @@ class TestWorker:
                 srv.url,
                 code_version=svc.fabric.code_version,
                 idle_exit_s=0.3,
-                poll_s=0.02,
             ).run()
         assert box["finished"] and "error" not in box
         assert overlapped == [True]
@@ -1340,7 +1352,6 @@ class TestWorker:
                 srv.url,
                 code_version=svc.fabric.code_version,
                 idle_exit_s=0.3,
-                poll_s=0.02,
             ).run()
         assert box["finished"] and "error" not in box
         assert stats.lost_leases == 0 and stats.posted == len(misses)
@@ -1378,7 +1389,6 @@ class TestWorker:
             srv.url,
             code_version=svc.fabric.code_version,
             idle_exit_s=0.3,
-            poll_s=0.02,
         )
         with fabric_sweep(svc.fabric, misses) as box:
             if error is FabricBadRequest:
@@ -1401,7 +1411,6 @@ class TestWorker:
             srv.url,
             code_version=svc.fabric.code_version,
             idle_exit_s=0.2,
-            poll_s=0.02,
         ).run()
         assert stats.shards == 0 and stats.idle_polls >= 1
 
@@ -1417,7 +1426,6 @@ class TestServiceDistributed:
                 srv.url,
                 code_version=svc.fabric.code_version,
                 idle_exit_s=2.0,
-                poll_s=0.02,
             )
         )
         doc = client.sweep(grid="smoke", quick=True, distributed=True)
@@ -1493,6 +1501,63 @@ class TestServiceDistributed:
         assert counters["points_completed"] == coordinator.cache.writes
 
 
+class TestFallbackAcrossBoundaries:
+    """A list-schedule fallback, which need not fit the register file,
+    resolves alike in-process, on a spawn pool and through the fabric."""
+
+    @staticmethod
+    def resolve(ctx):
+        """The starved grid, then its simulated twin on top of the
+        memoised fallback (the work item's ``prior`` leg)."""
+        program, starved = starved_case()
+        for simulate in (False, True):
+            ctx.run_grid(
+                suite_grid(
+                    [program], starved, "bsa", UnrollPolicy.NONE, simulate=simulate
+                )
+            )
+        stats = ctx.stats
+        return (
+            {k: PointResult.from_loop_result(r).to_dict() for k, r in ctx.memo.items()},
+            {k: replace(check, report=None) for k, check in ctx.sim_memo.items()},
+            [point.canonical() for point in ctx.fallbacks],
+            (stats.total, stats.cached, stats.executed, stats.fallbacks),
+        )
+
+    def test_in_process_pool_and_fabric_agree(self, tmp_path):
+        def cache(sub):
+            return ResultCache(tmp_path / sub, code_version=CODE_VERSION)
+
+        local = self.resolve(ExperimentContext(suite=[], cache=cache("local")))
+        memo, sim_memo, fallbacks, counts = local
+        assert len(memo) == len(sim_memo) == len(fallbacks) == 1
+        assert counts == (2, 0, 2, 2)
+
+        pooled = self.resolve(ExperimentContext(suite=[], cache=cache("pool"), jobs=2))
+        assert pooled == local
+
+        coordinator = make_coordinator(tmp_path, sweep_timeout_s=30.0)
+        stop = threading.Event()
+        loop = threading.Thread(
+            target=_serve_until, args=(coordinator, stop), daemon=True
+        )
+        loop.start()
+        try:
+            fabric = self.resolve(
+                ExperimentContext(
+                    suite=[], cache=coordinator.cache, executor=coordinator.execute
+                )
+            )
+        finally:
+            stop.set()
+            loop.join(10.0)
+        assert not loop.is_alive()
+        assert fabric == local
+        assert coordinator.stats()["counters"]["results_rejected"] == 0
+        # The memo entry carries its flag (a replay needs no side table).
+        assert [doc["fallback"] for doc in memo.values()] == [True]
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------
@@ -1534,7 +1599,6 @@ class TestFabricCli:
                 srv.url,
                 code_version=svc.fabric.code_version,
                 idle_exit_s=2.0,
-                poll_s=0.02,
             )
         )
         out_path = tmp_path / "fabric-smoke.txt"
@@ -1563,7 +1627,6 @@ class TestFabricCli:
                 f"127.0.0.1:{port}",
                 wait_healthy_s=20.0,
                 idle_exit_s=10.0,
-                poll_s=0.02,
             )
         )
         out_fabric = tmp_path / "fabric-smoke.txt"

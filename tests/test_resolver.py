@@ -15,7 +15,8 @@ from repro.arch.configs import four_cluster_config, two_cluster_config
 from repro.core.base import SchedulerBase
 from repro.core.selective import UnrollPolicy
 from repro.core.unified import UnifiedScheduler
-from repro.experiments.common import ExperimentContext
+from repro.experiments.common import ExperimentContext, suite_grid
+from repro.ir.loop import Program
 from repro.obs.report import RunRecorder
 from repro.runner.cache import ResultCache
 from repro.runner.scenario import scenario_for
@@ -85,6 +86,28 @@ class TestContextPointAPI:
         )
         records = recorder.report(sweep="point").records
         assert [r.source for r in records] == ["executed"]
+
+    @pytest.mark.parametrize("simulate", [False, True])
+    def test_memo_hits_are_recorded(self, simulate):
+        """A grid run again in one context records one memo record per
+        point; a simulated point's carries its twin's schedule."""
+        program = Program(
+            "p", [kernel_loop(name, trip_count=20) for name in ("vadd", "dot")]
+        )
+        grid = suite_grid(
+            [program], two_cluster_config(), "bsa", UnrollPolicy.NONE,
+            simulate=simulate,
+        )
+        recorder = RunRecorder()
+        ctx = ExperimentContext(suite=[], recorder=recorder)
+        ctx.run_grid(grid)
+        ctx.run_grid(grid)
+        records = recorder.report(sweep="grid").records
+        first, second = records[: len(grid)], records[len(grid) :]
+        assert [r.source for r in first] == ["executed"] * len(grid)
+        assert [r.source for r in second] == ["memo"] * len(grid)
+        assert {r.simulate for r in records} == {simulate}
+        assert [r.ii for r in second] == [r.ii for r in first]
 
     def test_schedule_fallbacks_are_counted(self):
         starved = dataclasses.replace(four_cluster_config(), regs_per_cluster=2)

@@ -54,7 +54,15 @@ from repro.runner import (
     run_sweep,
     scenario_for,
 )
-from repro.runner.engine import SCHEDULERS, _run_batch, _shard, store_result, work_item
+from repro.runner.engine import (
+    SCHEDULERS,
+    _run_batch,
+    _shard,
+    checked_result,
+    sequential_fallback,
+    store_result,
+    work_item,
+)
 from repro.runner.scenario import (
     ScenarioPoint,
     graph_content_hash,
@@ -365,6 +373,21 @@ def unroll_factor_no_policy_emits(entry):
     return entry
 
 
+def fallback_not_a_bool(entry):
+    entry["fallback"] = 0
+    return entry
+
+
+def sim_number_missing(entry):
+    del entry["sim"]["simulated_ipc"]
+    return entry
+
+
+def sim_key_unknown(entry):
+    entry["sim"]["stall_cycles"] = 0
+    return entry
+
+
 def rewrite_entry(cache, point, edit):
     path = cache.path_for(point)
     entry = json.loads(path.read_text())
@@ -393,6 +416,7 @@ class TestCorruptSchedules:
             node_outside_graph,
             ii_zero,
             unroll_factor_no_policy_emits,
+            fallback_not_a_bool,
             *MISSHAPEN_ROWS,
         ],
     )
@@ -404,6 +428,18 @@ class TestCorruptSchedules:
         rewrite_entry(cache, point, edit)
         assert cache.get(point, loop) is None
         assert cache.stats().misses == 1
+
+    @pytest.mark.parametrize("edit", [sim_number_missing, sim_key_unknown])
+    def test_get_treats_bad_sim_record_as_miss(self, cache, edit):
+        """A ``sim`` record decodes only as exactly the four numbers."""
+        loop = kernel_loop("daxpy", trip_count=20)
+        point = scenario_for(
+            loop, two_cluster_config(), "bsa", UnrollPolicy.NONE, simulate=True
+        )
+        cache.put(point, execute_point(point, loop))
+        assert cache.get(point, loop).sim is not None
+        rewrite_entry(cache, point, edit)
+        assert cache.get(point, loop) is None
 
     def test_run_grid_reexecutes_and_overwrites(self, cache):
         items = daxpy_policy_grid()
@@ -747,6 +783,22 @@ class TestExecutePoints:
     def test_pool_return_with_a_misshapen_row_raises(self, edit):
         with pytest.raises(GraphError, match="row"):
             execute_points(self.misses(), jobs=2, pool=LyingPool(edit))
+
+    @pytest.mark.parametrize("n_clusters", [2, 4])
+    def test_fallback_with_transfers_is_recomputed(self, n_clusters):
+        """A fallback whose values cross clusters decodes (readers come
+        back sorted) to the point's own list schedule; a lie does not."""
+        loop = kernel_loop("ladder", trip_count=20)
+        config = clustered_config(n_clusters, 1, 4)
+        point = scenario_for(loop, config, "bsa", UnrollPolicy.NONE)
+        fallback = sequential_fallback(loop.graph, config)
+        assert fallback.schedule.comms
+        payload = json.loads(
+            json.dumps(PointResult.from_loop_result(fallback).to_dict())
+        )
+        assert checked_result(payload, point, loop).loop_result().fallback
+        with pytest.raises(VerificationError, match="list-schedule fallback"):
+            checked_result(lie(payload), point, loop)
 
 
 def lie(payload):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Fail on broken intra-repo links, stale CLI verbs and dangling citations.
+"""Fail on broken intra-repo links, stale CLI usage and dangling citations.
 
-Two drift detectors over every ``*.md`` file (repo root, ``docs/``, and
+Three drift detectors over every ``*.md`` file (repo root, ``docs/``, and
 any other tracked directory):
 
 * **links** — extracts ``[text](target)`` links and checks that every
@@ -12,8 +12,12 @@ any other tracked directory):
 * **CLI verbs** — every ``repro-vliw <subcommand>`` mention must name a
   subcommand that ``repro.cli.build_parser()`` registers, so the docs
   cannot drift as verbs are added or renamed.
+* **CLI flags** — every ``--flag`` that follows such a mention on its
+  command line (backslash continuations joined; a shell comment, pipe or
+  list operator ends the command) must be an option that subcommand
+  registers, so a deleted or renamed flag cannot linger in the docs.
 
-and a third over the Python sources of ``src/``, ``tools/``, ``tests/``,
+and a fourth over the Python sources of ``src/``, ``tools/``, ``tests/``,
 ``benchmarks/`` and ``examples/``:
 
 * **citations** — every Markdown file a docstring or comment names
@@ -72,11 +76,17 @@ def broken_links(md_file: Path) -> list[tuple[str, str]]:
     return problems
 
 
-#: ``repro-vliw <word>`` command mentions.  Only bare lowercase words
-#: are candidate subcommands; flags (``--jobs``), placeholders
-#: (``<command>``) and upper-case words (``KERNEL``, ``GRID``) are not
-#: matched.
-CLI_MENTION_RE = re.compile(r"repro-vliw\s+([a-z][a-z0-9_-]*)")
+#: ``repro-vliw <word>`` command mentions and the rest of their command
+#: line.  Only bare lowercase words are candidate subcommands; flags
+#: (``--jobs``), placeholders (``<command>``) and upper-case words
+#: (``KERNEL``, ``GRID``) are not matched.  The command ends at a shell
+#: comment, a pipe, a list operator or the next mention.
+CLI_COMMAND_RE = re.compile(
+    r"repro-vliw\s+([a-z][a-z0-9_-]*)((?:(?!repro-vliw)[^#|;&\n])*)"
+)
+
+#: A long option on a command line (``--jobs`` of ``--jobs=2``).
+FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 #: Fenced code blocks and inline code spans — the only places a
 #: ``repro-vliw`` mention is a command line rather than prose ("the
@@ -85,26 +95,51 @@ FENCED_RE = re.compile(r"```.*?```", re.S)
 INLINE_CODE_RE = re.compile(r"`[^`\n]+`")
 
 
-def registered_subcommands(root: Path) -> set[str]:
-    """Subcommand names the checkout's ``repro-vliw`` parser registers."""
+def registered_options(root: Path) -> dict[str, set[str]]:
+    """Each subcommand the checkout's ``repro-vliw`` parser registers,
+    with the option strings it takes (``--jobs``, ``-h``, ...)."""
     sys.path.insert(0, str(root / "src"))
     from repro.cli import build_parser
 
     return {
-        name
+        name: {flag for option in parser._actions for flag in option.option_strings}
         for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
-        for name in action.choices
+        for name, parser in action.choices.items()
     }
 
 
-def cli_mentions(md_file: Path) -> list[str]:
-    """Every ``repro-vliw <verb>`` inside a code block or code span."""
+def cli_commands(md_file: Path) -> list[tuple[str, list[str]]]:
+    """Every ``repro-vliw <verb>`` inside a code block or code span, with
+    the ``--flags`` its command line passes."""
     text = md_file.read_text(encoding="utf-8")
-    fenced = FENCED_RE.findall(text)
+    fenced = [block.replace("\\\n", " ") for block in FENCED_RE.findall(text)]
     inline = INLINE_CODE_RE.findall(FENCED_RE.sub("", text))
     code = "\n".join(fenced + inline)
-    return CLI_MENTION_RE.findall(code)
+    return [
+        (verb, FLAG_RE.findall(rest)) for verb, rest in CLI_COMMAND_RE.findall(code)
+    ]
+
+
+def stale_cli(
+    commands: list[tuple[str, list[str]]], options: dict[str, set[str]]
+) -> list[str]:
+    """What *commands* (:func:`cli_commands`) cite that *options*
+    (:func:`registered_options`) lacks: a verb, or a verb's flag."""
+    problems = []
+    for verb, flags in commands:
+        if verb not in options:
+            problems.append(
+                f"'repro-vliw {verb}' names no registered subcommand "
+                f"(known: {', '.join(sorted(options))})"
+            )
+            continue
+        problems.extend(
+            f"'repro-vliw {verb} {flag}': {verb} registers no {flag} option"
+            for flag in flags
+            if flag not in options[verb]
+        )
+    return problems
 
 
 #: Directories whose ``*.py`` files may cite Markdown files by name.
@@ -138,8 +173,8 @@ def main() -> int:
     root = Path(__file__).resolve().parent.parent
     failures = 0
     files = iter_markdown_files(root)
-    known = registered_subcommands(root)
-    mentions = 0
+    options = registered_options(root)
+    mentions = flags = 0
     for py_file, number, name in dangling_citations(root):
         print(
             f"{py_file.relative_to(root)}:{number}: cites {name}, which is "
@@ -150,20 +185,16 @@ def main() -> int:
         for target, reason in broken_links(md_file):
             print(f"{md_file.relative_to(root)}: broken link ({target}): {reason}")
             failures += 1
-        verbs = cli_mentions(md_file)
-        mentions += len(verbs)
-        for verb in verbs:
-            if verb in known:
-                continue
-            print(
-                f"{md_file.relative_to(root)}: 'repro-vliw {verb}' names no "
-                f"registered subcommand (known: {', '.join(sorted(known))})"
-            )
+        commands = cli_commands(md_file)
+        mentions += len(commands)
+        flags += sum(len(cited) for _verb, cited in commands)
+        for problem in stale_cli(commands, options):
+            print(f"{md_file.relative_to(root)}: {problem}")
             failures += 1
     print(
         f"checked {len(files)} markdown file(s), {mentions} CLI mention(s) "
-        f"against {len(known)} registered subcommand(s): "
-        f"{failures} problem(s)"
+        f"and {flags} flag(s) against {len(options)} registered "
+        f"subcommand(s): {failures} problem(s)"
     )
     return 1 if failures else 0
 
