@@ -13,7 +13,7 @@ import sys
 
 from repro import UnrollPolicy, clustered_config
 from repro.codegen import schedule_code_size
-from repro.experiments import ExperimentContext
+from repro.experiments import ExperimentContext, suite_grid
 from repro.perf import format_table
 from repro.workloads import resolve_workload
 
@@ -29,8 +29,9 @@ def main(program_name: str = "applu"):
     for policy in (UnrollPolicy.NONE, UnrollPolicy.ALL, UnrollPolicy.SELECTIVE):
         useful = nops = 0
         names = []
-        for loop in program.eligible_loops():
-            result = ctx.schedule_loop(loop, config, "bsa", policy)
+        # One scenario point per loop of the program, resolved as one grid.
+        grid = suite_grid([program], config, "bsa", policy)
+        for (_point, loop), result in zip(grid, ctx.results(grid)):
             size = schedule_code_size(result.schedule)
             useful += size.useful_ops
             nops += size.nop_ops

@@ -21,7 +21,9 @@ from .common import (
     ExperimentContext,
     config_label,
     geometric_mean,
+    relative_ipc,
     suite_grid,
+    suite_performance,
 )
 from .crossval import (
     CrossvalPoint,
@@ -78,6 +80,7 @@ __all__ = [
     "geometric_mean",
     "max_cycle_divergence",
     "max_ipc_divergence",
+    "relative_ipc",
     "render_gap",
     "run_crossval",
     "run_gap",
@@ -98,4 +101,5 @@ __all__ = [
     "run_table1",
     "run_table2",
     "suite_grid",
+    "suite_performance",
 ]

@@ -22,6 +22,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from ..arch.configs import clustered_config, unified_config
 from ..codegen.codesize import ZERO_SIZE, schedule_code_size
@@ -30,7 +31,7 @@ from ..core.selective import ScheduledLoopResult, SelectiveRule, UnrollPolicy
 from ..errors import SchedulingError
 from ..ir.unroll import unroll_graph
 from ..perf.model import StallModel, program_performance
-from .common import ExperimentContext, suite_grid
+from .common import ExperimentContext, relative_ipc, suite_grid, suite_performance
 
 
 @dataclass(frozen=True)
@@ -48,18 +49,20 @@ def run_singlepass_ablation(
     latencies: tuple[int, ...] = (1, 2, 4),
 ) -> list[LatencyAblationPoint]:
     """EXP-A1: BSA vs two-phase as communication latency grows."""
+    cells = [
+        (latency, algorithm, clustered_config(n_clusters, n_buses, latency))
+        for latency in latencies
+        for algorithm in ("bsa", "two-phase")
+    ]
     grid = suite_grid(ctx.suite, unified_config(), "bsa", UnrollPolicy.NONE)
-    for latency in latencies:
-        cfg = clustered_config(n_clusters, n_buses, latency)
-        for algorithm in ("bsa", "two-phase"):
-            grid.extend(suite_grid(ctx.suite, cfg, algorithm, UnrollPolicy.NONE))
-    ctx.run_grid(grid)
+    for _latency, algorithm, cfg in cells:
+        grid.extend(suite_grid(ctx.suite, cfg, algorithm, UnrollPolicy.NONE))
+    results = iter(ctx.results(grid))
+    unified = suite_performance(ctx.suite, results)
     points = []
-    for latency in latencies:
-        cfg = clustered_config(n_clusters, n_buses, latency)
-        for algorithm in ("bsa", "two-phase"):
-            rel = ctx.average_relative_ipc(cfg, algorithm, UnrollPolicy.NONE)
-            points.append(LatencyAblationPoint(latency, algorithm, rel))
+    for latency, algorithm, _cfg in cells:
+        rel = relative_ipc(suite_performance(ctx.suite, results), unified)
+        points.append(LatencyAblationPoint(latency, algorithm, rel))
     return points
 
 
@@ -81,41 +84,32 @@ def run_selective_rule_ablation(
     scenarios: tuple[tuple[int, int], ...] = ((1, 1), (1, 4), (2, 1)),
 ) -> list[SelectiveRulePoint]:
     """EXP-A2: the two readings of the Figure 6 decision test."""
+    cells = [
+        (n_buses, latency, rule, clustered_config(n_clusters, n_buses, latency))
+        for n_buses, latency in scenarios
+        for rule in SelectiveRule
+    ]
     grid = []
-    for n_buses, latency in scenarios:
-        cfg = clustered_config(n_clusters, n_buses, latency)
-        for rule in SelectiveRule:
-            grid.extend(
-                suite_grid(ctx.suite, cfg, "bsa", UnrollPolicy.SELECTIVE, rule)
-            )
-    ctx.run_grid(grid)
+    for *_, rule, cfg in cells:
+        grid.extend(suite_grid(ctx.suite, cfg, "bsa", UnrollPolicy.SELECTIVE, rule))
+    results = iter(ctx.results(grid))
+    per_cell = sum(len(program.eligible_loops()) for program in ctx.suite)
     points = []
-    for n_buses, latency in scenarios:
-        cfg = clustered_config(n_clusters, n_buses, latency)
-        for rule in SelectiveRule:
-            perfs = ctx.suite_ipc(cfg, "bsa", UnrollPolicy.SELECTIVE, rule)
-            unrolled = 0
-            size = ZERO_SIZE
-            for program in ctx.suite:
-                for loop in program.eligible_loops():
-                    result = ctx.schedule_loop(
-                        loop, cfg, "bsa", UnrollPolicy.SELECTIVE, rule
-                    )
-                    if result.unroll_factor > 1:
-                        unrolled += 1
-                    size = size + schedule_code_size(result.schedule)
-            mean_ipc = sum(p.ipc for p in perfs.values()) / len(perfs)
-            points.append(
-                SelectiveRulePoint(
-                    rule.value,
-                    n_clusters,
-                    n_buses,
-                    latency,
-                    mean_ipc,
-                    unrolled,
-                    size.total_ops,
-                )
+    for n_buses, latency, rule, _cfg in cells:
+        cell = list(islice(results, per_cell))
+        perfs = suite_performance(ctx.suite, cell)
+        size = sum((schedule_code_size(r.schedule) for r in cell), ZERO_SIZE)
+        points.append(
+            SelectiveRulePoint(
+                rule.value,
+                n_clusters,
+                n_buses,
+                latency,
+                sum(p.ipc for p in perfs) / len(perfs),
+                sum(r.unroll_factor > 1 for r in cell),
+                size.total_ops,
             )
+        )
     return points
 
 
@@ -134,12 +128,21 @@ def run_ordering_ablation(
     latency: int = 1,
 ) -> list[OrderingPoint]:
     """EXP-A3: SMS ordering vs plain topological ordering inside BSA."""
-    points = []
-    for n_clusters in cluster_counts:
+    cells = [
+        (n_clusters, name, label)
+        for n_clusters in cluster_counts
+        for name, label in (("bsa", "sms"), ("bsa-topo", "topological"))
+    ]
+    grid = suite_grid(ctx.suite, unified_config(), "bsa", UnrollPolicy.NONE)
+    for n_clusters, name, _label in cells:
         cfg = clustered_config(n_clusters, n_buses, latency)
-        for name, label in (("bsa", "sms"), ("bsa-topo", "topological")):
-            rel = ctx.average_relative_ipc(cfg, name, UnrollPolicy.NONE)
-            points.append(OrderingPoint(label, n_clusters, rel))
+        grid.extend(suite_grid(ctx.suite, cfg, name, UnrollPolicy.NONE))
+    results = iter(ctx.results(grid))
+    unified = suite_performance(ctx.suite, results)
+    points = []
+    for n_clusters, _name, label in cells:
+        rel = relative_ipc(suite_performance(ctx.suite, results), unified)
+        points.append(OrderingPoint(label, n_clusters, rel))
     return points
 
 
@@ -163,13 +166,21 @@ def run_default_cluster_ablation(
     Evaluated with blanket unrolling, where the default-cluster choice is
     what spreads the unrolled copies.
     """
-    points = []
-    for n_clusters in cluster_counts:
+    cells = [
+        (n_clusters, name, label)
+        for n_clusters in cluster_counts
+        for name, label in (("bsa", "circular"), ("bsa-least-loaded", "least-loaded"))
+    ]
+    grid = suite_grid(ctx.suite, unified_config(), "bsa", UnrollPolicy.NONE)
+    for n_clusters, name, _label in cells:
         cfg = clustered_config(n_clusters, n_buses, latency)
-        for label in ("circular", "least-loaded"):
-            scheduler_name = "bsa" if label == "circular" else "bsa-least-loaded"
-            rel = ctx.average_relative_ipc(cfg, scheduler_name, UnrollPolicy.ALL)
-            points.append(DefaultClusterPoint(scheduler_name, n_clusters, label, rel))
+        grid.extend(suite_grid(ctx.suite, cfg, name, UnrollPolicy.ALL))
+    results = iter(ctx.results(grid))
+    unified = suite_performance(ctx.suite, results)
+    points = []
+    for n_clusters, name, label in cells:
+        rel = relative_ipc(suite_performance(ctx.suite, results), unified)
+        points.append(DefaultClusterPoint(name, n_clusters, label, rel))
     return points
 
 
@@ -195,16 +206,17 @@ def run_unroll_factor_sweep(
     non-unrolled schedule (counted in ``failed_loops``).
     """
     cfg = clustered_config(n_clusters, n_buses, latency)
+    bases = ctx.results(suite_grid(ctx.suite, cfg, "bsa", UnrollPolicy.NONE))
     points = []
     for factor in factors:
         failed = 0
         ipcs = []
+        base = iter(bases)
         for program in ctx.suite:
             results: dict[str, ScheduledLoopResult] = {}
             for loop in program.eligible_loops():
-                base = ctx.schedule_loop(loop, cfg, "bsa", UnrollPolicy.NONE)
+                results[loop.name] = next(base)
                 if factor == 1:
-                    results[loop.name] = base
                     continue
                 try:
                     sched = BsaScheduler(cfg).schedule(
@@ -215,7 +227,6 @@ def run_unroll_factor_sweep(
                     )
                 except SchedulingError:
                     failed += 1
-                    results[loop.name] = base
             ipcs.append(program_performance(program, results).ipc)
         points.append(
             UnrollFactorPoint(
@@ -250,7 +261,6 @@ def run_register_sweep(
     """
     from ..arch.cluster import MachineConfig
     from ..arch.resources import BusSpec, FuSet
-    from .common import ExperimentContext
 
     points = []
     for regs in reg_sizes:
@@ -300,19 +310,16 @@ def run_pipelining_gain(
     software pipelining overlaps iterations.
     """
     from ..core.list_schedule import list_schedule
-    from ..perf.model import program_performance
 
     cfg = clustered_config(n_clusters, n_buses, latency)
+    grid = suite_grid(ctx.suite, cfg, "bsa", UnrollPolicy.SELECTIVE)
+    modulo = suite_performance(ctx.suite, ctx.results(grid))
     points = []
-    for program in ctx.suite:
+    for program, modulo_perf in zip(ctx.suite, modulo):
         list_results = {
             loop.name: ScheduledLoopResult(
                 list_schedule(loop.graph, cfg), 1, UnrollPolicy.NONE
             )
-            for loop in program.eligible_loops()
-        }
-        modulo_results = {
-            loop.name: ctx.schedule_loop(loop, cfg, "bsa", UnrollPolicy.SELECTIVE)
             for loop in program.eligible_loops()
         }
         points.append(
@@ -320,7 +327,7 @@ def run_pipelining_gain(
                 program.name,
                 f"{n_clusters}c/b{n_buses}/l{latency}",
                 program_performance(program, list_results).ipc,
-                program_performance(program, modulo_results).ipc,
+                modulo_perf.ipc,
             )
         )
     return points
@@ -352,33 +359,16 @@ def run_stall_sensitivity(
     they pull the relative IPC towards 1.0 — quantifying how much the
     perfect-memory assumption flatters *any* scheduling difference.
     """
-    from ..arch.configs import unified_config
-
     cfg = clustered_config(n_clusters, n_buses, latency)
-    unified = unified_config()
+    clustered = suite_grid(ctx.suite, cfg, "bsa", UnrollPolicy.SELECTIVE)
+    unified = suite_grid(ctx.suite, unified_config(), "bsa", UnrollPolicy.NONE)
+    results = ctx.results(clustered + unified)
     points = []
     for miss_rate, penalty in scenarios:
         stall = StallModel(miss_rate, penalty)
-        ratios = []
-        for program in ctx.suite:
-            clustered_results = {
-                loop.name: ctx.schedule_loop(
-                    loop, cfg, "bsa", UnrollPolicy.SELECTIVE
-                )
-                for loop in program.eligible_loops()
-            }
-            unified_results = {
-                loop.name: ctx.schedule_loop(
-                    loop, unified, "bsa", UnrollPolicy.NONE
-                )
-                for loop in program.eligible_loops()
-            }
-            c = program_performance(program, clustered_results, stall).ipc
-            u = program_performance(program, unified_results, stall).ipc
-            ratios.append(c / u)
-        points.append(
-            StallSensitivityPoint(
-                miss_rate, penalty, sum(ratios) / len(ratios)
-            )
-        )
+        both = iter(results)
+        clustered_perfs = suite_performance(ctx.suite, both, stall)
+        unified_perfs = suite_performance(ctx.suite, both, stall)
+        rel = relative_ipc(clustered_perfs, unified_perfs)
+        points.append(StallSensitivityPoint(miss_rate, penalty, rel))
     return points

@@ -11,10 +11,10 @@ every point on disk so repeated figures — and interrupted sweeps — skip
 scheduling entirely.
 
 Whole grids go through :meth:`ExperimentContext.run_grid`, which shards
-cache misses across worker processes (``jobs``) deterministically; the
-figure harnesses declare their grids up front and then reduce from the
-warm memo.  The point-at-a-time API is a memo lookup in front of a
-one-point :meth:`~ExperimentContext.run_grid`.
+cache misses across worker processes (``jobs``) deterministically.  Each
+experiment declares its grid and reduces what
+:meth:`~ExperimentContext.results` reads back for it, item by item; no
+reducer resolves a point on its own.
 
 Fallback: a loop that cannot be modulo-scheduled under a configuration
 (e.g. register-pressure-impossible with no spill code) is charged a
@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from ..arch.cluster import MachineConfig
-from ..arch.configs import unified_config
 from ..core.selective import (
     ScheduledLoopResult,
     SelectiveRule,
@@ -39,7 +38,12 @@ from ..core.selective import (
 )
 from ..ir.loop import Loop, Program
 from ..obs.report import RunRecorder
-from ..perf.model import ProgramPerformance, program_performance
+from ..perf.model import (
+    PERFECT_MEMORY,
+    ProgramPerformance,
+    StallModel,
+    program_performance,
+)
 from ..runner.cache import ResultCache
 from ..runner.engine import SweepStats, run_sweep
 from ..runner.scenario import (
@@ -57,7 +61,9 @@ __all__ = [
     "config_label",
     "geometric_mean",
     "program_grid",
+    "relative_ipc",
     "suite_grid",
+    "suite_performance",
 ]
 
 
@@ -88,6 +94,37 @@ def suite_grid(
         for program in suite
         for loop in program.eligible_loops()
     ]
+
+
+def suite_performance(
+    suite: list[Program],
+    results: Iterable[ScheduledLoopResult],
+    stall_model: StallModel = PERFECT_MEMORY,
+) -> list[ProgramPerformance]:
+    """Per-program performance of one :func:`suite_grid`'s *results*.
+
+    Takes one result per eligible loop of *suite* from *results*, in the
+    order that grid declares its points; pass one iterator over several
+    grids' results to reduce them grid by grid.
+    """
+    results = iter(results)
+    return [
+        program_performance(
+            program,
+            {loop.name: next(results) for loop in program.eligible_loops()},
+            stall_model,
+        )
+        for program in suite
+    ]
+
+
+def relative_ipc(
+    perfs: list[ProgramPerformance], unified: list[ProgramPerformance]
+) -> float:
+    """Mean over programs of IPC(*perfs*)/IPC(*unified*), two
+    :func:`suite_performance` lists over one suite (Figure 4, ablations)."""
+    ratios = [c.ipc / u.ipc for c, u in zip(perfs, unified)]
+    return sum(ratios) / len(ratios)
 
 
 def program_grid(
@@ -178,52 +215,19 @@ class ExperimentContext:
     stats: SweepStats = field(default_factory=SweepStats)
     recorder: RunRecorder | None = None
 
-    # ------------------------------------------------------------------
-    # Point-at-a-time API (reducers)
-    # ------------------------------------------------------------------
-    def schedule_loop(
-        self,
-        loop: Loop,
-        config: MachineConfig,
-        scheduler_name: str,
-        policy: UnrollPolicy,
-        rule: SelectiveRule = SelectiveRule.MII_UNROLLED,
-    ) -> ScheduledLoopResult:
-        """Schedule one loop under one scenario (memo, else run_grid)."""
-        point = scenario_for(loop, config, scheduler_name, policy, rule)
-        return self._resolve(point, loop, self.memo)
+    def results(self, items: list[GridItem]) -> list[ScheduledLoopResult | CrossCheck]:
+        """Resolve a declared grid and read each item's result back.
 
-    def crosscheck_loop(
-        self,
-        loop: Loop,
-        config: MachineConfig,
-        scheduler_name: str,
-        policy: UnrollPolicy,
-        rule: SelectiveRule = SelectiveRule.MII_UNROLLED,
-    ) -> CrossCheck:
-        """Schedule *and simulate* one loop, diffed against the model.
-
-        Reuses an in-memory or cached schedule for the scenario when one
-        exists (the simulation itself is what is being added).
+        Runs :meth:`run_grid` and returns, in item order, the memo entry
+        of every item: its :class:`ScheduledLoopResult`, or the
+        :class:`CrossCheck` of a simulated point.
         """
-        point = scenario_for(
-            loop, config, scheduler_name, policy, rule, simulate=True
-        )
-        return self._resolve(point, loop, self.sim_memo)
+        self.run_grid(items)
+        return [
+            (self.sim_memo if point.simulate else self.memo)[point.canonical()]
+            for point, _loop in items
+        ]
 
-    def _resolve(self, point: ScenarioPoint, loop: Loop, memo: dict):
-        """*memo*'s entry for *point*, resolved as a one-point grid.
-
-        ``jobs=1``: a worker pool costs more to start than one point.
-        """
-        key = point.canonical()
-        if key not in memo:
-            self.run_grid([(point, loop)], jobs=1)
-        return memo[key]
-
-    # ------------------------------------------------------------------
-    # Grid-at-a-time API (figures declare grids; misses run in parallel)
-    # ------------------------------------------------------------------
     def run_grid(
         self, items: list[GridItem], jobs: int | None = None
     ) -> SweepStats:
@@ -231,8 +235,7 @@ class ExperimentContext:
 
         Points already memoised in this context are skipped; the rest go
         through :func:`repro.runner.engine.run_sweep` (cache first, then
-        deterministic parallel execution) and land in the memos, so the
-        figure reducers that follow are pure lookups.
+        deterministic parallel execution) and land in the memos.
         """
         jobs = self.jobs if jobs is None else jobs
         by_key: dict[str, GridItem] = {}
@@ -289,9 +292,6 @@ class ExperimentContext:
         # The schedule rode along: warm the schedule memo for the twin.
         self._absorb_schedule(point.without_simulation(), result)
 
-    # ------------------------------------------------------------------
-    # Aggregations (unchanged public API)
-    # ------------------------------------------------------------------
     def program_ipc(
         self,
         program: Program,
@@ -301,46 +301,9 @@ class ExperimentContext:
         rule: SelectiveRule = SelectiveRule.MII_UNROLLED,
     ) -> ProgramPerformance:
         """IPC of one program: every eligible loop scheduled and modelled."""
-        results = {
-            loop.name: self.schedule_loop(loop, config, scheduler_name, policy, rule)
-            for loop in program.eligible_loops()
-        }
-        return program_performance(program, results)
-
-    def suite_ipc(
-        self,
-        config: MachineConfig,
-        scheduler_name: str,
-        policy: UnrollPolicy,
-        rule: SelectiveRule = SelectiveRule.MII_UNROLLED,
-    ) -> dict[str, ProgramPerformance]:
-        """Per-program performance over the whole suite."""
-        return {
-            program.name: self.program_ipc(
-                program, config, scheduler_name, policy, rule
-            )
-            for program in self.suite
-        }
-
-    def average_relative_ipc(
-        self,
-        config: MachineConfig,
-        scheduler_name: str,
-        policy: UnrollPolicy,
-        rule: SelectiveRule = SelectiveRule.MII_UNROLLED,
-    ) -> float:
-        """Mean over programs of IPC(clustered)/IPC(unified) (Figures 4, 8)."""
-        unified = unified_config()
-        ratios = []
-        for program in self.suite:
-            clustered_perf = self.program_ipc(
-                program, config, scheduler_name, policy, rule
-            )
-            unified_perf = self.program_ipc(
-                program, unified, "bsa", UnrollPolicy.NONE
-            )
-            ratios.append(clustered_perf.ipc / unified_perf.ipc)
-        return sum(ratios) / len(ratios)
+        grid = suite_grid([program], config, scheduler_name, policy, rule)
+        [performance] = suite_performance([program], self.results(grid))
+        return performance
 
 
 def geometric_mean(values: list[float]) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.selective import UnrollPolicy
-from ..errors import SimulationError
 from ..runner.scenario import GridItem
 from ..sim.crosscheck import CrossCheck
 from .common import ExperimentContext, suite_grid
@@ -52,30 +51,15 @@ def run_crossval(
     ctx: ExperimentContext, **dims: tuple[int, ...]
 ) -> list[CrossvalPoint]:
     """Simulate every loop of the Figure 8 grid and diff against the model."""
-    ctx.run_grid(crossval_grid(ctx, **dims))
-    points: list[CrossvalPoint] = []
-    for n_clusters, n_buses, latency, policy, machine in fig8_scenarios(**dims):
-        for program in ctx.suite:
-            for loop in program.eligible_loops():
-                try:
-                    check = ctx.crosscheck_loop(loop, machine, "bsa", policy)
-                except SimulationError as exc:  # a wrong schedule slipped through
-                    raise SimulationError(
-                        f"{program.name}/{loop.name} on {machine.name} "
-                        f"({policy}): {exc}"
-                    ) from exc
-                points.append(
-                    CrossvalPoint(
-                        program.name,
-                        loop.name,
-                        n_clusters,
-                        n_buses,
-                        latency,
-                        policy,
-                        check,
-                    )
-                )
-    return points
+    checks = iter(ctx.results(crossval_grid(ctx, **dims)))
+    return [
+        CrossvalPoint(
+            program.name, loop.name, n_clusters, n_buses, latency, policy, next(checks)
+        )
+        for n_clusters, n_buses, latency, policy, _machine in fig8_scenarios(**dims)
+        for program in ctx.suite
+        for loop in program.eligible_loops()
+    ]
 
 
 def max_ipc_divergence(points: list[CrossvalPoint]) -> float:

@@ -15,6 +15,7 @@ bus limited), and the saving is biggest for high-bandwidth fabrics
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from ..codegen.codesize import ZERO_SIZE, CodeSize, schedule_code_size
 from ..core.selective import UnrollPolicy
@@ -32,13 +33,9 @@ class Fig10Point:
     useful_ops_ratio: float  # black bars
 
 
-def _suite_code_size(ctx: ExperimentContext, config, policy: UnrollPolicy) -> CodeSize:
-    total = ZERO_SIZE
-    for program in ctx.suite:
-        for loop in program.eligible_loops():
-            result = ctx.schedule_loop(loop, config, "bsa", policy)
-            total = total + schedule_code_size(result.schedule)
-    return total
+def _code_size(results) -> CodeSize:
+    """Static code size of the schedules in *results*."""
+    return sum((schedule_code_size(r.schedule) for r in results), ZERO_SIZE)
 
 
 def run_fig10(ctx: ExperimentContext, **dims: tuple[int, ...]) -> list[Fig10Point]:
@@ -47,12 +44,13 @@ def run_fig10(ctx: ExperimentContext, **dims: tuple[int, ...]) -> list[Fig10Poin
     The first scenario, the unified machine without unrolling, is the
     baseline every other scenario is normalised to.
     """
-    ctx.run_grid(fig8_grid(ctx, **dims))
-    (*_, unified), *scenarios = fig8_scenarios(**dims)
-    baseline = _suite_code_size(ctx, unified, UnrollPolicy.NONE)
+    results = iter(ctx.results(fig8_grid(ctx, **dims)))
+    per_scenario = sum(len(program.eligible_loops()) for program in ctx.suite)
+    _unified, *scenarios = fig8_scenarios(**dims)
+    baseline = _code_size(islice(results, per_scenario))
     points = []
-    for n_clusters, n_buses, latency, policy, machine in scenarios:
-        size = _suite_code_size(ctx, machine, policy)
+    for n_clusters, n_buses, latency, policy, _machine in scenarios:
+        size = _code_size(islice(results, per_scenario))
         total_ratio, useful_ratio = size.normalised_to(baseline)
         points.append(
             Fig10Point(n_clusters, n_buses, latency, policy, total_ratio, useful_ratio)

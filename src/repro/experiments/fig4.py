@@ -12,11 +12,12 @@ grow; both degrade as buses shrink or slow down, N&E faster.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from ..arch.configs import clustered_config, unified_config
 from ..core.selective import UnrollPolicy
 from ..runner.scenario import GridItem
-from .common import ExperimentContext, suite_grid
+from .common import ExperimentContext, relative_ipc, suite_grid, suite_performance
 
 #: Bus counts swept on the x axis (the paper's plots run to 12).
 BUS_SWEEP = (1, 2, 3, 4, 6, 8, 12)
@@ -25,22 +26,23 @@ ALGORITHMS = ("bsa", "two-phase")
 CLUSTER_COUNTS = (2, 4)
 
 
+def _cells(bus_sweep, cluster_counts) -> list[tuple[int, str, int, int]]:
+    """Every ``(clusters, algorithm, latency, buses)`` cell, in plot order."""
+    return list(product(cluster_counts, ALGORITHMS, LATENCIES, bus_sweep))
+
+
 def fig4_grid(
     ctx: ExperimentContext,
     *,
     bus_sweep: tuple[int, ...] = BUS_SWEEP,
     cluster_counts: tuple[int, ...] = CLUSTER_COUNTS,
 ) -> list[GridItem]:
-    """The Figure 4 sweep as a flat scenario-point declaration."""
+    """The Figure 4 sweep: the unified baseline, then one
+    :func:`suite_grid` per cell."""
     items = suite_grid(ctx.suite, unified_config(), "bsa", UnrollPolicy.NONE)
-    for n_clusters in cluster_counts:
-        for algorithm in ALGORITHMS:
-            for latency in LATENCIES:
-                for n_buses in bus_sweep:
-                    cfg = clustered_config(n_clusters, n_buses, latency)
-                    items.extend(
-                        suite_grid(ctx.suite, cfg, algorithm, UnrollPolicy.NONE)
-                    )
+    for n_clusters, algorithm, latency, n_buses in _cells(bus_sweep, cluster_counts):
+        cfg = clustered_config(n_clusters, n_buses, latency)
+        items.extend(suite_grid(ctx.suite, cfg, algorithm, UnrollPolicy.NONE))
     return items
 
 
@@ -61,19 +63,13 @@ def run_fig4(
 ) -> list[Fig4Point]:
     """Run the Figure 4 sweep: relative IPC per (clusters, algorithm,
     latency, bus count) point."""
-    ctx.run_grid(fig4_grid(ctx, bus_sweep=bus_sweep, cluster_counts=cluster_counts))
+    grid = fig4_grid(ctx, bus_sweep=bus_sweep, cluster_counts=cluster_counts)
+    results = iter(ctx.results(grid))
+    unified = suite_performance(ctx.suite, results)
     points = []
-    for n_clusters in cluster_counts:
-        for algorithm in ALGORITHMS:
-            for latency in LATENCIES:
-                for n_buses in bus_sweep:
-                    cfg = clustered_config(n_clusters, n_buses, latency)
-                    rel = ctx.average_relative_ipc(
-                        cfg, algorithm, UnrollPolicy.NONE
-                    )
-                    points.append(
-                        Fig4Point(n_clusters, algorithm, latency, n_buses, rel)
-                    )
+    for cell in _cells(bus_sweep, cluster_counts):
+        rel = relative_ipc(suite_performance(ctx.suite, results), unified)
+        points.append(Fig4Point(*cell, rel))
     return points
 
 

@@ -26,7 +26,7 @@ from ..arch.configs import (
 )
 from ..core.selective import UnrollPolicy
 from ..runner.scenario import GridItem
-from .common import ExperimentContext, suite_grid
+from .common import ExperimentContext, suite_grid, suite_performance
 
 POLICIES = (UnrollPolicy.NONE, UnrollPolicy.ALL, UnrollPolicy.SELECTIVE)
 
@@ -83,21 +83,14 @@ def run_fig8(ctx: ExperimentContext, **dims: tuple[int, ...]) -> list[Fig8Point]
     """Run the Figure 8 grid: per-program IPC for every scenario.
 
     The grid executes through the runner (parallel across the context's
-    ``jobs``, persisted in its cache); the reduction below is then pure
-    memo lookups.
+    ``jobs``, persisted in its cache); each scenario's results then
+    reduce to one point per program.
     """
-    ctx.run_grid(fig8_grid(ctx, **dims))
+    results = iter(ctx.results(fig8_grid(ctx, **dims)))
     return [
-        Fig8Point(
-            program.name,
-            n_clusters,
-            n_buses,
-            latency,
-            policy,
-            ctx.program_ipc(program, machine, "bsa", policy).ipc,
-        )
-        for n_clusters, n_buses, latency, policy, machine in fig8_scenarios(**dims)
-        for program in ctx.suite
+        Fig8Point(program.name, n_clusters, n_buses, latency, policy, perf.ipc)
+        for n_clusters, n_buses, latency, policy, _machine in fig8_scenarios(**dims)
+        for program, perf in zip(ctx.suite, suite_performance(ctx.suite, results))
     ]
 
 

@@ -12,17 +12,23 @@ machine; best is 4-cluster / 1 bus / selective unrolling at ~3.6x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from ..arch.configs import clustered_config, unified_config
 from ..core.selective import UnrollPolicy
 from ..perf.speedup import SpeedupReport, speedup_report
 from ..runner.scenario import GridItem
-from .common import ExperimentContext, geometric_mean, suite_grid
+from .common import ExperimentContext, geometric_mean, suite_grid, suite_performance
 
 SCENARIOS = (
     ("NU", UnrollPolicy.NONE),
     ("SU", UnrollPolicy.SELECTIVE),
 )
+
+
+def _cells(cluster_counts, bus_counts) -> list[tuple[int, int, tuple]]:
+    """Every ``(clusters, buses, (scenario, policy))`` cell, in table order."""
+    return list(product(cluster_counts, bus_counts, SCENARIOS))
 
 
 def fig9_grid(
@@ -32,13 +38,12 @@ def fig9_grid(
     bus_counts: tuple[int, ...] = (1, 2),
     bus_latency: int = 1,
 ) -> list[GridItem]:
-    """The Figure 9 grid as a flat scenario-point declaration."""
+    """The Figure 9 grid: the unified baseline, then one
+    :func:`suite_grid` per cell."""
     items = suite_grid(ctx.suite, unified_config(), "bsa", UnrollPolicy.NONE)
-    for n_clusters in cluster_counts:
-        for n_buses in bus_counts:
-            cfg = clustered_config(n_clusters, n_buses, bus_latency)
-            for _label, policy in SCENARIOS:
-                items.extend(suite_grid(ctx.suite, cfg, "bsa", policy))
+    for n_clusters, n_buses, (_label, policy) in _cells(cluster_counts, bus_counts):
+        cfg = clustered_config(n_clusters, n_buses, bus_latency)
+        items.extend(suite_grid(ctx.suite, cfg, "bsa", policy))
     return items
 
 
@@ -58,28 +63,26 @@ def run_fig9(
     bus_latency: int = 1,
 ) -> list[Fig9Point]:
     """Run Figure 9: suite IPCs combined with modelled cycle times."""
-    ctx.run_grid(
-        fig9_grid(
-            ctx,
-            cluster_counts=cluster_counts,
-            bus_counts=bus_counts,
-            bus_latency=bus_latency,
-        )
+    grid = fig9_grid(
+        ctx,
+        cluster_counts=cluster_counts,
+        bus_counts=bus_counts,
+        bus_latency=bus_latency,
     )
+    results = iter(ctx.results(grid))
     unified = unified_config()
-    unified_perfs = ctx.suite_ipc(unified, "bsa", UnrollPolicy.NONE)
     # The paper reports the SPECfp95 average; the speed-up is computed
     # from the geometric-mean IPCs of the suite on each machine.
-    mean_ipc_u = geometric_mean([perf.ipc for perf in unified_perfs.values()])
+    mean_ipc_u = geometric_mean(
+        [perf.ipc for perf in suite_performance(ctx.suite, results)]
+    )
     points = []
-    for n_clusters in cluster_counts:
-        for n_buses in bus_counts:
-            cfg = clustered_config(n_clusters, n_buses, bus_latency)
-            for label, policy in SCENARIOS:
-                perfs = ctx.suite_ipc(cfg, "bsa", policy)
-                mean_ipc_c = geometric_mean([perf.ipc for perf in perfs.values()])
-                report = speedup_report(cfg, unified, mean_ipc_c, mean_ipc_u)
-                points.append(Fig9Point(n_clusters, n_buses, label, report))
+    for n_clusters, n_buses, (label, _policy) in _cells(cluster_counts, bus_counts):
+        cfg = clustered_config(n_clusters, n_buses, bus_latency)
+        perfs = suite_performance(ctx.suite, results)
+        mean_ipc_c = geometric_mean([perf.ipc for perf in perfs])
+        report = speedup_report(cfg, unified, mean_ipc_c, mean_ipc_u)
+        points.append(Fig9Point(n_clusters, n_buses, label, report))
     return points
 
 

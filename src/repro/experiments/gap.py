@@ -100,28 +100,19 @@ def gap_grid(
 def run_gap(ctx: ExperimentContext, *, quick: bool = False) -> list[GapPoint]:
     """Measure every scheduler of the table on every kernel and machine."""
     kernels = QUICK_KERNELS if quick else FULL_KERNELS
-    configs = gap_configs(quick)
-    ctx.run_grid(gap_grid(kernels, configs))
-    points: list[GapPoint] = []
-    for config in configs:
-        for kernel in kernels:
-            loop = kernel_loop(kernel)
-            for scheduler in GAP_SCHEDULERS:
-                result = ctx.schedule_loop(
-                    loop, config, scheduler, UnrollPolicy.NONE
-                )
-                points.append(
-                    GapPoint(
-                        kernel=kernel,
-                        config=config_label(config),
-                        scheduler=scheduler,
-                        ii=result.schedule.ii,
-                        mii=result.schedule.mii,
-                        max_live=max_pressure(result.schedule),
-                        fallback=result.fallback,
-                    )
-                )
-    return points
+    items = gap_grid(kernels, gap_configs(quick))
+    return [
+        GapPoint(
+            kernel=point.loop,
+            config=config_label(point.config()),
+            scheduler=point.scheduler,
+            ii=result.schedule.ii,
+            mii=result.schedule.mii,
+            max_live=max_pressure(result.schedule),
+            fallback=result.fallback,
+        )
+        for (point, _loop), result in zip(items, ctx.results(items))
+    ]
 
 
 def gap_rows(points: list[GapPoint]) -> list[dict]:

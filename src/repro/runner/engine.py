@@ -55,7 +55,7 @@ from ..core.selective import (
 from ..core.twophase import TwoPhaseScheduler
 from ..core.unified import UnifiedScheduler
 from ..core.verify import verify_schedule
-from ..errors import SchedulingError, VerificationError
+from ..errors import SchedulingError, SimulationError, VerificationError
 from ..ir.ddg import DependenceGraph
 from ..ir.loop import Loop
 from ..ir.serialize import loop_from_dict, loop_to_dict
@@ -168,6 +168,13 @@ def execute_point(
     PointResult
         The serialisable outcome, including the simulator comparison
         when ``point.simulate`` is set.
+
+    Raises
+    ------
+    SimulationError
+        When the simulator rejects the schedule; the message starts with
+        :meth:`ScenarioPoint.describe`, since it reaches the caller of a
+        whole grid.
     """
     config = point.config()
     result = prior
@@ -194,7 +201,10 @@ def execute_point(
         sim_loop = Loop(
             graph=loop.graph, trip_count=point.niter, times_executed=1
         )
-        sim = crosscheck_loop(sim_loop, result, memory=memory)
+        try:
+            sim = crosscheck_loop(sim_loop, result, memory=memory)
+        except SimulationError as exc:  # a wrong schedule slipped through
+            raise SimulationError(f"{point.describe()}: {exc}") from exc
     return PointResult.from_loop_result(result, sim=sim)
 
 
@@ -222,10 +232,13 @@ def checked_result(
     The payload is decoded against *point*'s own graph and machine
     (:meth:`PointResult.from_dict`), then a modulo schedule must pass
     :func:`~repro.core.verify.verify_schedule`.  A list schedule need
-    not fit the register file, so a result flagged ``fallback`` must be
-    the deterministic :func:`sequential_fallback` of the point, with the
-    same II, placements and transfers.  A pool worker's return or a
-    fabric worker's post is believed only once it passes.
+    not fit the register file, so a result flagged ``fallback`` is
+    checked by executing the point here: it must fall back too, to the
+    same II, placements and transfers.  ``exact`` is taken at its word
+    that it fell back, since whether its search times out depends on the
+    host; its payload must still be the point's deterministic
+    :func:`sequential_fallback`.  A pool worker's return or a fabric
+    worker's post is believed only once it passes.
 
     Raises
     ------
@@ -238,7 +251,16 @@ def checked_result(
     if not result.fallback:
         verify_schedule(got)
         return result
-    want = sequential_fallback(loop.graph, point.config()).schedule
+    if point.scheduler == "exact":
+        rerun = sequential_fallback(loop.graph, point.config())
+    else:
+        rerun = execute_point(point.without_simulation(), loop).loop_result()
+    if not rerun.fallback:
+        raise VerificationError(
+            f"{point.describe()}: not the point's list-schedule fallback: "
+            "flagged fallback, but the point schedules"
+        )
+    want = rerun.schedule
     if (got.ii, got.ops, got.comms) != (want.ii, want.ops, want.comms):
         raise VerificationError(
             f"{point.describe()}: not the point's list-schedule fallback"

@@ -167,18 +167,15 @@ def _run_smoke(ctx: "ExperimentContext", quick: bool) -> str:
         for config in configs:
             point = scenario_for(loop, config, "bsa", UnrollPolicy.NONE)
             items.append((point, loop))
-    ctx.run_grid(items)
-    rows = []
-    for point, _loop in items:
-        result = ctx.memo[point.canonical()]
-        rows.append(
-            {
-                "kernel": point.loop,
-                "config": config_label(point.config()),
-                "ii": result.ii,
-                "stages": result.stage_count,
-            }
-        )
+    rows = [
+        {
+            "kernel": point.loop,
+            "config": config_label(point.config()),
+            "ii": result.ii,
+            "stages": result.stage_count,
+        }
+        for (point, _loop), result in zip(items, ctx.results(items))
+    ]
     return format_table(
         rows, title="Smoke grid: II / stage count per kernel and machine"
     )

@@ -17,11 +17,14 @@ golden run below the 16 registers per cluster of every quick grid
 (where placement fit checks most often need the exact pressure
 histogram), and compares each point's
 ``repr(mean_ipc)`` and fallback count with
-``tests/golden/register_sweep.json``::
+``tests/golden/register_sweep.json``.  The ``ablations`` record runs
+EXP-A3 to A6 and A8, which no named grid covers, on the same sub-suite
+and compares each point's ``repr`` and each ablation's stats line with
+``tests/golden/ablations.json``::
 
-    PYTHONPATH=src python tests/golden_grids.py --check     # all grids + A7
+    PYTHONPATH=src python tests/golden_grids.py --check     # all grids, A7, ablations
     PYTHONPATH=src python tests/golden_grids.py --check fig8
-    PYTHONPATH=src python tests/golden_grids.py --check register-sweep
+    PYTHONPATH=src python tests/golden_grids.py --check register-sweep ablations
     PYTHONPATH=src python tests/golden_grids.py --write     # regenerate
 
 A change that alters figure output on purpose regenerates the files
@@ -39,11 +42,22 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent / "golden" / "quick_grids.json"
 FINGERPRINTS = GOLDEN.parent / "quick_fingerprints.json"
 REGISTER_SWEEP = GOLDEN.parent / "register_sweep.json"
+ABLATIONS = GOLDEN.parent / "ablations.json"
 
 #: The register sweep's name on the command line, beside the grid names.
 SWEEP = "register-sweep"
+#: The ablations record's name on the command line.
+ABLATION_RECORD = "ablations"
 #: EXP-A7's sub-suite (as in benchmarks/bench_ablations_substrate.py).
 SWEEP_PROGRAMS = ("tomcatv", "swim", "applu", "fpppp")
+#: The ablations the record covers, by EXP id and run function name.
+ABLATION_RUNS = {
+    "A3": "run_ordering_ablation",
+    "A4": "run_default_cluster_ablation",
+    "A5": "run_unroll_factor_sweep",
+    "A6": "run_stall_sensitivity",
+    "A8": "run_pipelining_gain",
+}
 
 
 def record(name: str) -> tuple[dict[str, str], dict[str, str]]:
@@ -90,18 +104,44 @@ def fingerprints(ctx) -> dict[str, str]:
     return dict(sorted(rows.items()))
 
 
+def sweep_suite() -> list:
+    """The programs of :data:`SWEEP_PROGRAMS`, freshly built."""
+    from repro.workloads import resolve_workload
+
+    return [resolve_workload(name, kind="program")[1]() for name in SWEEP_PROGRAMS]
+
+
 def register_sweep() -> dict[str, str]:
     """EXP-A7 at its default register sizes: a row per (size, policy)."""
     from repro.experiments import run_register_sweep
-    from repro.workloads import resolve_workload
 
-    suite = [resolve_workload(name, kind="program")[1]() for name in SWEEP_PROGRAMS]
     return {
         f"regs={p.regs_per_cluster} policy={p.policy}": (
             f"mean_ipc={p.mean_ipc!r} fallbacks={p.fallback_loops}"
         )
-        for p in run_register_sweep(suite)
+        for p in run_register_sweep(sweep_suite())
     }
+
+
+def ablations(names: tuple[str, ...] = tuple(ABLATION_RUNS)) -> dict[str, str]:
+    """The ablations *names* at their defaults, each in a fresh context:
+    a row per point (its ``repr``) and a row for the context's stats line."""
+    from repro import experiments
+
+    suite = sweep_suite()
+    rows = {}
+    for name in names:
+        ctx = experiments.ExperimentContext(suite=suite)
+        points = getattr(experiments, ABLATION_RUNS[name])(ctx)
+        for i, point in enumerate(points):
+            rows[f"{name} point {i}"] = repr(point)
+        rows[f"{name} stats"] = ctx.stats.render()
+    return rows
+
+
+def load_ablations() -> dict[str, str]:
+    """The committed ablations record's rows."""
+    return json.loads(ABLATIONS.read_text())["points"]
 
 
 def moved(golden: dict[str, str], got: dict[str, str]) -> list[str]:
@@ -134,7 +174,12 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--write", action="store_true", help="regenerate the files")
     parser.add_argument("grids", nargs="*", help="grid names (default: all)")
     args = parser.parse_args(argv)
-    names = args.grids or [*sorted(GRIDS), SWEEP]
+    # The records that are not a named grid: their file and their rows.
+    runs = {
+        SWEEP: (REGISTER_SWEEP, register_sweep),
+        ABLATION_RECORD: (ABLATIONS, ablations),
+    }
+    names = args.grids or [*sorted(GRIDS), *runs]
     if args.write:
         records = {name: record(name) for name in sorted(GRIDS)}
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
@@ -142,19 +187,20 @@ def main(argv: list[str] | None = None) -> int:
         rows = {name: rows for name, (_digest, rows) in records.items()}
         GOLDEN.write_text(json.dumps({"grids": digests}, indent=2) + "\n")
         FINGERPRINTS.write_text(json.dumps({"grids": rows}, indent=1) + "\n")
-        sweep = {"points": register_sweep()}
-        REGISTER_SWEEP.write_text(json.dumps(sweep, indent=1) + "\n")
+        for path, rows_of in runs.values():
+            path.write_text(json.dumps({"points": rows_of()}, indent=1) + "\n")
         print(
             f"wrote {len(records)} golden record(s) to {GOLDEN} and {FINGERPRINTS}, "
-            f"and the register sweep to {REGISTER_SWEEP}"
+            f"the register sweep to {REGISTER_SWEEP} and the ablations to {ABLATIONS}"
         )
         return 0
     golden, golden_rows = load(), load_fingerprints()
     bad = 0
     for name in names:
-        if name == SWEEP:
-            rows = register_sweep()
-            lines = moved(json.loads(REGISTER_SWEEP.read_text())["points"], rows)
+        if name in runs:
+            path, rows_of = runs[name]
+            rows = rows_of()
+            lines = moved(json.loads(path.read_text())["points"], rows)
             bad += bool(lines)
             print(f"{'DIFF' if lines else 'ok  '} {name}: {len(rows)} point(s)")
             for line in lines:

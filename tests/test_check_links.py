@@ -2,8 +2,8 @@
 
 Every Markdown file a Python source under ``src/``, ``tools/``,
 ``tests/``, ``benchmarks/`` or ``examples/`` names must exist, and every
-``repro-vliw`` command line a Markdown file cites must name a registered
-verb and only flags that verb registers.
+``repro-vliw`` command line a Markdown file other than the change log
+cites must name a registered verb and only flags that verb registers.
 """
 
 from __future__ import annotations
@@ -66,6 +66,22 @@ def test_reports_a_stale_cli_flag(tmp_path):
     ]
     assert check_links.stale_cli(commands, check_links.registered_options(ROOT)) == [
         "'repro-vliw fig8 --quik': fig8 registers no --quik option"
+    ]
+
+
+def test_change_log_is_checked_for_links_only(tmp_path):
+    """A stale flag is reported in a how-to, not in the change log."""
+    text = f"Dropped `repro-vliw fig8 --quik` (see [the notes]({MISSING})).\n"
+    options = check_links.registered_options(ROOT)
+    for name in ("README.md", "CHANGES.md"):
+        write(tmp_path / name, text)
+    readme = check_links.cli_commands(tmp_path / "README.md")
+    assert check_links.stale_cli(readme, options) == [
+        "'repro-vliw fig8 --quik': fig8 registers no --quik option"
+    ]
+    assert check_links.cli_commands(tmp_path / "CHANGES.md") == []
+    assert check_links.broken_links(tmp_path / "CHANGES.md") == [
+        (MISSING, f"no such file: {(tmp_path / MISSING).resolve()}")
     ]
 
 

@@ -13,13 +13,16 @@ from repro.experiments import (
     ExperimentContext,
     config_label,
     geometric_mean,
+    relative_ipc,
     run_fig7,
     run_fig7_ladder,
     run_table1,
     run_table2,
+    suite_grid,
+    suite_performance,
 )
 from repro.ir.loop import Loop, Program
-from repro.runner import make_scheduler, sequential_fallback
+from repro.runner import make_scheduler, scenario_for, sequential_fallback
 from repro.workloads.kernels import daxpy
 from repro.workloads.registry import workload
 
@@ -31,13 +34,26 @@ def small_ctx():
     return ExperimentContext(suite=suite)
 
 
+def relative_to_unified(ctx, cfg, policy):
+    """Mean over *ctx*'s programs of IPC(cfg)/IPC(unified), as one grid."""
+    clustered = suite_grid(ctx.suite, cfg, "bsa", policy)
+    unified = suite_grid(ctx.suite, unified_config(), "bsa", UnrollPolicy.NONE)
+    results = iter(ctx.results(clustered + unified))
+    perfs = suite_performance(ctx.suite, results)
+    return relative_ipc(perfs, suite_performance(ctx.suite, results))
+
+
 class TestContext:
     def test_cache_hits(self, small_ctx):
         loop = small_ctx.suite[0].eligible_loops()[0]
         cfg = two_cluster_config(1, 1)
-        r1 = small_ctx.schedule_loop(loop, cfg, "bsa", UnrollPolicy.NONE)
-        r2 = small_ctx.schedule_loop(loop, cfg, "bsa", UnrollPolicy.NONE)
-        assert r1 is r2  # memoised
+
+        def resolve():
+            point = scenario_for(loop, cfg, "bsa", UnrollPolicy.NONE)
+            [result] = small_ctx.results([(point, loop)])
+            return result
+
+        assert resolve() is resolve()  # memoised
 
     def test_program_ipc_positive(self, small_ctx):
         perf = small_ctx.program_ipc(
@@ -47,13 +63,13 @@ class TestContext:
 
     def test_relative_ipc_below_unified(self, small_ctx):
         cfg = four_cluster_config(1, 4)  # starved fabric
-        rel = small_ctx.average_relative_ipc(cfg, "bsa", UnrollPolicy.NONE)
+        rel = relative_to_unified(small_ctx, cfg, UnrollPolicy.NONE)
         assert 0 < rel < 1.0
 
     def test_selective_at_least_none(self, small_ctx):
         cfg = four_cluster_config(1, 2)
-        rel_none = small_ctx.average_relative_ipc(cfg, "bsa", UnrollPolicy.NONE)
-        rel_sel = small_ctx.average_relative_ipc(cfg, "bsa", UnrollPolicy.SELECTIVE)
+        rel_none = relative_to_unified(small_ctx, cfg, UnrollPolicy.NONE)
+        rel_sel = relative_to_unified(small_ctx, cfg, UnrollPolicy.SELECTIVE)
         assert rel_sel >= rel_none - 0.02
 
     def test_config_label(self):
@@ -143,7 +159,6 @@ class TestHelpers:
         cfg = four_cluster_config(1, 2)
         loop = small_ctx.suite[0].eligible_loops()[0]
         for rule in SelectiveRule:
-            r = small_ctx.schedule_loop(
-                loop, cfg, "bsa", UnrollPolicy.SELECTIVE, rule
-            )
+            point = scenario_for(loop, cfg, "bsa", UnrollPolicy.SELECTIVE, rule)
+            [r] = small_ctx.results([(point, loop)])
             assert r.schedule.is_complete

@@ -52,7 +52,7 @@ from repro.fabric.protocol import MAX_ID_LEN, validate_claim, validate_results
 from repro.fabric.worker import FabricWorker, WorkerDied, client_from_url
 from repro.runner import ResultCache, execute_points, scenario_for
 from repro.runner import engine
-from repro.runner.engine import _run_batch, run_sweep, work_item
+from repro.runner.engine import _run_batch, run_sweep, sequential_fallback, work_item
 from repro.runner.grids import GRIDS
 from repro.runner.scenario import PointResult, ScenarioPoint
 from repro.service import (
@@ -603,6 +603,34 @@ class TestCoordinator:
             ):
                 coordinator.submit_results(
                     results_body("w1", doc["lease"], CODE_VERSION, flagged)
+                )
+            assert coordinator.cache.writes == 0
+            coordinator.submit_results(
+                results_body("w1", doc["lease"], CODE_VERSION, honest)
+            )
+        assert box["finished"] and "error" not in box
+        assert as_docs(box["results"]) == reference_docs(misses)
+
+    def test_fallback_of_a_point_that_schedules_is_rejected(self, tmp_path):
+        """The point's own list-schedule fallback, posted for a point its
+        scheduler modulo-schedules (daxpy on two clusters): a 400, and
+        nothing lands."""
+        coordinator = make_coordinator(tmp_path, shard_size=99)
+        misses = make_misses(kernels=("daxpy",), cluster_counts=(2,))
+        [(_key, (point, loop))] = misses
+        fallback = sequential_fallback(loop.graph, point.config())
+        with fabric_sweep(coordinator, misses) as box:
+            doc = coordinator.claim(claim_body("w1", CODE_VERSION))
+            honest = execute_items(doc["shard"], doc.get("trace"))
+            posted = json.loads(json.dumps(honest))
+            posted[0]["result"] = json.loads(
+                json.dumps(PointResult.from_loop_result(fallback).to_dict())
+            )
+            with pytest.raises(
+                FabricBadRequest, match="VerificationError: .* flagged fallback"
+            ):
+                coordinator.submit_results(
+                    results_body("w1", doc["lease"], CODE_VERSION, posted)
                 )
             assert coordinator.cache.writes == 0
             coordinator.submit_results(

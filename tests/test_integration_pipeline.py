@@ -15,7 +15,8 @@ from repro.arch.timing import cycle_time_ps
 from repro.codegen import schedule_code_size
 from repro.core.selective import UnrollPolicy
 from repro.core.verify import verify_schedule
-from repro.experiments import ExperimentContext
+from repro.experiments import ExperimentContext, suite_grid
+from repro.runner import scenario_for
 from repro.workloads.registry import workload
 
 
@@ -66,11 +67,10 @@ class TestMiniEvaluation:
         for program in mini.suite:
             sizes = {}
             for policy in UnrollPolicy:
-                total = 0
-                for loop in program.eligible_loops():
-                    result = mini.schedule_loop(loop, cfg, "bsa", policy)
-                    total += schedule_code_size(result.schedule).total_ops
-                sizes[policy] = total
+                results = mini.results(suite_grid([program], cfg, "bsa", policy))
+                sizes[policy] = sum(
+                    schedule_code_size(result.schedule).total_ops for result in results
+                )
             assert sizes[UnrollPolicy.NONE] <= sizes[UnrollPolicy.SELECTIVE]
             assert sizes[UnrollPolicy.SELECTIVE] <= sizes[UnrollPolicy.ALL]
 
@@ -79,7 +79,8 @@ class TestMiniEvaluation:
         cfg = four_cluster_config(1, 1)
         program = mini.suite[0]
         loop = program.eligible_loops()[0]
-        result = mini.schedule_loop(loop, cfg, "bsa", UnrollPolicy.SELECTIVE)
+        point = scenario_for(loop, cfg, "bsa", UnrollPolicy.SELECTIVE)
+        [result] = mini.results([(point, loop)])
         code = expand_software_pipeline(result.schedule)
         size = schedule_code_size(result.schedule)
         assert sum(i.total_slots for i in code) == size.total_ops

@@ -1,7 +1,7 @@
 """Every front end resolves a scenario point through ``run_sweep``.
 
-The experiment context's point-at-a-time API and the scheduling service
-must reuse a cached schedule-only twin, write that twin, report every
+The experiment context's ``results`` and the scheduling service must
+reuse a cached schedule-only twin, write that twin, report every
 execution and count every fallback exactly like a grid sweep does.
 """
 
@@ -56,12 +56,12 @@ class TestContextPointAPI:
     def test_crosscheck_reuses_cached_twin(self, cache, schedule_calls):
         loop = kernel_loop("daxpy", trip_count=50)
         config = two_cluster_config()
-        ExperimentContext(suite=[], cache=cache).schedule_loop(
-            loop, config, "bsa", UnrollPolicy.NONE
-        )
+        point = scenario_for(loop, config, "bsa", UnrollPolicy.NONE)
+        ExperimentContext(suite=[], cache=cache).results([(point, loop)])
         schedule_calls["armed"] = True
         ctx = ExperimentContext(suite=[], cache=cache)
-        check = ctx.crosscheck_loop(loop, config, "bsa", UnrollPolicy.NONE)
+        simulated = scenario_for(loop, config, "bsa", UnrollPolicy.NONE, simulate=True)
+        [check] = ctx.results([(simulated, loop)])
         assert schedule_calls["n"] == 0
         assert check.simulated_cycles > 0
         assert ctx.stats.executed == 1
@@ -70,7 +70,8 @@ class TestContextPointAPI:
         loop = kernel_loop("dot", trip_count=50)
         config = two_cluster_config()
         ctx = ExperimentContext(suite=[], cache=cache)
-        ctx.crosscheck_loop(loop, config, "bsa", UnrollPolicy.NONE)
+        simulated = scenario_for(loop, config, "bsa", UnrollPolicy.NONE, simulate=True)
+        ctx.results([(simulated, loop)])
         twin = scenario_for(loop, config, "bsa", UnrollPolicy.NONE)
         assert twin in cache
         assert cache.stats().entries == 2
@@ -78,12 +79,9 @@ class TestContextPointAPI:
     def test_schedule_miss_is_recorded(self):
         recorder = RunRecorder()
         ctx = ExperimentContext(suite=[], recorder=recorder)
-        ctx.schedule_loop(
-            kernel_loop("vadd", trip_count=50),
-            two_cluster_config(),
-            "bsa",
-            UnrollPolicy.NONE,
-        )
+        loop = kernel_loop("vadd", trip_count=50)
+        point = scenario_for(loop, two_cluster_config(), "bsa", UnrollPolicy.NONE)
+        ctx.results([(point, loop)])
         records = recorder.report(sweep="point").records
         assert [r.source for r in records] == ["executed"]
 
@@ -113,8 +111,12 @@ class TestContextPointAPI:
         starved = dataclasses.replace(four_cluster_config(), regs_per_cluster=2)
         loops = specfp95_suite()[0].eligible_loops()[:3]
         ctx = ExperimentContext(suite=[])
-        for loop in loops:
-            ctx.schedule_loop(loop, starved, "bsa", UnrollPolicy.NONE)
+        ctx.results(
+            [
+                (scenario_for(loop, starved, "bsa", UnrollPolicy.NONE), loop)
+                for loop in loops
+            ]
+        )
         assert ctx.stats.fallbacks == len(ctx.fallbacks) > 0
         assert ctx.stats.executed == ctx.stats.total == len(loops)
 

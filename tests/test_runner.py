@@ -35,7 +35,12 @@ from repro.core.base import SchedulerBase
 from repro.core.bsa import BsaScheduler
 from repro.core.selective import SelectiveRule, UnrollPolicy
 from repro.core.unified import UnifiedScheduler
-from repro.errors import GraphError, SchedulingError, VerificationError
+from repro.errors import (
+    GraphError,
+    SchedulingError,
+    SimulationError,
+    VerificationError,
+)
 from repro.ir.ddg import DepKind
 from repro.ir.unroll import unrolled
 from repro.experiments import (
@@ -54,6 +59,7 @@ from repro.runner import (
     run_sweep,
     scenario_for,
 )
+from repro.runner import engine
 from repro.runner.engine import (
     SCHEDULERS,
     _run_batch,
@@ -790,7 +796,8 @@ class TestExecutePoints:
         back sorted) to the point's own list schedule; a lie does not."""
         loop = kernel_loop("ladder", trip_count=20)
         config = clustered_config(n_clusters, 1, 4)
-        point = scenario_for(loop, config, "bsa", UnrollPolicy.NONE)
+        # BSA schedules the ladder; ``exact`` is believed when it falls back.
+        point = scenario_for(loop, config, "exact", UnrollPolicy.NONE)
         fallback = sequential_fallback(loop.graph, config)
         assert fallback.schedule.comms
         payload = json.loads(
@@ -799,6 +806,21 @@ class TestExecutePoints:
         assert checked_result(payload, point, loop).loop_result().fallback
         with pytest.raises(VerificationError, match="list-schedule fallback"):
             checked_result(lie(payload), point, loop)
+
+    def test_fallback_of_a_point_that_schedules_is_rejected(self):
+        """The point's own list schedule, flagged ``fallback``, is believed
+        only where the point's scheduler fails: BSA schedules daxpy on
+        two clusters at II 1, so its II-10 fallback is a lie."""
+        loop = kernel_loop("daxpy")
+        config = two_cluster_config()
+        point = scenario_for(loop, config, "bsa", UnrollPolicy.NONE)
+        fallback = sequential_fallback(loop.graph, config)
+        assert fallback.schedule.ii == 10
+        payload = json.loads(
+            json.dumps(PointResult.from_loop_result(fallback).to_dict())
+        )
+        with pytest.raises(VerificationError, match="flagged fallback"):
+            checked_result(payload, point, loop)
 
 
 def lie(payload):
@@ -1027,13 +1049,15 @@ class TestContextIntegration:
         loop = prog.loops[0]
         cache = ResultCache(tmp_path / "c", code_version="v")
 
+        point = scenario_for(loop, starved, "bsa", UnrollPolicy.NONE)
+        simulated = scenario_for(loop, starved, "bsa", UnrollPolicy.NONE, simulate=True)
         ctx = ExperimentContext(suite=[prog], cache=cache)
-        ctx.schedule_loop(loop, starved, "bsa", UnrollPolicy.NONE)
+        ctx.results([(point, loop)])
         assert len(ctx.fallbacks) == 1
-        ctx.crosscheck_loop(loop, starved, "bsa", UnrollPolicy.NONE)
+        ctx.results([(simulated, loop)])
 
         replay = ExperimentContext(suite=[prog], cache=cache)
-        replay.crosscheck_loop(loop, starved, "bsa", UnrollPolicy.NONE)
+        replay.results([(simulated, loop)])
         assert len(replay.fallbacks) == 1
         assert replay.stats.executed == 0
 
@@ -1045,15 +1069,28 @@ class TestContextIntegration:
         run_fig8(later, **FIG8_DIMS)
         assert later.stats.executed == 0
 
+    def test_simulation_error_names_its_point(self, monkeypatch):
+        """A simulator rejection escapes the grid with its point's label."""
+
+        def reject(loop, result, memory=None):
+            raise SimulationError("token violation")
+
+        monkeypatch.setattr(engine, "crosscheck_loop", reject)
+        ctx = ExperimentContext(suite=small_suite())
+        loop = ctx.suite[0].eligible_loops()[0].name
+        label = rf"{loop} @ unified \[bsa/no-unrolling\] sim\(niter=\d+\)"
+        with pytest.raises(SimulationError, match=rf"^{label}: token violation$"):
+            run_crossval(ctx, **FIG8_DIMS)
+
     def test_selective_rules_cache_separately(self, cache):
         ctx = small_ctx(cache=cache)
         loop = ctx.suite[0].eligible_loops()[0]
         cfg = four_cluster_config(1, 2)
-        r1 = ctx.schedule_loop(
-            loop, cfg, "bsa", UnrollPolicy.SELECTIVE, SelectiveRule.MII_UNROLLED
-        )
-        r2 = ctx.schedule_loop(
-            loop, cfg, "bsa", UnrollPolicy.SELECTIVE, SelectiveRule.LITERAL
+        r1, r2 = ctx.results(
+            [
+                (scenario_for(loop, cfg, "bsa", UnrollPolicy.SELECTIVE, rule), loop)
+                for rule in (SelectiveRule.MII_UNROLLED, SelectiveRule.LITERAL)
+            ]
         )
         assert ctx.stats.executed == 2
         assert r1.schedule.is_complete and r2.schedule.is_complete
@@ -1062,8 +1099,8 @@ class TestContextIntegration:
         ctx = small_ctx()
         loop = ctx.suite[0].eligible_loops()[0]
         cfg = unified_config()
-        r1 = ctx.schedule_loop(loop, cfg, "bsa", UnrollPolicy.NONE)
-        r2 = ctx.schedule_loop(loop, cfg, "bsa", UnrollPolicy.NONE)
+        [r1] = ctx.results([(scenario_for(loop, cfg, "bsa", UnrollPolicy.NONE), loop)])
+        [r2] = ctx.results([(scenario_for(loop, cfg, "bsa", UnrollPolicy.NONE), loop)])
         assert r1 is r2
 
 

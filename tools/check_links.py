@@ -16,6 +16,8 @@ any other tracked directory):
   command line (backslash continuations joined; a shell comment, pipe or
   list operator ends the command) must be an option that subcommand
   registers, so a deleted or renamed flag cannot linger in the docs.
+  ``CHANGES.md`` is exempt from both CLI detectors: a change log
+  records the tree as it was, removed verbs and flags included.
 
 and a fourth over the Python sources of ``src/``, ``tools/``, ``tests/``,
 ``benchmarks/`` and ``examples/``:
@@ -46,6 +48,9 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: Directories never scanned (caches, VCS internals, virtualenvs).
 SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules", ".venv"}
+
+#: Markdown files that record the tree as it was: links only, no CLI check.
+HISTORY_FILES = {"CHANGES.md"}
 
 
 def iter_markdown_files(root: Path) -> list[Path]:
@@ -111,7 +116,9 @@ def registered_options(root: Path) -> dict[str, set[str]]:
 
 def cli_commands(md_file: Path) -> list[tuple[str, list[str]]]:
     """Every ``repro-vliw <verb>`` inside a code block or code span, with
-    the ``--flags`` its command line passes."""
+    the ``--flags`` its command line passes (none in a history file)."""
+    if md_file.name in HISTORY_FILES:
+        return []
     text = md_file.read_text(encoding="utf-8")
     fenced = [block.replace("\\\n", " ") for block in FENCED_RE.findall(text)]
     inline = INLINE_CODE_RE.findall(FENCED_RE.sub("", text))
